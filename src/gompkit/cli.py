@@ -55,43 +55,35 @@ def _verify_lemma4(count: int, seed: int) -> int:
     return failed
 
 
-def _verify_lemma5(count: int, seed: int) -> int:
+def _verify_traces(count: int, seed: int, noisy: bool, holds) -> int:
+    """Count the seeded generated runs on which ``holds(inst, trace)`` fails."""
     rng = np.random.default_rng(seed)
     failed = 0
     for i in range(count):
         k = int(rng.integers(1, 6))
         nsel = int(rng.integers(1, 4))
-        inst = gen_instance(k, nsel, noisy=False, seed=seed + i)
+        inst = gen_instance(k, nsel, noisy=noisy, seed=seed + i)
         trace = gomp_run(
             inst.matrix,
             inst.observation,
             GompParams(sparsity=k, n_select=nsel, epsilon=inst.epsilon),
         )
-        if not verify_stopping(inst.matrix, inst.signal, trace, nsel, noise=inst.noise):
-            failed += 1
-    return failed
-
-
-def _verify_selection(count: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    failed = 0
-    for i in range(count):
-        k = int(rng.integers(1, 6))
-        nsel = int(rng.integers(1, 4))
-        inst = gen_instance(k, nsel, noisy=True, seed=seed + i)
-        trace = gomp_run(
-            inst.matrix,
-            inst.observation,
-            GompParams(sparsity=k, n_select=nsel, epsilon=inst.epsilon),
-        )
-        if not verify_selection_condition(inst.matrix, inst.signal, inst.noise, trace, nsel):
+        if not holds(inst, trace):
             failed += 1
     return failed
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    runners = {"4": _verify_lemma4, "5": _verify_lemma5, "selection": _verify_selection}
-    failed = runners[args.lemma](args.instances, args.seed)
+    if args.lemma == "4":
+        failed = _verify_lemma4(args.instances, args.seed)
+    elif args.lemma == "5":
+        failed = _verify_traces(args.instances, args.seed, False, lambda inst, trace: (
+            verify_stopping(inst.matrix, inst.signal, trace, noise=inst.noise)
+        ))
+    else:
+        failed = _verify_traces(args.instances, args.seed, True, lambda inst, trace: (
+            verify_selection_condition(inst.matrix, inst.signal, inst.noise, trace, inst.n_select)
+        ))
     passed = args.instances - failed
     print(f"lemma {args.lemma}: {passed} passed, {failed} failed ({args.instances} instances)")
     return 1 if failed else 0

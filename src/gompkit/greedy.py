@@ -46,7 +46,7 @@ class GompParams:
         n_select <= (m - 1) / sparsity for the sensing matrix in use;
         checked when the matrix is known.
     epsilon : float
-        Residual 2-norm stopping threshold, in units of ||y||.
+        Absolute residual 2-norm stopping threshold (not relative to ||y||).
     """
 
     sparsity: int
@@ -137,6 +137,8 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
     y = np.asarray(y, dtype=float)
     if y.shape != (mat.m,):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({mat.m},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation entries must be finite")
     k_max, n_sel = params.sparsity, params.n_select
     # The guarantee theory wants n_select <= (m - 1)/sparsity so the
     # order-NK+1 constant exists; the algorithm itself only needs the full

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -29,11 +27,11 @@ import numpy as np
 
 from .exceptions import GompkitError
 from .greedy import GompParams, gomp_run
-from .linops import SensingMatrix, orthogonal_factor
+from .linops import SensingMatrix, random_du_matrix
 from .metrics import SparseSignal, mar, snr_threshold
 from .rip import RicEstimate, du_ric_bound
+from .verify import NOISE_FLOOR_REL
 
-NOISE_FLOOR_REL = 1e-10
 SNR_MARGIN = 0.01
 EXACT_RECOVERY_RTOL = 1e-8
 
@@ -103,10 +101,7 @@ def gen_instance(
     n = n_select * sparsity + 1
     rng = np.random.default_rng(seed)
 
-    bound = 0.99 / math.sqrt(sparsity / n_select + 1.0)
-    d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
-    u = orthogonal_factor(rng.standard_normal((n, n)))
-    matrix = SensingMatrix(d[:, None] * u)
+    d, matrix = random_du_matrix(rng, n, sparsity / n_select)
     claimed = du_ric_bound(d)
 
     support = rng.permutation(n)[:sparsity] + 1
@@ -170,7 +165,7 @@ def run_trial(sparsity: int, n_select: int, noisy: bool, seed: int, *, flat_sign
             iterations_used=trace.iterations_used,
             residual_final=residual,
         )
-    except GompkitError as exc:
+    except (GompkitError, np.linalg.LinAlgError) as exc:
         return TrialReport(
             instance_seed=seed,
             exact_recovery=False,
@@ -181,14 +176,6 @@ def run_trial(sparsity: int, n_select: int, noisy: bool, seed: int, *, flat_sign
         )
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("GOMP_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_trials(
     sparsities: Iterable[int],
     n_selects: Iterable[int],
@@ -197,31 +184,23 @@ def run_trials(
     base_seed: int,
     *,
     flat_signal: bool = False,
-    max_workers: int | None = None,
 ) -> list[CellResult]:
     """Run a (sparsity, n_select) grid of seeded trials.
 
     Trial t of every cell uses seed base_seed + t, so cells are
-    independent of each other and of execution order; results are
-    identical whether trials run serially or on a thread pool
-    (GOMP_THREADS caps the pool when ``max_workers`` is not given).
+    independent of each other and of execution order.
     """
     if trials_per_cell < 0:
         raise ValueError("trials_per_cell must be >= 0")
     if trials_per_cell == 0:
         return []
-    workers = _default_workers() if max_workers is None else max(1, max_workers)
     cells = sorted((int(k), int(nsel)) for k in sparsities for nsel in n_selects)
     results = []
     for k, nsel in cells:
-        seeds = [base_seed + t for t in range(trials_per_cell)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(
-                    pool.map(lambda s: run_trial(k, nsel, noisy, s, flat_signal=flat_signal), seeds)
-                )
-        else:
-            reports = [run_trial(k, nsel, noisy, s, flat_signal=flat_signal) for s in seeds]
+        reports = [
+            run_trial(k, nsel, noisy, base_seed + t, flat_signal=flat_signal)
+            for t in range(trials_per_cell)
+        ]
         clean = [r for r in reports if r.error is None]
         results.append(
             CellResult(
@@ -306,6 +285,17 @@ def report_payload(results: Sequence[CellResult], *, include_trials: bool = Fals
     return {"cells": cells}
 
 
+def _write_text(text: str, destination: str | Path | IO[str] | None) -> None:
+    """Write ``text`` to a path, a stream, or stdout when ``destination`` is None."""
+    if destination is None:
+        sys.stdout.write(text)
+    elif isinstance(destination, (str, Path)):
+        with open(destination, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        destination.write(text)
+
+
 def emit_report(
     results: Sequence[CellResult],
     fmt: str,
@@ -324,44 +314,7 @@ def emit_report(
         text = json.dumps(report_payload(results, include_trials=include_trials), indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-    if destination is None:
-        sys.stdout.write(text)
-    elif isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        destination.write(text)
-
-
-# Instance files carry every float with 17 significant digits so values
-# round-trip exactly; the document is plain JSON.
-
-
-def _fmt_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)}")
-
-
-def _fmt_value(value, indent: int) -> str:
-    pad = " " * indent
-    if isinstance(value, dict):
-        inner = ",\n".join(
-            f'{pad}  "{key}": {_fmt_value(val, indent + 2)}' for key, val in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if any(isinstance(v, (dict, list, tuple)) for v in value):
-            inner = ",\n".join(f"{pad}  {_fmt_value(v, indent + 2)}" for v in value)
-            return "[\n" + inner + "\n" + pad + "]"
-        return "[" + ", ".join(_fmt_scalar(v) for v in value) + "]"
-    return _fmt_scalar(value)
+    _write_text(text, destination)
 
 
 def instance_payload(inst: Instance) -> dict:
@@ -388,15 +341,8 @@ def instance_payload(inst: Instance) -> dict:
 
 
 def write_instance(inst: Instance, destination: str | Path | IO[str] | None = None) -> None:
-    """Serialize an instance as JSON (matrix row-major, 17-digit floats)."""
-    text = _fmt_value(instance_payload(inst), 0) + "\n"
-    if destination is None:
-        sys.stdout.write(text)
-    elif isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        destination.write(text)
+    """Serialize an instance as JSON (matrix row-major, exact round-trip floats)."""
+    _write_text(json.dumps(instance_payload(inst), allow_nan=False) + "\n", destination)
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

@@ -10,6 +10,7 @@ only isometry-good, not perfectly conditioned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -154,3 +155,15 @@ def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
+
+
+def random_du_matrix(rng: np.random.Generator, n: int, ratio: float) -> tuple[np.ndarray, SensingMatrix]:
+    """Draw (d, diag(d) U) for a generated instance; ``ratio`` is K/N.
+
+    d is uniform on [sqrt(1 - b), sqrt(1 + b)] with b = 0.99 / sqrt(ratio + 1),
+    drawn before U's standard-normal source (part of the seeded contract).
+    """
+    bound = 0.99 / math.sqrt(ratio + 1.0)
+    d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
+    u = orthogonal_factor(rng.standard_normal((n, n)))
+    return d, SensingMatrix(d[:, None] * u)

@@ -49,9 +49,6 @@ class RicEstimate:
     value: float
     kind: RicKind
 
-    def covers_order(self, order: int) -> bool:
-        return self.order >= order
-
 
 class Condition(enum.Enum):
     """Named sufficient-condition thresholds on the order-NK+1 constant

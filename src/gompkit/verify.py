@@ -26,8 +26,8 @@ from .linops import (
     MatrixLike,
     SensingMatrix,
     as_sensing_matrix,
-    orthogonal_factor,
     project_complement,
+    random_du_matrix,
 )
 from .metrics import SparseSignal
 from .rip import exact_ric
@@ -36,6 +36,7 @@ from .rip import exact_ric
 # problem sizes enumeration allows, leaving ~1e-15 of true float noise.
 LEMMA_SLACK = 1e-12
 
+# Noise-free residual floor, relative to ||y||; also the generator's noise-free epsilon.
 NOISE_FLOOR_REL = 1e-10
 
 
@@ -134,7 +135,6 @@ def verify_stopping(
     a: MatrixLike,
     x: SparseSignal,
     trace: RecoveryTrace,
-    n_select: int,
     *,
     noise: np.ndarray | None = None,
 ) -> bool:
@@ -220,10 +220,7 @@ def random_lemma_instance(rng: np.random.Generator, n_max: int = 12) -> LemmaIns
     else:
         n_select, support_size, iteration, overlap = 1, 1, 0, 0
 
-    bound = 0.99 / np.sqrt(support_size / n_select + 1.0)
-    d = rng.uniform(np.sqrt(1.0 - bound), np.sqrt(1.0 + bound), size=n)
-    u = orthogonal_factor(rng.standard_normal((n, n)))
-    mat = SensingMatrix(d[:, None] * u)
+    _, mat = random_du_matrix(rng, n, support_size / n_select)
 
     perm = rng.permutation(n) + 1
     omega = [int(i) for i in perm[:support_size]]

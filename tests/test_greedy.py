@@ -43,6 +43,12 @@ class TestGompParams:
         with pytest.raises(InvalidParams):
             gomp_run(a, np.ones(4), GompParams(sparsity=3, n_select=2, epsilon=0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_run_rejects_nonfinite_observation(self, bad):
+        y = np.array([1.0, 0.0, bad, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            gomp_run(np.eye(4), y, GompParams(sparsity=2, n_select=1, epsilon=1e-12))
+
 
 class TestIdentitySensing:
     def test_one_per_iteration(self):

@@ -8,15 +8,19 @@ import pytest
 
 from gompkit import (
     check_recovery_condition,
+    du_ric_bound,
     emit_report,
     exact_ric,
     gen_instance,
     mar,
+    orthogonal_factor,
+    run_trial,
     run_trials,
     snr,
     snr_threshold,
     write_instance,
 )
+from gompkit import harness
 from gompkit.harness import instance_payload, load_matrix, report_payload, report_rows
 
 
@@ -81,6 +85,18 @@ class TestGenInstance:
         assert a.epsilon == b.epsilon
         assert a.claimed_delta == b.claimed_delta
 
+    @pytest.mark.parametrize("k,nsel", [(1, 1), (3, 2), (8, 4)])
+    def test_matrix_follows_documented_draw_order(self, k, nsel):
+        # uniform diagonal, then the standard-normal source of the orthogonal factor
+        n = nsel * k + 1
+        rng = np.random.default_rng(17)
+        bound = 0.99 / math.sqrt(k / nsel + 1.0)
+        d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
+        u = orthogonal_factor(rng.standard_normal((n, n)))
+        inst = gen_instance(k, nsel, noisy=True, seed=17)
+        assert (d[:, None] * u).tobytes() == inst.matrix.entries.tobytes()
+        assert du_ric_bound(d) == inst.claimed_delta
+
     def test_flat_signal_pins_mar(self):
         inst = gen_instance(4, 2, noisy=False, seed=31, flat_signal=True)
         nz = inst.signal.values[np.array(sorted(inst.signal.support)) - 1]
@@ -118,16 +134,21 @@ class TestRunTrials:
         for cell in results:
             assert [r.instance_seed for r in cell.reports] == [11, 12, 13]
 
-    def test_thread_pool_matches_serial(self):
-        serial = run_trials([2, 3], [1, 2], 6, noisy=True, base_seed=90, max_workers=1)
-        pooled = run_trials([2, 3], [1, 2], 6, noisy=True, base_seed=90, max_workers=4)
-        assert serial == pooled
+    def test_cells_are_seeded_single_trials(self):
+        results = run_trials([2, 3], [1, 2], 4, True, 90)
+        for cell in results:
+            expected = tuple(run_trial(cell.sparsity, cell.n_select, True, 90 + t) for t in range(4))
+            assert cell.reports == expected
 
-    def test_gomp_threads_env_caps_pool(self, monkeypatch):
-        monkeypatch.setenv("GOMP_THREADS", "2")
-        capped = run_trials([2], [1], 5, noisy=False, base_seed=14)
-        monkeypatch.delenv("GOMP_THREADS")
-        assert capped == run_trials([2], [1], 5, noisy=False, base_seed=14)
+    def test_linalg_error_is_recorded_not_raised(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(harness, "gomp_run", broken)
+        [cell] = run_trials([2], [1], 3, False, 5)
+        assert all(r.error.startswith("LinAlgError") for r in cell.reports)
+        assert cell.exact_rate == cell.support_rate == 0.0
+        assert math.isnan(cell.mean_iterations)
 
 
 class TestEmitReport:
@@ -163,17 +184,20 @@ class TestEmitReport:
 
 
 class TestInstanceFiles:
-    def test_floats_round_trip_exactly(self, tmp_path):
-        inst = gen_instance(3, 2, noisy=True, seed=13)
+    @pytest.mark.parametrize("k,nsel,noisy", [(1, 1, False), (3, 2, True), (5, 3, False), (8, 4, True)])
+    def test_floats_round_trip_exactly(self, tmp_path, k, nsel, noisy):
+        inst = gen_instance(k, nsel, noisy=noisy, seed=13)
         path = tmp_path / "instance.json"
         write_instance(inst, path)
         doc = json.loads(path.read_text())
-        assert doc["k"] == 3 and doc["n_select"] == 2 and doc["noisy"] is True
-        assert doc["m"] == doc["n"] == 7
-        assert np.array_equal(np.array(doc["matrix"]), inst.matrix.entries)
-        assert np.array_equal(np.array(doc["signal"]), inst.signal.values)
-        assert np.array_equal(np.array(doc["noise"]), inst.noise)
-        assert np.array_equal(np.array(doc["observation"]), inst.observation)
+        n = nsel * k + 1
+        assert doc["k"] == k and doc["n_select"] == nsel and doc["noisy"] is noisy
+        assert doc["m"] == doc["n"] == n
+        for field, array in [("matrix", inst.matrix.entries), ("signal", inst.signal.values),
+                             ("noise", inst.noise), ("observation", inst.observation)]:
+            parsed = np.array(doc[field], dtype=float)
+            assert parsed.shape == array.shape
+            assert parsed.tobytes() == array.tobytes(), field
         assert doc["support"] == sorted(inst.signal.support)
         assert doc["epsilon"] == inst.epsilon
         assert doc["claimed_delta"]["value"] == inst.claimed_delta.value

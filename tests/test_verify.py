@@ -106,12 +106,12 @@ class TestStopping:
         x = SparseSignal.from_dense(np.array([0.0, 2.0, 0.0, -1.0, 0.0]))
         y = a @ x.values
         trace = gomp_run(a, y, GompParams(sparsity=2, n_select=1, epsilon=1e-10 * np.linalg.norm(y)))
-        assert verify_stopping(a, x, trace, 1)
+        assert verify_stopping(a, x, trace)
 
     def test_generated_noise_free_runs(self):
         for seed in range(20):
             inst, trace = run_generated(2 + seed % 4, 1 + seed % 3, False, 900 + seed)
-            assert verify_stopping(inst.matrix, inst.signal, trace, inst.n_select, noise=inst.noise)
+            assert verify_stopping(inst.matrix, inst.signal, trace, noise=inst.noise)
 
     def test_adversarial_double_fails(self):
         # zero residual, one correct index out of one iteration, but the
@@ -131,7 +131,7 @@ class TestStopping:
             final_support=frozenset({1, 2}),
             termination=Termination.RESIDUAL_BELOW_EPSILON,
         )
-        assert not verify_stopping(a, x, fake, 2)
+        assert not verify_stopping(a, x, fake)
 
     def test_vacuous_when_not_enough_correct_picks(self):
         a = np.eye(4)
@@ -149,12 +149,12 @@ class TestStopping:
             final_support=frozenset({2}),
             termination=Termination.RESIDUAL_BELOW_EPSILON,
         )
-        assert verify_stopping(a, x, fake, 1)
+        assert verify_stopping(a, x, fake)
 
     def test_noisy_instance_rejected(self):
         inst, trace = run_generated(2, 2, True, 1234)
         with pytest.raises(NotNoiseFree):
-            verify_stopping(inst.matrix, inst.signal, trace, 2, noise=inst.noise)
+            verify_stopping(inst.matrix, inst.signal, trace, noise=inst.noise)
 
 
 class TestSelectionCondition:
