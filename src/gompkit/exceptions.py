@@ -10,7 +10,13 @@ class DimensionMismatch(GompkitError, ValueError):
 
 
 class RankDeficient(GompkitError):
-    """A column submatrix is numerically rank-deficient."""
+    """A column submatrix is numerically rank-deficient.
+
+    Raised from inside a pursuit, ``partial_trace`` carries the
+    RecoveryTrace of the iterations completed before the failing refit.
+    """
+
+    partial_trace = None
 
 
 class Singular(GompkitError):

@@ -8,6 +8,10 @@ Indices on the public surface are 1-based. Selection excludes indices that
 are already in the support: their correlations are exactly zero in exact
 arithmetic, so exclusion only rules out re-picks under floating-point
 ties and keeps the support growing by exactly ``n_select`` per iteration.
+
+``gomp_run`` is the traced reference. ``gomp_stacked`` runs many
+same-shape problems as one stacked computation without traces and gives
+the same bits per problem.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from .exceptions import (
     DimensionMismatch,
     InsufficientCandidates,
     InvalidParams,
+    RankDeficient,
     TraceIncomplete,
 )
-from .linops import MatrixLike, as_sensing_matrix, least_squares
+from .linops import RANK_RTOL, MatrixLike, as_sensing_matrix, least_squares, row_dot
 
 
 class Termination(enum.Enum):
@@ -31,6 +36,7 @@ class Termination(enum.Enum):
 
     MAX_ITERATIONS = "max_iterations"
     RESIDUAL_BELOW_EPSILON = "residual_below_epsilon"
+    RANK_DEFICIENT = "rank_deficient"  # only on RankDeficient.partial_trace
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,25 @@ def select_top_n(
     return [int(candidates[i]) + 1 for i in order[:n_select]]
 
 
+def _check_fits(params: GompParams, m: int, n: int) -> None:
+    # The guarantee theory wants n_select <= (m - 1)/sparsity so the
+    # order-NK+1 constant exists; the algorithm itself only needs the full
+    # support to stay fittable (<= m) and selectable (<= n).
+    size = params.n_select * params.sparsity
+    if size > m:
+        raise InvalidParams(f"n_select * sparsity = {size} exceeds the row count {m}")
+    if size > n:
+        raise InvalidParams(f"n_select * sparsity = {size} exceeds the {n} available columns")
+
+
+def _placed(n: int, support: list[int], coef: np.ndarray) -> np.ndarray:
+    """Coefficients of the fit on ``support`` (1-based) placed in a length-n vector."""
+    estimate = np.zeros(n)
+    if support:
+        estimate[np.asarray(sorted(support)) - 1] = coef
+    return estimate
+
+
 def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
     """Run the pursuit on observation ``y``.
 
@@ -132,6 +157,10 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
     enlarged support by least squares, and recomputes the residual. Stops
     after ``sparsity`` iterations or once ||r|| <= epsilon. The estimate is
     the last least-squares fit placed on the final support, zero elsewhere.
+
+    A refit on a rank-deficient support raises RankDeficient naming the
+    iteration; its ``partial_trace`` holds the iterations completed before
+    it, terminated as RANK_DEFICIENT.
     """
     mat = as_sensing_matrix(a)
     y = np.asarray(y, dtype=float)
@@ -139,18 +168,8 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({mat.m},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("observation entries must be finite")
+    _check_fits(params, mat.m, mat.n)
     k_max, n_sel = params.sparsity, params.n_select
-    # The guarantee theory wants n_select <= (m - 1)/sparsity so the
-    # order-NK+1 constant exists; the algorithm itself only needs the full
-    # support to stay fittable (<= m) and selectable (<= n).
-    if n_sel * k_max > mat.m:
-        raise InvalidParams(
-            f"n_select * sparsity = {n_sel * k_max} exceeds the row count {mat.m}"
-        )
-    if n_sel * k_max > mat.n:
-        raise InvalidParams(
-            f"n_select * sparsity = {n_sel * k_max} exceeds the {mat.n} available columns"
-        )
 
     support: list[int] = []  # 1-based, insertion order
     residual = y.copy()
@@ -162,8 +181,19 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
         k += 1
         correlations = mat.entries.T @ residual
         picked = select_top_n(correlations, n_sel, excluded=frozenset(support))
+        try:
+            new_coef = least_squares(mat, support + picked, y)
+        except RankDeficient as exc:
+            err = RankDeficient(f"iteration {k}: {exc}")
+            err.partial_trace = RecoveryTrace(
+                iterations=records,
+                final_estimate=_placed(mat.n, support, coef),
+                final_support=frozenset(support),
+                termination=Termination.RANK_DEFICIENT,
+            )
+            raise err from exc
         support.extend(picked)
-        coef = least_squares(mat, support, y)
+        coef = new_coef
         sorted_support = sorted(support)
         fitted = mat.entries[:, np.asarray(sorted_support) - 1] @ coef
         residual = y - fitted
@@ -182,15 +212,90 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
         if final_norm <= params.epsilon
         else Termination.MAX_ITERATIONS
     )
-    estimate = np.zeros(mat.n)
-    if support:
-        estimate[np.asarray(sorted(support)) - 1] = coef
     return RecoveryTrace(
         iterations=records,
-        final_estimate=estimate,
+        final_estimate=_placed(mat.n, support, coef),
         final_support=frozenset(support),
         termination=termination,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class StackedRun:
+    """Final state of every row of a :func:`gomp_stacked` run."""
+
+    supports: np.ndarray  # (T, n) bool, True on the final support
+    estimates: np.ndarray  # (T, n), the last fit placed on the final support
+    iterations: np.ndarray  # (T,) iterations used
+    residual_norms: np.ndarray  # (T,) final ||r||; ||y|| when no iteration ran
+
+
+def gomp_stacked(
+    entries: np.ndarray, y: np.ndarray, eps: np.ndarray, sparsity: int, n_select: int
+) -> StackedRun:
+    """Run the pursuit on a stack of problems of one shape, without traces.
+
+    Row t of the result has the same bits as ``gomp_run(entries[t], y[t],
+    GompParams(sparsity, n_select, eps[t]))``: final support, estimate,
+    iteration count and final residual norm. Each product is formed with
+    the memory layout the scalar run gives its operands, so BLAS sums in
+    the same order. A row freezes once its residual norm is <= its
+    epsilon. A rank-deficient refit in any row raises RankDeficient for
+    the whole stack.
+    """
+    entries = np.asarray(entries, dtype=float)
+    y = np.asarray(y, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if entries.ndim != 3 or y.shape != entries.shape[:2] or eps.shape != entries.shape[:1]:
+        raise DimensionMismatch(
+            f"expected entries (T, m, n), y (T, m) and eps (T,), "
+            f"got {entries.shape}, {y.shape} and {eps.shape}"
+        )
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("matrix entries must be finite")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation entries must be finite")
+    if not np.all(eps >= 0.0):
+        raise InvalidParams("epsilon must be >= 0")
+    rows, m, n = entries.shape
+    _check_fits(GompParams(sparsity, n_select, 0.0), m, n)
+
+    chosen = np.zeros((rows, n), dtype=bool)
+    estimates = np.zeros((rows, n))
+    iterations = np.zeros(rows, dtype=int)
+    residual = y.copy()
+    norms = np.sqrt(row_dot(residual, residual))
+    # A^T of a C-ordered slice is F-ordered, as mat.entries.T in gomp_run
+    a_t = entries.transpose(0, 2, 1)
+    for k in range(1, sparsity + 1):
+        live = np.flatnonzero(norms > eps)
+        if live.size == 0:
+            break
+        # Frozen rows are correlated too: cheaper than copying the live slices.
+        corr = (a_t @ residual[:, :, None])[live, :, 0]
+        # Stable sort on -|c| with the support pushed last: the smallest
+        # index wins ties, as in select_top_n.
+        key = -np.abs(corr)
+        key[chosen[live]] = np.inf
+        picks = np.argsort(key, axis=1, kind="stable")[:, :n_select]
+        chosen[live[:, None], picks] = True
+        cols = np.nonzero(chosen[live])[1].reshape(live.size, k * n_select)
+        # Rows of A^T gathered C-ordered, so each A_S view is F-ordered
+        # like the scalar entries[:, cols].
+        sub = a_t[live[:, None], cols].transpose(0, 2, 1)
+        y_live = y[live, :, None]
+        # linops.least_squares on every slice: SVD solve, same rank check
+        u, s, vt = np.linalg.svd(sub, full_matrices=False)
+        if ((s[:, 0] <= 0.0) | (s[:, -1] < RANK_RTOL * s[:, 0])).any():
+            raise RankDeficient(f"iteration {k}: a support submatrix is numerically rank-deficient")
+        coef = vt.transpose(0, 2, 1) @ ((u.transpose(0, 2, 1) @ y_live) / s[:, :, None])
+        r_live = (y_live - sub @ coef)[:, :, 0]
+        del sub, u, vt  # free the (T, m, s) stacks before the next gather
+        residual[live] = r_live
+        norms[live] = np.sqrt(row_dot(r_live, r_live))
+        iterations[live] = k
+        estimates[live[:, None], cols] = coef[:, :, 0]
+    return StackedRun(chosen, estimates, iterations, norms)
 
 
 def correlations_or_raise(record: IterationRecord) -> np.ndarray:

@@ -12,6 +12,11 @@ generator seeded with the instance seed, drawn in this fixed order:
 diagonal entries (uniform), orthogonal-factor source matrix (standard
 normal, row-major), support permutation, nonzero values, then the noise
 direction. Identical seeds give bit-identical instances.
+
+``run_trials`` runs each (K, N) cell in stacked passes (``_run_stacked``:
+the same draws, one stacked orthogonal factor, ``greedy.gomp_stacked``)
+that give the same bits as ``run_trial``, which stays the traced scalar
+reference.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -26,14 +32,17 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .exceptions import GompkitError
-from .greedy import GompParams, gomp_run
-from .linops import SensingMatrix, random_du_matrix
+from .greedy import GompParams, gomp_run, gomp_stacked
+from .linops import SensingMatrix, draw_du, du_entries, row_dot
 from .metrics import SparseSignal, mar, snr_threshold
 from .rip import RicEstimate, du_ric_bound
 from .verify import NOISE_FLOOR_REL
 
 SNR_MARGIN = 0.01
 EXACT_RECOVERY_RTOL = 1e-8
+# Seeds per stacked pass: bounds the (T, n, n) stacks of a large cell to a
+# few MB at n = 33.
+STACK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,26 @@ class CellResult:
     reports: tuple[TrialReport, ...]
 
 
+def _draw(sparsity: int, n_select: int, noisy: bool, seed: int, flat_signal: bool) -> tuple:
+    """Every random draw of one instance, in the contract order: (d, source
+    of the orthogonal factor, 1-based support, nonzeros, noise direction or
+    None when noise-free)."""
+    if sparsity < 1 or n_select < 1:
+        raise ValueError("sparsity and n_select must be >= 1")
+    n = n_select * sparsity + 1
+    rng = np.random.default_rng(seed)
+    d, source = draw_du(rng, n, sparsity / n_select)
+    support = rng.permutation(n)[:sparsity] + 1
+    if flat_signal:
+        nonzeros = rng.integers(0, 2, size=sparsity) * 2.0 - 1.0
+    else:
+        nonzeros = rng.standard_normal(sparsity)
+        while (nonzeros == 0.0).any():  # measure-zero, but the type forbids zeros
+            nonzeros[nonzeros == 0.0] = rng.standard_normal(np.count_nonzero(nonzeros == 0.0))
+    direction = rng.standard_normal(n) if noisy else None
+    return d, source, support, nonzeros, direction
+
+
 def gen_instance(
     sparsity: int,
     n_select: int,
@@ -96,22 +125,10 @@ def gen_instance(
     standard normals, pinning the minimum-to-average ratio at 1 so the
     isometry condition is exercised in isolation.
     """
-    if sparsity < 1 or n_select < 1:
-        raise ValueError("sparsity and n_select must be >= 1")
-    n = n_select * sparsity + 1
-    rng = np.random.default_rng(seed)
-
-    d, matrix = random_du_matrix(rng, n, sparsity / n_select)
+    d, source, support, nonzeros, direction = _draw(sparsity, n_select, noisy, seed, flat_signal)
+    matrix = SensingMatrix(du_entries(d, source))
     claimed = du_ric_bound(d)
-
-    support = rng.permutation(n)[:sparsity] + 1
-    values = np.zeros(n)
-    if flat_signal:
-        nonzeros = rng.integers(0, 2, size=sparsity) * 2.0 - 1.0
-    else:
-        nonzeros = rng.standard_normal(sparsity)
-        while np.any(nonzeros == 0.0):  # measure-zero, but the type forbids zeros
-            nonzeros[nonzeros == 0.0] = rng.standard_normal(np.count_nonzero(nonzeros == 0.0))
+    values = np.zeros(matrix.n)
     values[support - 1] = nonzeros
     signal = SparseSignal(values=values, support=frozenset(int(i) for i in support))
 
@@ -120,13 +137,12 @@ def gen_instance(
         target_root_snr = SNR_MARGIN + snr_threshold(
             sparsity, n_select, claimed.value, mar(signal, sparsity)
         )
-        direction = rng.standard_normal(n)
         noise = (float(np.linalg.norm(clean)) / target_root_snr) * (
             direction / float(np.linalg.norm(direction))
         )
         epsilon = float(np.linalg.norm(noise))
     else:
-        noise = np.zeros(n)
+        noise = np.zeros(matrix.n)
         epsilon = NOISE_FLOOR_REL * float(np.linalg.norm(clean))
     observation = clean + noise
 
@@ -141,6 +157,65 @@ def gen_instance(
         seed=seed,
         claimed_delta=claimed,
     )
+
+
+def _stacked_instances(
+    sparsity: int, n_select: int, noisy: bool, seeds: Sequence[int], flat_signal: bool
+) -> tuple[np.ndarray, ...]:
+    """The arrays of ``gen_instance`` for each seed, stacked by row: matrix
+    entries, signal values, noise, observation and epsilon.
+
+    The draws are ``_draw``'s and the orthogonal factor is one stacked
+    call. Every other expression is gen_instance's, or du_ric_bound's and
+    mar's where it calls them, evaluated on rows with the same bits: each
+    product and norm has the operand layout and BLAS call of the 1-d form.
+    """
+    d, source, support, nonzeros, direction = zip(
+        *(_draw(sparsity, n_select, noisy, seed, flat_signal) for seed in seeds)
+    )
+    d, support, nonzeros = np.stack(d), np.stack(support), np.stack(nonzeros)
+    source = np.stack(source)  # drops the per-seed copies before the QR
+    entries = du_entries(d, source)
+    del source
+    values = np.zeros(d.shape)
+    np.put_along_axis(values, support - 1, nonzeros, axis=1)
+    clean = (entries @ values[:, :, None])[:, :, 0]
+    clean_norm = np.sqrt(row_dot(clean, clean))
+    if noisy:
+        sq = d * d
+        delta = np.maximum(1.0 - sq.min(axis=1), sq.max(axis=1) - 1.0)  # du_ric_bound(d).value
+        mar_values = sparsity * (nonzeros * nonzeros).min(axis=1) / row_dot(values, values)  # mar
+        target_root_snr = np.array([
+            SNR_MARGIN + snr_threshold(sparsity, n_select, delta_t, mar_t)
+            for delta_t, mar_t in zip(delta.tolist(), mar_values.tolist())
+        ])
+        direction = np.stack(direction)
+        noise = (clean_norm / target_root_snr)[:, None] * (
+            direction / np.sqrt(row_dot(direction, direction))[:, None]
+        )
+        epsilon = np.sqrt(row_dot(noise, noise))
+    else:
+        noise = np.zeros(values.shape)
+        epsilon = NOISE_FLOOR_REL * clean_norm
+    return entries, values, noise, clean + noise, epsilon
+
+
+def _run_stacked(
+    sparsity: int, n_select: int, noisy: bool, seeds: Sequence[int], flat_signal: bool
+) -> list[TrialReport]:
+    """``run_trial`` for each seed as one stacked generate-and-pursue pass."""
+    entries, x, _, observation, epsilon = _stacked_instances(
+        sparsity, n_select, noisy, seeds, flat_signal
+    )
+    run = gomp_stacked(entries, observation, epsilon, sparsity, n_select)
+    err = np.max(np.abs(run.estimates - x), axis=1)
+    exact = err <= EXACT_RECOVERY_RTOL * np.max(np.abs(x), axis=1)
+    support_ok = ~np.any((x != 0.0) & ~run.supports, axis=1)
+    columns = (exact, support_ok, run.iterations, run.residual_norms)
+    return [
+        TrialReport(seed, *fields)
+        for seed, *fields in zip(seeds, *(column.tolist() for column in columns))
+    ]
 
 
 def run_trial(sparsity: int, n_select: int, noisy: bool, seed: int, *, flat_signal: bool = False) -> TrialReport:
@@ -188,7 +263,9 @@ def run_trials(
     """Run a (sparsity, n_select) grid of seeded trials.
 
     Trial t of every cell uses seed base_seed + t, so cells are
-    independent of each other and of execution order.
+    independent of each other and of execution order. Each cell runs as
+    stacked passes of up to STACK_ROWS seeds; a pass that raises is redone
+    with ``run_trial`` per seed, which records each failing trial's error.
     """
     if trials_per_cell < 0:
         raise ValueError("trials_per_cell must be >= 0")
@@ -197,10 +274,13 @@ def run_trials(
     cells = sorted((int(k), int(nsel)) for k in sparsities for nsel in n_selects)
     results = []
     for k, nsel in cells:
-        reports = [
-            run_trial(k, nsel, noisy, base_seed + t, flat_signal=flat_signal)
-            for t in range(trials_per_cell)
-        ]
+        reports = []
+        for start in range(0, trials_per_cell, STACK_ROWS):
+            seeds = range(base_seed + start, base_seed + min(start + STACK_ROWS, trials_per_cell))
+            try:
+                reports += _run_stacked(k, nsel, noisy, seeds, flat_signal)
+            except (GompkitError, np.linalg.LinAlgError):
+                reports += [run_trial(k, nsel, noisy, s, flat_signal=flat_signal) for s in seeds]
         clean = [r for r in reports if r.error is None]
         results.append(
             CellResult(
@@ -264,9 +344,11 @@ def _trial_payload(report: TrialReport) -> dict:
 
 
 def report_payload(results: Sequence[CellResult], *, include_trials: bool = False) -> dict:
-    """JSON-ready mirror of the CSV schema, optionally with trial detail."""
+    """JSON-ready mirror of the CSV schema plus per-cell error counts by
+    exception name, optionally with trial detail."""
     cells = []
     for cell in results:
+        errors = Counter(r.error.partition(":")[0] for r in cell.reports if r.error is not None)
         entry = {
             "k": cell.sparsity,
             "n": cell.n_select,
@@ -278,6 +360,7 @@ def report_payload(results: Sequence[CellResult], *, include_trials: bool = Fals
             "mean_final_residual": (
                 None if math.isnan(cell.mean_final_residual) else cell.mean_final_residual
             ),
+            "errors": dict(sorted(errors.items())),
         }
         if include_trials:
             entry["reports"] = [_trial_payload(r) for r in cell.reports]

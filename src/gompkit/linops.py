@@ -5,7 +5,9 @@ Index sets on the public surface are 1-based (columns are numbered 1..n,
 like the math they implement); the conversion to zero-based storage is
 internal. Solves go through an orthogonal factorization (SVD), never the
 explicit normal equations, because the submatrices this toolkit meets are
-only isometry-good, not perfectly conditioned.
+only isometry-good, not perfectly conditioned. The orthogonal factor
+also takes a stack of same-shape matrices and gives each slice the bits
+of the 2-d call.
 """
 
 from __future__ import annotations
@@ -138,32 +140,48 @@ def project_complement(a: MatrixLike, index_set: Iterable[int], u: np.ndarray) -
     return u - a_s @ coef
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[t] @ b[t]`` for each row of two (T, m) stacks, with the bits of
+    the 1-d product: one BLAS dot per row, as ``np.linalg.norm`` also sums
+    a 1-d vector. ``einsum`` and ``norm(axis=1)`` sum in other orders and
+    can differ in the last bit."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     """Orthogonal factor of a nonsingular square matrix, via QR.
 
-    The triangular factor's diagonal is forced nonnegative so the result
-    is a deterministic function of the input (needed for seeded
+    Accepts one matrix or a stack of shape (..., n, n); a stack is
+    factored slice by slice with the same bits as one 2-d call per slice,
+    and is refused whole when any slice is singular. The triangular
+    factor's diagonal is forced nonnegative so the result is a
+    deterministic function of the input (needed for seeded
     reproducibility).
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] == 0:
+        raise DimensionMismatch(f"expected nonempty square matrices, got shape {m.shape}")
     s = np.linalg.svd(m, compute_uv=False)
-    if s[0] <= 0.0 or s[-1] < RANK_RTOL * s[0]:
+    if ((s[..., 0] <= 0.0) | (s[..., -1] < RANK_RTOL * s[..., 0])).any():
         raise Singular("matrix is numerically singular; no orthogonal factor")
     q, r = np.linalg.qr(m)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
-def random_du_matrix(rng: np.random.Generator, n: int, ratio: float) -> tuple[np.ndarray, SensingMatrix]:
-    """Draw (d, diag(d) U) for a generated instance; ``ratio`` is K/N.
+def draw_du(rng: np.random.Generator, n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Draw d and the source of U for a D*U matrix; ``ratio`` is K/N.
 
     d is uniform on [sqrt(1 - b), sqrt(1 + b)] with b = 0.99 / sqrt(ratio + 1),
-    drawn before U's standard-normal source (part of the seeded contract).
+    drawn before U's n-by-n standard-normal source (part of the seeded contract).
     """
     bound = 0.99 / math.sqrt(ratio + 1.0)
     d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
-    u = orthogonal_factor(rng.standard_normal((n, n)))
-    return d, SensingMatrix(d[:, None] * u)
+    return d, rng.standard_normal((n, n))
+
+
+def du_entries(d: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """diag(d) times the orthogonal factor of ``source``; also on stacks
+    (d of shape (..., n), source of shape (..., n, n))."""
+    return d[..., :, None] * orthogonal_factor(source)

@@ -26,8 +26,9 @@ from .linops import (
     MatrixLike,
     SensingMatrix,
     as_sensing_matrix,
+    draw_du,
+    du_entries,
     project_complement,
-    random_du_matrix,
 )
 from .metrics import SparseSignal
 from .rip import exact_ric
@@ -220,7 +221,7 @@ def random_lemma_instance(rng: np.random.Generator, n_max: int = 12) -> LemmaIns
     else:
         n_select, support_size, iteration, overlap = 1, 1, 0, 0
 
-    _, mat = random_du_matrix(rng, n, support_size / n_select)
+    mat = SensingMatrix(du_entries(*draw_du(rng, n, support_size / n_select)))
 
     perm = rng.permutation(n) + 1
     omega = [int(i) for i in perm[:support_size]]

@@ -7,11 +7,13 @@ from gompkit import (
     GompParams,
     InsufficientCandidates,
     InvalidParams,
+    RankDeficient,
     Termination,
     gen_instance,
     gomp_run,
     select_top_n,
 )
+from gompkit.greedy import gomp_stacked
 
 
 class TestSelectTopN:
@@ -210,3 +212,136 @@ def test_n1_matches_textbook_omp():
         trace = gomp_run(a, y, GompParams(sparsity=k, n_select=1, epsilon=eps))
         ours = [rec.selected[0] for rec in trace.iterations]
         assert ours == textbook_omp_selections(a, y, k, eps)
+
+
+def stacked_problems(k, nsel, noisy, seeds):
+    insts = [gen_instance(k, nsel, noisy=noisy, seed=s) for s in seeds]
+    return (
+        np.stack([inst.matrix.entries for inst in insts]),
+        np.stack([inst.observation for inst in insts]),
+        np.array([inst.epsilon for inst in insts]),
+    )
+
+
+def assert_stacked_matches_scalar(entries, y, eps, k, nsel):
+    """Every row of gomp_stacked equals gomp_run bit for bit; returns the traces."""
+    run = gomp_stacked(entries, y, eps, k, nsel)
+    traces = []
+    for t in range(len(y)):
+        trace = gomp_run(entries[t], y[t], GompParams(sparsity=k, n_select=nsel, epsilon=eps[t]))
+        support = frozenset(int(i) + 1 for i in np.flatnonzero(run.supports[t]))
+        assert support == trace.final_support
+        assert run.estimates[t].tobytes() == trace.final_estimate.tobytes()
+        assert run.iterations[t] == trace.iterations_used
+        residual = trace.final_residual_norm if trace.iterations else float(np.linalg.norm(y[t]))
+        assert run.residual_norms[t] == residual
+        traces.append(trace)
+    return run, traces
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("k,nsel,noisy", [(2, 1, False), (2, 1, True), (3, 2, True),
+                                              (5, 3, False), (8, 4, True), (8, 4, False)])
+    def test_rows_match_gomp_run_bits(self, k, nsel, noisy):
+        assert_stacked_matches_scalar(*stacked_problems(k, nsel, noisy, range(600, 616)), k, nsel)
+
+    def test_wide_gaussian_rows_match_gomp_run_bits(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((10, 12, 24))
+        x = np.zeros((10, 24))
+        for t in range(10):
+            x[t, rng.permutation(24)[:4]] = rng.standard_normal(4)
+        y = (a @ x[:, :, None])[:, :, 0]
+        run, _ = assert_stacked_matches_scalar(a, y, np.full(10, 1e-3), 4, 2)
+        assert len(set(run.iterations.tolist())) > 1  # rows freeze at different iterations
+
+    def test_ties_break_to_smallest_index(self):
+        entries = np.stack([np.eye(20), np.eye(20)[:, ::-1]])
+        run, traces = assert_stacked_matches_scalar(entries, np.ones((2, 20)), np.zeros(2), 2, 3)
+        assert [sorted(trace.iterations[0].selected) for trace in traces] == [[1, 2, 3]] * 2
+
+    def test_zero_observation_row_runs_no_iteration(self):
+        entries, y, eps = stacked_problems(3, 2, True, range(3))
+        y[1] = 0.0
+        run, _ = assert_stacked_matches_scalar(entries, y, eps, 3, 2)
+        assert run.iterations[1] == 0 and not run.supports[1].any()
+
+    def test_rank_deficient_refit_raises(self):
+        a, y = duplicate_column_problem()
+        with pytest.raises(RankDeficient):
+            gomp_stacked(np.stack([np.eye(4, 5), a]), np.stack([y, y]), np.full(2, 1e-12), 2, 2)
+
+    def test_rejects_bad_input(self):
+        entries, y, eps = stacked_problems(2, 1, True, range(2))
+        with pytest.raises(InvalidParams):
+            gomp_stacked(entries, y, eps, 3, 2)
+        with pytest.raises(ValueError, match="finite"):
+            gomp_stacked(entries, np.where(y > 0, np.nan, y), eps, 2, 1)
+        with pytest.raises(ValueError):
+            gomp_stacked(entries, y[:, :-1], eps, 2, 1)
+
+
+def duplicate_column_problem():
+    """Column 5 repeats column 1; with N = 2 the second iteration picks both."""
+    a = np.hstack([np.eye(4), np.eye(4)[:, :1]])
+    return a, np.array([1.0, 5.0, 4.0, 0.0])
+
+
+def test_rank_deficient_refit_keeps_partial_trace():
+    a, y = duplicate_column_problem()
+    with pytest.raises(RankDeficient, match="iteration 2") as info:
+        gomp_run(a, y, GompParams(sparsity=2, n_select=2, epsilon=1e-12))
+    partial = info.value.partial_trace
+    assert [rec.selected for rec in partial.iterations] == [(2, 3)]
+    assert partial.final_support == {2, 3}
+    assert np.array_equal(partial.final_estimate, [0.0, 5.0, 4.0, 0.0, 0.0])
+    assert partial.termination is Termination.RANK_DEFICIENT
+
+
+@pytest.fixture(scope="module")
+def metamorphic_cases():
+    """(K, N, entries, y, eps) stacks of seeded noisy and noise-free instances."""
+    cases = []
+    for k, nsel, noisy in [(3, 1, True), (4, 2, False), (6, 3, True), (8, 4, False)]:
+        cases.append((k, nsel, *stacked_problems(k, nsel, noisy, range(900, 906))))
+    return cases
+
+
+def selection_sets(trace):
+    return [frozenset(rec.selected) for rec in trace.iterations]
+
+
+class TestMetamorphic:
+    def test_column_permutation_permutes_selections(self, metamorphic_cases):
+        rng = np.random.default_rng(41)
+        for k, nsel, entries, y, eps in metamorphic_cases:
+            perm = rng.permutation(entries.shape[2])  # column j of the new matrix is perm[j]
+            run, traces = assert_stacked_matches_scalar(entries, y, eps, k, nsel)
+            run_p, traces_p = assert_stacked_matches_scalar(entries[:, :, perm], y, eps, k, nsel)
+            assert np.array_equal(run_p.supports, run.supports[:, perm])
+            assert np.array_equal(run_p.iterations, run.iterations)
+            for trace, trace_p in zip(traces, traces_p):
+                mapped = [frozenset(int(perm[j - 1]) + 1 for j in sel)
+                          for sel in selection_sets(trace_p)]
+                assert mapped == selection_sets(trace)
+
+    def test_scaling_y_and_epsilon_keeps_selections(self, metamorphic_cases):
+        for k, nsel, entries, y, eps in metamorphic_cases:
+            run, traces = assert_stacked_matches_scalar(entries, y, eps, k, nsel)
+            run_s, traces_s = assert_stacked_matches_scalar(entries, 2.0 * y, 2.0 * eps, k, nsel)
+            assert np.array_equal(run_s.supports, run.supports)
+            assert np.array_equal(run_s.iterations, run.iterations)
+            assert np.array_equal(run_s.estimates, 2.0 * run.estimates)  # powers of 2 scale exactly
+            for trace, trace_s in zip(traces, traces_s):
+                assert [r.selected for r in trace_s.iterations] == [r.selected for r in trace.iterations]
+
+    def test_orthogonal_rotation_keeps_selections(self, metamorphic_cases):
+        for k, nsel, entries, y, eps in metamorphic_cases:
+            m = entries.shape[1]
+            q, _ = np.linalg.qr(np.random.default_rng([m, 5]).standard_normal((m, m)))
+            run, traces = assert_stacked_matches_scalar(entries, y, eps, k, nsel)
+            run_q, traces_q = assert_stacked_matches_scalar(q @ entries, y @ q.T, eps, k, nsel)
+            assert np.array_equal(run_q.supports, run.supports)
+            assert np.array_equal(run_q.iterations, run.iterations)
+            for trace, trace_q in zip(traces, traces_q):
+                assert selection_sets(trace_q) == selection_sets(trace)

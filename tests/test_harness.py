@@ -140,15 +140,63 @@ class TestRunTrials:
             expected = tuple(run_trial(cell.sparsity, cell.n_select, True, 90 + t) for t in range(4))
             assert cell.reports == expected
 
+    @pytest.mark.parametrize("k,nsel,noisy,flat", [
+        (8, 4, True, False), (8, 4, False, False), (2, 1, True, False), (2, 1, False, False),
+        (3, 2, False, True), (5, 3, True, True),
+    ])
+    def test_stacked_cell_matches_scalar_trials(self, k, nsel, noisy, flat):
+        [cell] = run_trials([k], [nsel], 10, noisy, 400, flat_signal=flat)
+        assert cell.reports == tuple(
+            run_trial(k, nsel, noisy, 400 + t, flat_signal=flat) for t in range(10)
+        )
+
+    def test_rows_stopping_at_different_iterations_match(self):
+        [cell] = run_trials([6], [2], 12, True, 31)
+        assert len({r.iterations_used for r in cell.reports}) > 1
+        assert cell.reports == tuple(run_trial(6, 2, True, 31 + t) for t in range(12))
+
+    def test_passes_split_at_stack_rows(self, monkeypatch):
+        monkeypatch.setattr(harness, "STACK_ROWS", 3)
+        [cell] = run_trials([4], [3], 7, True, 12)
+        assert cell.reports == tuple(run_trial(4, 3, True, 12 + t) for t in range(7))
+
+    @pytest.mark.parametrize("k,nsel,noisy,flat", [(1, 1, True, False), (2, 1, False, True),
+                                                   (5, 2, True, True), (8, 4, True, False),
+                                                   (8, 4, False, False)])
+    def test_stacked_instances_match_gen_instance_bits(self, k, nsel, noisy, flat):
+        seeds = range(70, 76)
+        entries, values, noise, observation, epsilon = harness._stacked_instances(
+            k, nsel, noisy, seeds, flat
+        )
+        for t, seed in enumerate(seeds):
+            inst = gen_instance(k, nsel, noisy, seed, flat_signal=flat)
+            assert entries[t].tobytes() == inst.matrix.entries.tobytes()
+            assert values[t].tobytes() == inst.signal.values.tobytes()
+            assert noise[t].tobytes() == inst.noise.tobytes()
+            assert observation[t].tobytes() == inst.observation.tobytes()
+            assert epsilon[t] == inst.epsilon
+
     def test_linalg_error_is_recorded_not_raised(self, monkeypatch):
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        monkeypatch.setattr(harness, "gomp_stacked", broken)
         monkeypatch.setattr(harness, "gomp_run", broken)
         [cell] = run_trials([2], [1], 3, False, 5)
         assert all(r.error.startswith("LinAlgError") for r in cell.reports)
         assert cell.exact_rate == cell.support_rate == 0.0
         assert math.isnan(cell.mean_iterations)
+        assert report_payload([cell])["cells"][0]["errors"] == {"LinAlgError": 3}
+
+    def test_failed_stacked_pass_is_redone_per_seed(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        expected = tuple(run_trial(3, 2, True, 44 + t) for t in range(5))
+        monkeypatch.setattr(harness, "gomp_stacked", broken)
+        [cell] = run_trials([3], [2], 5, True, 44)
+        assert cell.reports == expected
+        assert all(r.error is None for r in cell.reports)
 
 
 class TestEmitReport:
@@ -172,7 +220,9 @@ class TestEmitReport:
         results = run_trials([2, 3], [1], 4, noisy=True, base_seed=21)
         out = tmp_path / "report.json"
         emit_report(results, "json", out, include_trials=True)
-        assert json.loads(out.read_text()) == report_payload(results, include_trials=True)
+        doc = json.loads(out.read_text())
+        assert doc == report_payload(results, include_trials=True)
+        assert [cell["errors"] for cell in doc["cells"]] == [{}, {}]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -137,6 +137,25 @@ class TestOrthogonalFactor:
         with pytest.raises(Singular):
             orthogonal_factor(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(7, 5, 5), (2, 3, 33, 33)])
+    def test_stack_matches_per_slice_bits(self, shape):
+        m = np.random.default_rng(11).standard_normal(shape)
+        stacked = orthogonal_factor(m)
+        assert stacked.shape == shape
+        for index in np.ndindex(*shape[:-2]):
+            assert stacked[index].tobytes() == orthogonal_factor(m[index]).tobytes()
+
+    def test_stack_with_one_singular_slice_rejected(self):
+        m = np.random.default_rng(12).standard_normal((4, 3, 3))
+        m[2] = np.ones((3, 3))
+        with pytest.raises(Singular):
+            orthogonal_factor(m)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), (0, 0)])
+    def test_non_square_or_empty_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            orthogonal_factor(np.ones(shape))
+
 
 class TestSensingMatrix:
     def test_shape_properties(self):
