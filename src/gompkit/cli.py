@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -13,8 +14,9 @@ from .greedy import GompParams, gomp_run
 from .harness import emit_report, gen_instance, load_matrix, run_trials, write_instance
 from .rip import ENUMERATION_BUDGET, exact_ric
 from .verify import (
+    lemma4_holds,
+    lemma4_sides,
     random_lemma_instance,
-    verify_lemma4,
     verify_selection_condition,
     verify_stopping,
 )
@@ -46,13 +48,18 @@ def _cmd_ric(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_lemma4(count: int, seed: int) -> int:
+def _verify_lemma4(count: int, seed: int) -> tuple[int, float, int]:
+    """Failures among ``count`` seeded lemma-4 instances, with the smallest
+    slack lhs - rhs and the (0-based) index of the instance that reached it."""
     rng = np.random.default_rng(seed)
-    failed = 0
-    for _ in range(count):
-        if not verify_lemma4(random_lemma_instance(rng)):
+    failed, min_slack, argmin = 0, math.inf, -1
+    for i in range(count):
+        lhs, rhs = lemma4_sides(random_lemma_instance(rng))
+        if not lemma4_holds(lhs, rhs):
             failed += 1
-    return failed
+        if lhs - rhs < min_slack:
+            min_slack, argmin = lhs - rhs, i
+    return failed, min_slack, argmin
 
 
 def _verify_traces(count: int, seed: int, noisy: bool, holds) -> int:
@@ -74,8 +81,11 @@ def _verify_traces(count: int, seed: int, noisy: bool, holds) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    detail = None
     if args.lemma == "4":
-        failed = _verify_lemma4(args.instances, args.seed)
+        failed, min_slack, argmin = _verify_lemma4(args.instances, args.seed)
+        if argmin >= 0:
+            detail = f"min slack (lhs - rhs) {min_slack!r} at instance {argmin}"
     elif args.lemma == "5":
         failed = _verify_traces(args.instances, args.seed, False, lambda inst, trace: (
             verify_stopping(inst.matrix, inst.signal, trace, noise=inst.noise)
@@ -86,6 +96,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ))
     passed = args.instances - failed
     print(f"lemma {args.lemma}: {passed} passed, {failed} failed ({args.instances} instances)")
+    if detail:
+        print(f"lemma {args.lemma}: {detail}")
     return 1 if failed else 0
 
 

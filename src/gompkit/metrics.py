@@ -31,12 +31,10 @@ class SparseSignal:
         sup = frozenset(int(i) for i in self.support)
         if sup and (min(sup) < 1 or max(sup) > vals.size):
             raise IndexError(f"support indices must lie in 1..{vals.size}")
-        mask = np.zeros(vals.size, dtype=bool)
-        if sup:
-            mask[np.array(sorted(sup)) - 1] = True
-        if np.any(vals[~mask] != 0.0):
+        on_support = np.count_nonzero(vals[np.fromiter(sup, np.intp, len(sup)) - 1])
+        if np.count_nonzero(vals) > on_support:
             raise ValueError("signal has nonzeros outside its declared support")
-        if np.any(vals[mask] == 0.0):
+        if on_support < len(sup):
             raise ValueError("declared support contains a zero entry")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "support", sup)

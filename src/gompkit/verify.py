@@ -126,10 +126,15 @@ def lemma4_sides(inst: LemmaInstance) -> tuple[float, float]:
     return lhs, rhs
 
 
+def lemma4_holds(lhs: float, rhs: float) -> bool:
+    """The pass rule on the two sides from ``lemma4_sides``: lhs >= rhs up
+    to LEMMA_SLACK."""
+    return lhs >= rhs - LEMMA_SLACK
+
+
 def verify_lemma4(inst: LemmaInstance) -> bool:
     """Whether the selection-margin inequality holds on this instance."""
-    lhs, rhs = lemma4_sides(inst)
-    return lhs >= rhs - LEMMA_SLACK
+    return lemma4_holds(*lemma4_sides(inst))
 
 
 def verify_stopping(

@@ -22,6 +22,7 @@ from gompkit import (
 )
 from gompkit import harness
 from gompkit.harness import instance_payload, load_matrix, report_payload, report_rows
+from gompkit.verify import lemma4_sides, random_lemma_instance
 
 
 class TestGenInstance:
@@ -340,3 +341,15 @@ class TestCli:
         assert proc.returncode == 0
         assert "15 instances" in proc.stdout
         assert "0 failed" in proc.stdout
+
+    def test_verify_lemma4_reports_min_slack(self):
+        proc = run_cli("verify", "--lemma", "4", "--instances", "15", "--seed", "3")
+        assert proc.returncode == 0
+        rng = np.random.default_rng(3)
+        slacks = [lhs - rhs for lhs, rhs in
+                  (lemma4_sides(random_lemma_instance(rng)) for _ in range(15))]
+        at = int(np.argmin(slacks))
+        assert proc.stdout.splitlines() == [
+            "lemma 4: 15 passed, 0 failed (15 instances)",
+            f"lemma 4: min slack (lhs - rhs) {slacks[at]!r} at instance {at}",
+        ]

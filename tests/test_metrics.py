@@ -28,6 +28,15 @@ class TestSparseSignal:
         with pytest.raises(ValueError):
             SparseSignal(values=np.array([1.0, 0.0]), support=frozenset({1, 2}))
 
+    def test_checks_run_in_documented_order(self):
+        # index range, then nonzeros off the support, then zeros on it
+        with pytest.raises(IndexError, match="1..2"):
+            SparseSignal(values=np.array([1.0, 0.0]), support=frozenset({2, 3}))
+        with pytest.raises(ValueError, match="outside its declared support"):
+            SparseSignal(values=np.array([1.0, 0.0]), support=frozenset({2}))
+        with pytest.raises(ValueError, match="contains a zero entry"):
+            SparseSignal(values=np.array([1.0, 0.0, -0.0]), support=frozenset({1, 3}))
+
     def test_all_zero_signal_has_empty_support(self):
         x = SparseSignal.from_dense(np.zeros(3))
         assert x.support == frozenset()

@@ -20,6 +20,7 @@ from gompkit import (
     project_complement,
     spectral_ric_bound,
 )
+from gompkit import rip
 
 
 def brute_force_ric(a, order):
@@ -32,6 +33,16 @@ def brute_force_ric(a, order):
         eigs = np.linalg.eigvalsh(gram)
         worst = max(worst, eigs[-1] - 1.0, 1.0 - eigs[0])
     return worst
+
+
+def unscreened_ric(a, order):
+    """Full enumeration without the screen: eigvalsh on every support in
+    one batch, gathered from the same a.T @ a as ``exact_ric``."""
+    a = np.asarray(a, dtype=float)
+    gram = a.T @ a
+    sets = np.array(list(combinations(range(a.shape[1]), order)))
+    eigs = np.linalg.eigvalsh(gram[sets[:, :, None], sets[:, None, :]])
+    return max(0.0, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
 
 
 def du_matrix(rng, n, bound):
@@ -108,6 +119,90 @@ class TestExactRic:
             energy = np.linalg.norm(image) ** 2
             norm2 = np.linalg.norm(x) ** 2
             assert (1.0 - delta) * norm2 - 1e-10 <= energy <= (1.0 + delta) * norm2 + 1e-10
+
+
+def _screen_cases():
+    rng = np.random.default_rng(53)
+    wide = rng.standard_normal((8, 12)) / math.sqrt(8.0)
+    tall = rng.standard_normal((14, 10)) / math.sqrt(14.0)
+    twin = rng.standard_normal((10, 11)) / math.sqrt(10.0)
+    twin[:, 7] = twin[:, 3]
+    orthonormal = np.linalg.qr(rng.standard_normal((12, 9)))[0]
+    _, du = du_matrix(rng, 16, 0.6)
+    cases = {
+        "gaussian-m<n": (wide, (1, 3, 6, 12)),
+        "gaussian-m>=n": (tall, (2, 5, 10)),
+        "du-n16": (du, (5,)),
+        "identical-columns": (twin, (2, 4)),
+        "identity": (np.eye(10), (1, 5, 10)),
+        "orthonormal-columns": (orthonormal, (4, 9)),
+        "scaled-1e3": (1e3 * tall, (1, 4)),
+        "scaled-1e-3": (1e-3 * tall, (1, 4)),
+    }
+    return [pytest.param(a, orders, id=name) for name, (a, orders) in cases.items()]
+
+
+class TestScreenedEnumeration:
+    @pytest.mark.parametrize("a,orders", _screen_cases())
+    def test_equals_unscreened_bit_for_bit(self, a, orders):
+        for order in orders:
+            assert exact_ric(a, order).value == unscreened_ric(a, order), order
+
+    def test_screen_prunes_across_ramped_chunks(self, monkeypatch):
+        # C(16, 5) = 4368 supports: chunks of 64 (unscreened), 128, 256, ...
+        _, a = du_matrix(np.random.default_rng(59), 16, 0.6)
+        calls = []
+        screen = rip._inside_band
+
+        def spy(stack, low, high):
+            inside = screen(stack, low, high)
+            calls.append((stack.shape[2], int(inside.sum())))
+            return inside
+
+        monkeypatch.setattr(rip, "_inside_band", spy)
+        assert exact_ric(a, 5).value == unscreened_ric(a, 5)
+        assert [b for b, _ in calls][:3] == [128, 256, 512]
+        assert sum(b for b, _ in calls) == math.comb(16, 5) - 64
+        assert sum(kept for _, kept in calls) > 0.9 * (math.comb(16, 5) - 64)
+
+    def test_support_table_is_lexicographic_combinations(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                table = rip._support_table(n, k)
+                assert table.dtype == np.uint8
+                assert table.tolist() == [list(c) for c in combinations(range(n), k)]
+        for n, dtype in ((256, np.uint16), (300, np.uint16)):
+            for k in (1, 2):
+                table = rip._support_table(n, k)
+                assert table.dtype == dtype
+                assert table.tolist() == [list(c) for c in combinations(range(n), k)]
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_screen_matches_eigvalsh_classification(self, k):
+        # spectra inside (0.55, 1.45), or with one eigenvalue moved outside
+        # (0.45, 1.55): every eigenvalue is at least 0.05 from the band's edges
+        rng = np.random.default_rng(61 + k)
+        batch, low, high = 300, 0.5, 1.5
+        eigs = rng.uniform(0.55, 1.45, size=(batch, k))
+        out = rng.random(batch) < 0.5
+        outside = rng.choice([-1.0, 1.0], size=batch) * rng.uniform(0.55, 0.8, size=batch)
+        eigs[out, rng.integers(0, k, size=batch)[out]] = 1.0 + outside[out]
+        q = orthogonal_factor(rng.standard_normal((batch, k, k)))
+        grams = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+        grams = (grams + grams.transpose(0, 2, 1)) / 2.0
+        computed = np.linalg.eigvalsh(grams)
+        expected = (computed[:, 0] > low) & (computed[:, -1] < high)
+        assert np.array_equal(expected, ~out)
+        got = rip._inside_band(np.ascontiguousarray(grams.transpose(1, 2, 0)), low, high)
+        assert np.array_equal(got, expected)
+
+    def test_budget_checked_before_table(self, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError("support table built past the budget")
+
+        monkeypatch.setattr(rip, "_support_table", refuse)
+        with pytest.raises(BudgetExceeded):
+            exact_ric(np.eye(200), 100)
 
 
 class TestDuBound:
