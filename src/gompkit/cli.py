@@ -28,11 +28,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+def _closed_range(low_flag: str, low: int, high_flag: str, high: int) -> range:
+    if low > high:
+        raise ValueError(f"empty range: {low_flag} {low} > {high_flag} {high}")
+    return range(low, high + 1)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     results = run_trials(
-        range(args.k_min, args.k_max + 1),
-        range(args.nsel_min, args.nsel_max + 1),
-        args.trials,
+        _closed_range("--k-min", args.k_min, "--k-max", args.k_max),
+        _closed_range("--nsel-min", args.nsel_min, "--nsel-max", args.nsel_max),
+        _at_least_one("--trials", args.trials),
         args.noisy,
         args.seed,
         flat_signal=args.flat_signal,
@@ -81,6 +93,7 @@ def _verify_traces(count: int, seed: int, noisy: bool, holds) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _at_least_one("--instances", args.instances)
     detail = None
     if args.lemma == "4":
         failed, min_slack, argmin = _verify_lemma4(args.instances, args.seed)

@@ -11,7 +11,9 @@ experiment harness admits a closed-form bound instead.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +90,19 @@ def _support_table(n: int, k: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=128)
+def _cached_support_table(n: int, k: int) -> np.ndarray:
+    """Read-only ``_support_table(n, k)``, built once per (n, k).
+
+    For tables of at most _MAX_CHUNK rows, whose build costs more than the
+    ``eigvalsh`` on their first chunk; 128 of them with k <= 13 columns
+    hold at most 3.4 MB.
+    """
+    table = _support_table(n, k)
+    table.flags.writeable = False
+    return table
+
+
 def _inside_band(stack: np.ndarray, low: float, high: float) -> np.ndarray:
     """Which symmetric matrices of a batch-last stack, shape (k, k, B),
     certifiably have every eigenvalue strictly inside (low, high).
@@ -120,6 +135,46 @@ def _inside_band(stack: np.ndarray, low: float, high: float) -> np.ndarray:
     return ok[:batch] & ok[batch:]
 
 
+def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) -> Iterator[float]:
+    """The enumeration behind ``exact_ric``, one running value per chunk.
+
+    The order and budget checks run now, with ``exact_ric``'s exceptions;
+    the returned generator builds nothing until it is first advanced. It
+    yields the running worst deviation w after each chunk, so the values
+    never decrease, start at or above 0.0, and the last one is
+    ``exact_ric``'s value.
+    """
+    mat = as_sensing_matrix(a)
+    if order < 1 or order > mat.n:
+        raise DimensionError(f"order must lie in 1..{mat.n}, got {order}")
+    total = math.comb(mat.n, order)
+    if total > budget:
+        raise BudgetExceeded(
+            f"C({mat.n}, {order}) = {total} supports exceeds budget {budget}"
+        )
+    return _enumerate(mat.entries, order, total)
+
+
+def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
+    gram = entries.T @ entries
+    tau = _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
+    n = entries.shape[1]
+    table = _cached_support_table(n, order) if total <= _MAX_CHUNK else _support_table(n, order)
+    worst = 0.0
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        cols = np.ascontiguousarray(table[start:start + size].T, dtype=np.intp)
+        stack = gram[cols[:, None, :], cols[None, :, :]]  # G_S for each S, batch-last
+        if start > 0 and worst > tau:  # the band is empty while w <= tau
+            stack = stack[:, :, ~_inside_band(stack, 1.0 - worst + tau, 1.0 + worst - tau)]
+        if stack.shape[2]:
+            eigs = np.linalg.eigvalsh(np.moveaxis(stack, 2, 0))
+            worst = max(worst, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
+        yield worst
+        start += size
+        size = min(2 * size, _MAX_CHUNK)
+
+
 def exact_ric(a: MatrixLike, order: int, *, budget: int = ENUMERATION_BUDGET) -> RicEstimate:
     """Exact isometry constant of ``order`` by support enumeration.
 
@@ -144,30 +199,8 @@ def exact_ric(a: MatrixLike, order: int, *, budget: int = ENUMERATION_BUDGET) ->
     ``eigvalsh``, whose result for a matrix does not depend on the batch it
     runs in.
     """
-    mat = as_sensing_matrix(a)
-    if order < 1 or order > mat.n:
-        raise DimensionError(f"order must lie in 1..{mat.n}, got {order}")
-    total = math.comb(mat.n, order)
-    if total > budget:
-        raise BudgetExceeded(
-            f"C({mat.n}, {order}) = {total} supports exceeds budget {budget}"
-        )
-    gram = mat.entries.T @ mat.entries
-    tau = _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
-    table = _support_table(mat.n, order)
-    worst = 0.0
-    start, size = 0, _FIRST_CHUNK
-    while start < total:
-        cols = np.ascontiguousarray(table[start:start + size].T, dtype=np.intp)
-        stack = gram[cols[:, None, :], cols[None, :, :]]  # G_S for each S, batch-last
-        if start > 0 and worst > tau:  # the band is empty while w <= tau
-            stack = stack[:, :, ~_inside_band(stack, 1.0 - worst + tau, 1.0 + worst - tau)]
-        if stack.shape[2]:
-            eigs = np.linalg.eigvalsh(np.moveaxis(stack, 2, 0))
-            worst = max(worst, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
-        start += size
-        size = min(2 * size, _MAX_CHUNK)
-    return RicEstimate(order=order, value=worst, kind=RicKind.EXACT_ENUMERATION)
+    *_, value = _running_ric(a, order, budget)
+    return RicEstimate(order=order, value=value, kind=RicKind.EXACT_ENUMERATION)
 
 
 def du_ric_bound(d: np.ndarray) -> RicEstimate:

@@ -16,6 +16,7 @@ certified by exhaustive enumeration:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .linops import (
     project_complement,
 )
 from .metrics import SparseSignal
-from .rip import exact_ric
+from .rip import _running_ric, exact_ric
 
 # Absolute slack for inequality comparisons: both sides are O(1) at the
 # problem sizes enumeration allows, leaving ~1e-15 of true float noise.
@@ -98,15 +99,9 @@ class LemmaInstance:
         return self.n_select * (self.iteration + 1) + len(self.signal.support) - self.overlap
 
 
-def lemma4_sides(inst: LemmaInstance) -> tuple[float, float]:
-    """Both sides of the selection-margin inequality for one instance.
-
-    Left side: best on-support correlation against the projected residual
-    signal, minus the competitor-set mean. Right side: the margin
-    (1 - sqrt((|support| - overlap)/n_select + 1) * delta) * ||x_rem|| /
-    sqrt(|support| - overlap), with delta the exact constant at the order
-    this configuration touches.
-    """
+def _lemma4_terms(inst: LemmaInstance) -> tuple[float, Callable[[float], float]]:
+    """The left side of the selection-margin inequality, and its right side
+    as a function of delta."""
     mat, x = inst.matrix, inst.signal
     omega = x.support
     remaining = sorted(omega - inst.selected)
@@ -120,10 +115,26 @@ def lemma4_sides(inst: LemmaInstance) -> tuple[float, float]:
     lhs -= float(np.mean(np.abs(corr[comp])))
 
     missing = len(omega) - inst.overlap
-    delta = exact_ric(mat, inst.ric_order).value
-    margin = 1.0 - math.sqrt(missing / inst.n_select + 1.0) * delta
-    rhs = margin * float(np.linalg.norm(x_rem)) / math.sqrt(missing)
+    growth = math.sqrt(missing / inst.n_select + 1.0)
+    norm = float(np.linalg.norm(x_rem))
+
+    def rhs(delta: float) -> float:
+        return (1.0 - growth * delta) * norm / math.sqrt(missing)
+
     return lhs, rhs
+
+
+def lemma4_sides(inst: LemmaInstance) -> tuple[float, float]:
+    """Both sides of the selection-margin inequality for one instance.
+
+    Left side: best on-support correlation against the projected residual
+    signal, minus the competitor-set mean. Right side: the margin
+    (1 - sqrt((|support| - overlap)/n_select + 1) * delta) * ||x_rem|| /
+    sqrt(|support| - overlap), with delta the exact constant at the order
+    this configuration touches.
+    """
+    lhs, rhs = _lemma4_terms(inst)
+    return lhs, rhs(exact_ric(inst.matrix, inst.ric_order).value)
 
 
 def lemma4_holds(lhs: float, rhs: float) -> bool:
@@ -133,8 +144,34 @@ def lemma4_holds(lhs: float, rhs: float) -> bool:
 
 
 def verify_lemma4(inst: LemmaInstance) -> bool:
-    """Whether the selection-margin inequality holds on this instance."""
-    return lemma4_holds(*lemma4_sides(inst))
+    """Whether the selection-margin inequality holds on this instance.
+
+    The verdict is ``lemma4_holds(*lemma4_sides(inst))``, with the same
+    exceptions, but the enumeration of the constant stops once it settles
+    the verdict:
+
+    * The computed right side is non-increasing in delta. It multiplies
+      delta by sqrt(missing/n_select + 1) >= 0, subtracts from 1,
+      multiplies by ||x_rem|| >= 0 and divides by sqrt(missing) > 0, and
+      each of these correctly rounded operations is monotone, as is the
+      subtraction of LEMMA_SLACK in ``lemma4_holds``.
+    * Every running value w of the enumeration is a max over a subset of
+      the computed terms whose max is ``exact_ric``'s value, and that value
+      is >= 0.0. So 0.0 <= w <= the exact constant, and a pass at w is a
+      pass at the exact constant.
+
+    The instance passes at the first of 0.0 and the running values that
+    passes it. It fails only when the last running value, which is the
+    exact constant, fails it too.
+    """
+    lhs, rhs = _lemma4_terms(inst)
+    running = _running_ric(inst.matrix, inst.ric_order)  # raises before any pass
+    if lemma4_holds(lhs, rhs(0.0)):
+        return True
+    for delta in running:
+        if lemma4_holds(lhs, rhs(delta)):
+            return True
+    return False
 
 
 def verify_stopping(

@@ -33,3 +33,15 @@ def test_tiny_round_scores_and_gates_clean(name):
     score.add(work.gate(outcomes))
     assert score.attempted > 0
     assert score.failed == 0, (dict(score.failures), dict(score.causes))
+
+
+def test_full_certify_round_scores_and_gates_clean():
+    # Score.verdict counts a pass only for ``outcome is True``, so this
+    # also catches a truthy non-bool verdict or a flip at full scale.
+    work = workloads.WORKLOADS["certify"](3, workloads.SCALES["full"])
+    outcomes, _ = workloads.run_round(work.items)
+    score = work.score(outcomes)
+    score.add(work.gate(outcomes))
+    assert score.attempted == len(work.items) == 1_600
+    assert score.failed == 0, (dict(score.failures), dict(score.causes))
+    assert score.counts["verify.lemma4_instances"] == score.counts["verify.selection_instances"] == 800

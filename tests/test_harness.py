@@ -20,7 +20,7 @@ from gompkit import (
     snr_threshold,
     write_instance,
 )
-from gompkit import harness
+from gompkit import cli, harness
 from gompkit.harness import instance_payload, load_matrix, report_payload, report_rows
 from gompkit.verify import lemma4_sides, random_lemma_instance
 
@@ -353,3 +353,24 @@ class TestCli:
             "lemma 4: 15 passed, 0 failed (15 instances)",
             f"lemma 4: min slack (lhs - rhs) {slacks[at]!r} at instance {at}",
         ]
+
+    @pytest.mark.parametrize("args,message", [
+        (("verify", "--lemma", "4", "--instances", "-3", "--seed", "1"),
+         "error: --instances must be at least 1, got -3"),
+        (("verify", "--lemma", "selection", "--instances", "0", "--seed", "1"),
+         "error: --instances must be at least 1, got 0"),
+        (("run", "--k-min", "5", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
+          "--trials", "3", "--seed", "1"),
+         "error: empty range: --k-min 5 > --k-max 3"),
+        (("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "3", "--nsel-max", "2",
+          "--trials", "3", "--seed", "1"),
+         "error: empty range: --nsel-min 3 > --nsel-max 2"),
+        (("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
+          "--trials", "0", "--seed", "1"),
+         "error: --trials must be at least 1, got 0"),
+    ])
+    def test_bad_counts_and_empty_ranges_are_rejected(self, args, message, capsys):
+        assert cli.main(list(args)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [message]

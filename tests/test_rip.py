@@ -148,6 +148,18 @@ class TestScreenedEnumeration:
         for order in orders:
             assert exact_ric(a, order).value == unscreened_ric(a, order), order
 
+    @pytest.mark.parametrize("a,orders", _screen_cases())
+    def test_running_values_rise_to_the_constant(self, a, orders):
+        for order in orders:
+            chunks, start, size = 0, 0, 64
+            while start < math.comb(a.shape[1], order):
+                chunks, start, size = chunks + 1, start + size, min(2 * size, 2048)
+            running = list(rip._running_ric(a, order))
+            assert len(running) == chunks
+            assert running[0] >= 0.0
+            assert all(lo <= hi for lo, hi in zip(running, running[1:]))
+            assert running[-1] == exact_ric(a, order).value
+
     def test_screen_prunes_across_ramped_chunks(self, monkeypatch):
         # C(16, 5) = 4368 supports: chunks of 64 (unscreened), 128, 256, ...
         _, a = du_matrix(np.random.default_rng(59), 16, 0.6)
@@ -195,6 +207,25 @@ class TestScreenedEnumeration:
         assert np.array_equal(expected, ~out)
         got = rip._inside_band(np.ascontiguousarray(grams.transpose(1, 2, 0)), low, high)
         assert np.array_equal(got, expected)
+
+    def test_small_tables_are_cached_read_only(self):
+        table = rip._cached_support_table(12, 6)  # C(12, 6) = 924 rows
+        assert rip._cached_support_table(12, 6) is table
+        assert table.tolist() == rip._support_table(12, 6).tolist()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_only_tables_up_to_max_chunk_rows_are_cached(self, monkeypatch):
+        builds = []
+        build = rip._support_table
+        monkeypatch.setattr(rip, "_support_table", lambda n, k: builds.append((n, k)) or build(n, k))
+        a = np.random.default_rng(67).standard_normal((16, 16))
+        for _ in range(2):
+            exact_ric(a, 5)  # C(16, 5) = 4368 rows
+            exact_ric(a, 3)  # C(16, 3) = 560 rows
+        assert builds.count((16, 5)) == 2
+        assert builds.count((16, 3)) <= 1
 
     def test_budget_checked_before_table(self, monkeypatch):
         def refuse(n, k):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gompkit import (
+    BudgetExceeded,
     GompParams,
     IterationRecord,
     LemmaInstance,
@@ -23,6 +24,8 @@ from gompkit import (
     verify_selection_condition,
     verify_stopping,
 )
+from gompkit import rip, verify
+from gompkit.verify import lemma4_holds
 
 
 def make_instance(matrix, values, selected, competitors, iteration, n_select):
@@ -92,6 +95,100 @@ class TestLemma4:
     def test_rejects_competitors_on_support(self):
         with pytest.raises(ValueError):
             make_instance(np.eye(4), [1.0, 1.0, 0.0, 0.0], set(), {2}, 0, 1)
+
+
+def lemma_draw(i):
+    return random_lemma_instance(np.random.default_rng([7, 1, i]))
+
+
+def spy_enumeration(monkeypatch):
+    """Record, for each enumeration ``verify_lemma4`` starts, its support
+    count, how many running values it handed out and how many support
+    tables were built or fetched."""
+    calls, tables = [], []
+    running_ric = verify._running_ric
+
+    def counting_ric(a, order, budget=rip.ENUMERATION_BUDGET):
+        running = running_ric(a, order, budget)
+        call = {"supports": math.comb(a.n, order), "taken": 0}
+        calls.append(call)
+
+        def take():
+            for value in running:
+                call["taken"] += 1
+                yield value
+
+        return take()
+
+    for name in ("_support_table", "_cached_support_table"):
+        build = getattr(rip, name)
+        monkeypatch.setattr(rip, name, lambda n, k, build=build: tables.append((n, k)) or build(n, k))
+    monkeypatch.setattr(verify, "_running_ric", counting_ric)
+    return calls, tables
+
+
+class TestLazyLemma4:
+    def test_verdict_equals_exact_sides(self):
+        for i in range(1600):
+            inst = lemma_draw(i)
+            verdict = verify_lemma4(inst)
+            assert type(verdict) is bool
+            assert verdict == lemma4_holds(*lemma4_sides(inst)), i
+
+    def test_enumeration_stops_once_the_verdict_is_settled(self, monkeypatch):
+        calls, tables = spy_enumeration(monkeypatch)
+        for i in range(200):
+            built = len(tables)
+            assert verify_lemma4(lemma_draw(i)) is True
+            calls[-1]["tables"] = len(tables) - built
+        at_zero = [c for c in calls if c["taken"] == 0]
+        assert at_zero and all(c["tables"] == 0 for c in at_zero)
+        first_chunk = [c for c in calls if c["taken"] == 1 and c["supports"] > rip._FIRST_CHUNK]
+        assert first_chunk and all(c["tables"] == 1 for c in first_chunk)
+
+    def test_pass_settled_only_by_the_last_chunk(self, monkeypatch):
+        # Columns 10-12 have pairwise correlations 0.1, 0.1 and -0.1 and are
+        # orthogonal to the identity columns 1-9. At order 3 the support
+        # {10, 11, 12} is the last of C(12, 3) = 220, in the third chunk, and
+        # the only one with deviation 0.2 (eigenvalues 0.8, 1.1, 1.1); every
+        # other support deviates by at most 0.1. With x = 1 on {11, 12} and
+        # competitor 10, lhs = 1 - 3 * 0.1 and rhs = 1 - sqrt(3) * delta.
+        rho = 0.1
+        gram = np.array([[1.0, rho, rho], [rho, 1.0, -rho], [rho, -rho, 1.0]])
+        a = np.eye(12)
+        a[9:, 9:] = np.linalg.cholesky(gram).T
+        inst = make_instance(a, [0.0] * 10 + [1.0, 1.0], set(), {10}, 0, 1)
+        running = list(rip._running_ric(a, inst.ric_order))
+        assert len(running) == 3
+        lhs, rhs = verify._lemma4_terms(inst)
+        assert [lemma4_holds(lhs, rhs(w)) for w in [0.0] + running] == [False] * 3 + [True]
+        calls, _ = spy_enumeration(monkeypatch)
+        assert verify_lemma4(inst) is True
+        assert calls[-1]["taken"] == 3
+
+    def test_failing_verdict_takes_the_whole_chunk_plan(self, monkeypatch):
+        calls, _ = spy_enumeration(monkeypatch)
+        monkeypatch.setattr(verify, "lemma4_holds", lambda lhs, rhs: False)
+        long_plans = 0
+        for i in range(40):
+            inst = lemma_draw(i)
+            assert verify_lemma4(inst) is False
+            plan = list(rip._running_ric(inst.matrix, inst.ric_order))
+            assert calls[-1]["taken"] == len(plan)
+            long_plans += len(plan) >= 3
+        assert long_plans > 0
+
+    def test_budget_error_raised_before_a_pass_at_zero(self):
+        # order 1 * 1 + 15 = 16: C(30, 16) ~ 1.45e8 supports, over the budget;
+        # on the identity, delta = 0 would pass the instance
+        values = np.zeros(30)
+        values[:15] = np.arange(1.0, 16.0)
+        inst = make_instance(np.eye(30), values, set(), {30}, 0, 1)
+        assert inst.ric_order == 16
+        lhs, rhs = verify._lemma4_terms(inst)
+        assert lemma4_holds(lhs, rhs(0.0))
+        with pytest.raises(BudgetExceeded):
+            verify_lemma4(inst)
 
 
 def run_generated(sparsity, n_select, noisy, seed):
