@@ -103,18 +103,32 @@ def _cached_support_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _inside_band(stack: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Which symmetric matrices of a batch-last stack, shape (k, k, B),
-    certifiably have every eigenvalue strictly inside (low, high).
+@functools.lru_cache(maxsize=128)
+def _lower_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.tril_indices(k)``, built once per order: entry (i, j),
+    i >= j, of a k x k matrix is pair i(i+1)/2 + j."""
+    pairs = np.tril_indices(k)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
-    Entry b is True when both stack[..., b] - low*I and high*I - stack[..., b]
-    have all-positive pivots under an LDL^T factorization without pivoting,
-    read from the lower triangle. A run with positive pivots is a computed
-    Cholesky factorization, which is backward stable: the pivots are exact
-    for a symmetric matrix within O(k^2 eps) * ||shifted matrix|| of it.
+
+def _inside_band(lower: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Which symmetric matrices of a batch certifiably have every eigenvalue
+    strictly inside (low, high).
+
+    ``lower`` holds the lower triangles batch-last, shape (k(k+1)/2, B):
+    entry (i, j), i >= j, of matrix b is lower[i(i+1)/2 + j, b], the
+    ``np.tril_indices`` order. Entry b of the result is True when both
+    G_b - low*I and high*I - G_b have all-positive pivots under an LDL^T
+    factorization without pivoting. A run with positive pivots is a
+    computed Cholesky factorization, which is backward stable: the pivots
+    are exact for a symmetric matrix within O(k^2 eps) * ||shifted matrix||
+    of it.
     """
-    k, _, batch = stack.shape
-    both = np.concatenate((stack, -stack), axis=2)
+    batch = lower.shape[1]
+    k = math.isqrt(2 * lower.shape[0])
+    both = np.concatenate((lower, -lower), axis=1)
     shift = np.concatenate((np.full(batch, low), np.full(batch, -high)))
     ok = np.ones(2 * batch, dtype=bool)
     unit = [[None] * k for _ in range(k)]  # unit[i][j]: entry (i, j) of the unit-lower L
@@ -122,13 +136,13 @@ def _inside_band(stack: np.ndarray, low: float, high: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(k):
             scaled = [unit[j][p] * pivots[p] for p in range(j)]  # (L D)[j, p]
-            pivot = both[j, j] - shift
+            pivot = both[j * (j + 1) // 2 + j] - shift
             for p in range(j):
                 pivot -= scaled[p] * unit[j][p]
             ok &= pivot > 0.0
             pivots.append(pivot)
             for i in range(j + 1, k):
-                entry = both[i, j]
+                entry = both[i * (i + 1) // 2 + j]
                 for p in range(j):
                     entry = entry - unit[i][p] * scaled[p]
                 unit[i][j] = entry / pivot
@@ -156,19 +170,23 @@ def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) ->
 
 
 def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
+    entries = np.ascontiguousarray(entries)  # same Gram bits for every input layout
     gram = entries.T @ entries
     tau = _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
     n = entries.shape[1]
+    flat = gram.ravel()
     table = _cached_support_table(n, order) if total <= _MAX_CHUNK else _support_table(n, order)
     worst = 0.0
     start, size = 0, _FIRST_CHUNK
     while start < total:
         cols = np.ascontiguousarray(table[start:start + size].T, dtype=np.intp)
-        stack = gram[cols[:, None, :], cols[None, :, :]]  # G_S for each S, batch-last
         if start > 0 and worst > tau:  # the band is empty while w <= tau
-            stack = stack[:, :, ~_inside_band(stack, 1.0 - worst + tau, 1.0 + worst - tau)]
-        if stack.shape[2]:
-            eigs = np.linalg.eigvalsh(np.moveaxis(stack, 2, 0))
+            rows, columns = _lower_pairs(order)
+            lower = flat.take(cols[rows] * n + cols[columns])
+            cols = cols[:, ~_inside_band(lower, 1.0 - worst + tau, 1.0 + worst - tau)]
+        if cols.shape[1]:
+            sets = cols.T
+            eigs = np.linalg.eigvalsh(flat.take(sets[:, :, None] * n + sets[:, None, :]))
             worst = max(worst, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
         yield worst
         start += size
@@ -197,7 +215,9 @@ def exact_ric(a: MatrixLike, order: int, *, budget: int = ENUMERATION_BUDGET) ->
     within tau/2 of the truth, so the skipped support's computed deviation
     is below w and cannot change the maximum. The other supports go to
     ``eigvalsh``, whose result for a matrix does not depend on the batch it
-    runs in.
+    runs in. The screen reads only the k(k+1)/2 lower-triangle entries of
+    each G_S, taken from the flattened Gram matrix; the full G_S is
+    gathered only for the supports that reach ``eigvalsh``.
     """
     *_, value = _running_ric(a, order, budget)
     return RicEstimate(order=order, value=value, kind=RicKind.EXACT_ENUMERATION)

@@ -278,9 +278,16 @@ class TestInstanceFiles:
 
 
 def run_cli(*args):
+    """``python -m gompkit`` in a fresh process."""
     return subprocess.run(
         [sys.executable, "-m", "gompkit", *args], capture_output=True, text=True
     )
+
+
+def call_cli(capsys, *args):
+    """``cli.main`` in this process: (exit status, captured stdout)."""
+    status = cli.main(list(args))
+    return status, capsys.readouterr().out
 
 
 class TestCli:
@@ -291,31 +298,31 @@ class TestCli:
         assert doc["k"] == 2 and doc["noisy"] is False
         assert len(doc["matrix"]) == 5
 
-    def test_gen_matches_library(self, tmp_path):
+    def test_gen_matches_library(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
-        proc = run_cli("gen", "--k", "3", "--n-select", "1", "--noisy", "--seed", "99",
-                       "--out", str(path))
-        assert proc.returncode == 0
+        status, _ = call_cli(capsys, "gen", "--k", "3", "--n-select", "1", "--noisy", "--seed", "99",
+                             "--out", str(path))
+        assert status == 0
         doc = json.loads(path.read_text())
         inst = gen_instance(3, 1, noisy=True, seed=99)
         assert np.array_equal(np.array(doc["matrix"]), inst.matrix.entries)
 
-    def test_ric_on_generated_file(self, tmp_path):
+    def test_ric_on_generated_file(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
-        run_cli("gen", "--k", "2", "--n-select", "1", "--seed", "6", "--out", str(path))
-        proc = run_cli("ric", "--matrix", str(path), "--order", "2")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+        call_cli(capsys, "gen", "--k", "2", "--n-select", "1", "--seed", "6", "--out", str(path))
+        status, out = call_cli(capsys, "ric", "--matrix", str(path), "--order", "2")
+        assert status == 0
+        doc = json.loads(out)
         inst = gen_instance(2, 1, noisy=False, seed=6)
         assert doc["order"] == 2
         assert doc["kind"] == "exact_enumeration"
         assert abs(doc["value"] - exact_ric(inst.matrix, 2).value) <= 1e-15
 
-    def test_ric_budget_failure_is_loud(self, tmp_path):
+    def test_ric_budget_failure_is_loud(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
-        run_cli("gen", "--k", "4", "--n-select", "3", "--seed", "6", "--out", str(path))
-        proc = run_cli("ric", "--matrix", str(path), "--order", "6", "--budget", "2")
-        assert proc.returncode != 0
+        call_cli(capsys, "gen", "--k", "4", "--n-select", "3", "--seed", "6", "--out", str(path))
+        status, _ = call_cli(capsys, "ric", "--matrix", str(path), "--order", "6", "--budget", "2")
+        assert status != 0
 
     def test_run_csv_deterministic(self):
         args = ("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
@@ -326,30 +333,30 @@ class TestCli:
         assert first.stdout == second.stdout
         assert first.stdout.splitlines()[0].startswith("K,N,noisy")
 
-    def test_run_json_parses(self):
-        proc = run_cli("run", "--k-min", "2", "--k-max", "2", "--nsel-min", "1",
-                       "--nsel-max", "1", "--trials", "3", "--noisy", "--seed", "23",
-                       "--format", "json", "--per-trial")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+    def test_run_json_parses(self, capsys):
+        status, out = call_cli(capsys, "run", "--k-min", "2", "--k-max", "2", "--nsel-min", "1",
+                               "--nsel-max", "1", "--trials", "3", "--noisy", "--seed", "23",
+                               "--format", "json", "--per-trial")
+        assert status == 0
+        doc = json.loads(out)
         assert len(doc["cells"]) == 1
         assert len(doc["cells"][0]["reports"]) == 3
 
     @pytest.mark.parametrize("lemma", ["4", "5", "selection"])
-    def test_verify_subcommand_passes(self, lemma):
-        proc = run_cli("verify", "--lemma", lemma, "--instances", "15", "--seed", "3")
-        assert proc.returncode == 0
-        assert "15 instances" in proc.stdout
-        assert "0 failed" in proc.stdout
+    def test_verify_subcommand_passes(self, lemma, capsys):
+        status, out = call_cli(capsys, "verify", "--lemma", lemma, "--instances", "15", "--seed", "3")
+        assert status == 0
+        assert "15 instances" in out
+        assert "0 failed" in out
 
-    def test_verify_lemma4_reports_min_slack(self):
-        proc = run_cli("verify", "--lemma", "4", "--instances", "15", "--seed", "3")
-        assert proc.returncode == 0
+    def test_verify_lemma4_reports_min_slack(self, capsys):
+        status, out = call_cli(capsys, "verify", "--lemma", "4", "--instances", "15", "--seed", "3")
+        assert status == 0
         rng = np.random.default_rng(3)
         slacks = [lhs - rhs for lhs, rhs in
                   (lemma4_sides(random_lemma_instance(rng)) for _ in range(15))]
         at = int(np.argmin(slacks))
-        assert proc.stdout.splitlines() == [
+        assert out.splitlines() == [
             "lemma 4: 15 passed, 0 failed (15 instances)",
             f"lemma 4: min slack (lhs - rhs) {slacks[at]!r} at instance {at}",
         ]

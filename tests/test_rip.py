@@ -45,6 +45,37 @@ def unscreened_ric(a, order):
     return max(0.0, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
 
 
+def reference_inside_band(stack, low, high):
+    """The screen on full batch-last stacks, shape (k, k, B): the same
+    left-looking LDL^T as ``rip._inside_band``, reading entry (i, j) of the
+    doubled stack [G | -G] directly."""
+    k, _, batch = stack.shape
+    both = np.concatenate((stack, -stack), axis=2)
+    shift = np.concatenate((np.full(batch, low), np.full(batch, -high)))
+    ok = np.ones(2 * batch, dtype=bool)
+    unit = [[None] * k for _ in range(k)]
+    pivots = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(k):
+            scaled = [unit[j][p] * pivots[p] for p in range(j)]
+            pivot = both[j, j] - shift
+            for p in range(j):
+                pivot -= scaled[p] * unit[j][p]
+            ok &= pivot > 0.0
+            pivots.append(pivot)
+            for i in range(j + 1, k):
+                entry = both[i, j]
+                for p in range(j):
+                    entry = entry - unit[i][p] * scaled[p]
+                unit[i][j] = entry / pivot
+    return ok[:batch] & ok[batch:]
+
+
+def lower_triangles(stack):
+    """(k, k, B) -> the (k(k+1)/2, B) lower-triangle layout of the screen."""
+    return stack[np.tril_indices(stack.shape[0])]
+
+
 def du_matrix(rng, n, bound):
     d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
     return d, d[:, None] * orthogonal_factor(rng.standard_normal((n, n)))
@@ -142,6 +173,22 @@ def _screen_cases():
     return [pytest.param(a, orders, id=name) for name, (a, orders) in cases.items()]
 
 
+def classification_grams(k):
+    """300 symmetric k x k matrices, shape (300, k, k), and which of them
+    have an eigenvalue outside (0.5, 1.5): spectra inside (0.55, 1.45), or
+    with one eigenvalue moved outside (0.45, 1.55), so every eigenvalue is
+    at least 0.05 from the band's edges."""
+    rng = np.random.default_rng(61 + k)
+    batch = 300
+    eigs = rng.uniform(0.55, 1.45, size=(batch, k))
+    out = rng.random(batch) < 0.5
+    outside = rng.choice([-1.0, 1.0], size=batch) * rng.uniform(0.55, 0.8, size=batch)
+    eigs[out, rng.integers(0, k, size=batch)[out]] = 1.0 + outside[out]
+    q = orthogonal_factor(rng.standard_normal((batch, k, k)))
+    grams = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+    return (grams + grams.transpose(0, 2, 1)) / 2.0, out
+
+
 class TestScreenedEnumeration:
     @pytest.mark.parametrize("a,orders", _screen_cases())
     def test_equals_unscreened_bit_for_bit(self, a, orders):
@@ -166,9 +213,9 @@ class TestScreenedEnumeration:
         calls = []
         screen = rip._inside_band
 
-        def spy(stack, low, high):
-            inside = screen(stack, low, high)
-            calls.append((stack.shape[2], int(inside.sum())))
+        def spy(lower, low, high):
+            inside = screen(lower, low, high)
+            calls.append((lower.shape[1], int(inside.sum())))
             return inside
 
         monkeypatch.setattr(rip, "_inside_band", spy)
@@ -191,21 +238,12 @@ class TestScreenedEnumeration:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_screen_matches_eigvalsh_classification(self, k):
-        # spectra inside (0.55, 1.45), or with one eigenvalue moved outside
-        # (0.45, 1.55): every eigenvalue is at least 0.05 from the band's edges
-        rng = np.random.default_rng(61 + k)
-        batch, low, high = 300, 0.5, 1.5
-        eigs = rng.uniform(0.55, 1.45, size=(batch, k))
-        out = rng.random(batch) < 0.5
-        outside = rng.choice([-1.0, 1.0], size=batch) * rng.uniform(0.55, 0.8, size=batch)
-        eigs[out, rng.integers(0, k, size=batch)[out]] = 1.0 + outside[out]
-        q = orthogonal_factor(rng.standard_normal((batch, k, k)))
-        grams = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
-        grams = (grams + grams.transpose(0, 2, 1)) / 2.0
+        grams, out = classification_grams(k)
+        low, high = 0.5, 1.5
         computed = np.linalg.eigvalsh(grams)
         expected = (computed[:, 0] > low) & (computed[:, -1] < high)
         assert np.array_equal(expected, ~out)
-        got = rip._inside_band(np.ascontiguousarray(grams.transpose(1, 2, 0)), low, high)
+        got = rip._inside_band(grams.transpose(1, 2, 0)[np.tril_indices(k)], low, high)
         assert np.array_equal(got, expected)
 
     def test_small_tables_are_cached_read_only(self):
@@ -234,6 +272,103 @@ class TestScreenedEnumeration:
         monkeypatch.setattr(rip, "_support_table", refuse)
         with pytest.raises(BudgetExceeded):
             exact_ric(np.eye(200), 100)
+
+
+class TestLowerTriangleScreen:
+    """The screen on (k(k+1)/2, B) lower triangles against the full-stack
+    reference, and the gather that feeds it."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_classification_spectra(self, k):
+        stack = np.ascontiguousarray(classification_grams(k)[0].transpose(1, 2, 0))
+        got = rip._inside_band(lower_triangles(stack), 0.5, 1.5)
+        assert np.array_equal(got, reference_inside_band(stack, 0.5, 1.5))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_gram_chunks_at_three_band_widths(self, k):
+        rng = np.random.default_rng(71 + k)
+        gaussian = rng.standard_normal((20, 14)) / math.sqrt(20.0)
+        _, du = du_matrix(rng, 16, 0.6)
+        for a in (gaussian, du):
+            gram = a.T @ a
+            cols = rip._support_table(a.shape[1], k)[:256].T.astype(np.intp)
+            stack = gram[cols[:, None, :], cols[None, :, :]]
+            eigs = np.linalg.eigvalsh(np.moveaxis(stack, 2, 0))
+            deviation = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
+            for quantile in (0.1, 0.5, 0.9):
+                w = float(np.quantile(deviation, quantile))
+                got = rip._inside_band(lower_triangles(stack), 1.0 - w, 1.0 + w)
+                assert np.array_equal(got, reference_inside_band(stack, 1.0 - w, 1.0 + w))
+                assert 0 < got.sum() < got.size, quantile
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_spectra_within_ulps_of_the_band_edge(self, k):
+        rng = np.random.default_rng(83 + k)
+        batch, low, high = 200, 0.75, 1.25
+        eigs = rng.uniform(0.8, 1.2, size=(batch, k))
+        edge = np.where(rng.random(batch) < 0.5, low, high)
+        eigs[np.arange(batch), rng.integers(0, k, size=batch)] = (
+            edge + rng.integers(-4, 5, size=batch) * np.spacing(edge)
+        )
+        diagonal = np.zeros((k, k, batch))
+        diagonal[np.arange(k), np.arange(k)] = eigs.T
+        # pivots of a diagonal matrix are d - low and high - d, exact this near the edge
+        inside = ((eigs > low) & (eigs < high)).all(axis=1)
+        assert np.array_equal(rip._inside_band(lower_triangles(diagonal), low, high), inside)
+        q = orthogonal_factor(rng.standard_normal((batch, k, k)))
+        rotated = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+        rotated = np.ascontiguousarray(((rotated + rotated.transpose(0, 2, 1)) / 2.0).transpose(1, 2, 0))
+        for stack in (diagonal, rotated):
+            got = rip._inside_band(lower_triangles(stack), low, high)
+            assert np.array_equal(got, reference_inside_band(stack, low, high))
+
+    def test_same_supports_reach_eigvalsh(self, monkeypatch):
+        a = next(case.values[0] for case in _screen_cases() if case.id == "du-n16")
+        batches = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: batches.append(len(x)) or eigvalsh(x))
+        value = exact_ric(a, 5).value
+        screened = batches.copy()
+        batches.clear()
+
+        def full_stack_screen(lower, low, high):
+            k = math.isqrt(2 * len(lower))
+            stack = np.zeros((k, k, lower.shape[1]))
+            stack[np.tril_indices(k)] = lower
+            return reference_inside_band(stack, low, high)
+
+        monkeypatch.setattr(rip, "_inside_band", full_stack_screen)
+        assert exact_ric(a, 5).value == value
+        assert batches == screened
+        assert sum(screened) < 0.1 * math.comb(16, 5)
+
+    def test_small_enumerations_build_no_index_pairs(self, monkeypatch):
+        orders = []
+        pairs = rip._lower_pairs
+        monkeypatch.setattr(rip, "_lower_pairs", lambda k: orders.append(k) or pairs(k))
+        a = np.random.default_rng(89).standard_normal((8, 8))
+        exact_ric(a, 3)  # C(8, 3) = 56 supports: the unscreened first chunk only
+        exact_ric(a, 5)
+        assert orders == []
+        exact_ric(a, 4)  # C(8, 4) = 70: a second, screened chunk
+        assert orders == [4]
+
+    def test_index_pairs_are_cached_read_only(self):
+        pairs = rip._lower_pairs(6)
+        assert rip._lower_pairs(6) is pairs
+        for index, expected in zip(pairs, np.tril_indices(6)):
+            assert np.array_equal(index, expected)
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 1
+
+    @pytest.mark.parametrize("order", (2, 4, 6))
+    def test_value_does_not_depend_on_memory_layout(self, order):
+        strided = (np.random.default_rng(97).standard_normal((24, 30)) / 4.0)[::2, ::2]
+        contiguous = np.ascontiguousarray(strided)
+        value = exact_ric(contiguous, order).value
+        for a in (np.asfortranarray(contiguous), np.ascontiguousarray(contiguous.T).T, strided):
+            assert exact_ric(a, order).value == value
 
 
 class TestDuBound:
