@@ -13,10 +13,12 @@ diagonal entries (uniform), orthogonal-factor source matrix (standard
 normal, row-major), support permutation, nonzero values, then the noise
 direction. Identical seeds give bit-identical instances.
 
-``run_trials`` runs each (K, N) cell in stacked passes (``_run_stacked``:
-the same draws, one stacked orthogonal factor, ``greedy.gomp_stacked``)
-that give the same bits as ``run_trial``, which stays the traced scalar
-reference.
+There is one generator, ``_stacked_instances``, which builds the
+instances of many seeds as stacked rows; a row's bits do not depend on
+the other seeds. ``gen_instance`` is its call on one seed. ``run_trials``
+runs each (K, N) cell in stacked passes (``_run_stacked``: the generator,
+then ``greedy.gomp_stacked``) that give the same bits as ``run_trial``,
+which stays the traced scalar reference.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 from .exceptions import GompkitError
 from .greedy import GompParams, gomp_run, gomp_stacked
 from .linops import SensingMatrix, draw_du, du_entries, row_dot
-from .metrics import SparseSignal, mar, snr_threshold
-from .rip import RicEstimate, du_ric_bound
+from .metrics import SparseSignal, snr_threshold
+from .rip import RicEstimate, RicKind
 from .verify import NOISE_FLOOR_REL
 
 SNR_MARGIN = 0.01
@@ -119,77 +121,66 @@ def gen_instance(
     *,
     flat_signal: bool = False,
 ) -> Instance:
-    """Generate one seeded instance with a certified sensing matrix.
+    """Generate one seeded instance with a certified sensing matrix: row 0
+    of ``_stacked_instances`` on the single seed.
 
     ``flat_signal`` draws the nonzero entries as random signs instead of
     standard normals, pinning the minimum-to-average ratio at 1 so the
     isometry condition is exercised in isolation.
     """
-    d, source, support, nonzeros, direction = _draw(sparsity, n_select, noisy, seed, flat_signal)
-    matrix = SensingMatrix(du_entries(d, source))
-    claimed = du_ric_bound(d)
-    values = np.zeros(matrix.n)
-    values[support - 1] = nonzeros
-    signal = SparseSignal(values=values, support=frozenset(int(i) for i in support))
-
-    clean = matrix.entries @ values
-    if noisy:
-        target_root_snr = SNR_MARGIN + snr_threshold(
-            sparsity, n_select, claimed.value, mar(signal, sparsity)
-        )
-        noise = (float(np.linalg.norm(clean)) / target_root_snr) * (
-            direction / float(np.linalg.norm(direction))
-        )
-        epsilon = float(np.linalg.norm(noise))
-    else:
-        noise = np.zeros(matrix.n)
-        epsilon = NOISE_FLOOR_REL * float(np.linalg.norm(clean))
-    observation = clean + noise
-
+    entries, support, values, noise, observation, epsilon, delta = _stacked_instances(
+        sparsity, n_select, noisy, [seed], flat_signal
+    )
     return Instance(
-        matrix=matrix,
-        signal=signal,
-        noise=noise,
-        observation=observation,
+        matrix=SensingMatrix(entries[0]),
+        signal=SparseSignal(values=values[0], support=frozenset(support[0].tolist())),
+        noise=noise[0],
+        observation=observation[0],
         sparsity=sparsity,
         n_select=n_select,
-        epsilon=epsilon,
+        epsilon=float(epsilon[0]),
         seed=seed,
-        claimed_delta=claimed,
+        claimed_delta=RicEstimate(entries.shape[-1], float(delta[0]), RicKind.ANALYTIC_DU),
     )
 
 
 def _stacked_instances(
     sparsity: int, n_select: int, noisy: bool, seeds: Sequence[int], flat_signal: bool
 ) -> tuple[np.ndarray, ...]:
-    """The arrays of ``gen_instance`` for each seed, stacked by row: matrix
-    entries, signal values, noise, observation and epsilon.
+    """The instances of ``seeds``, stacked by row: matrix entries, 1-based
+    support, signal values, noise, observation, epsilon and the claimed
+    isometry constant delta.
 
     The draws are ``_draw``'s and the orthogonal factor is one stacked
-    call. Every other expression is gen_instance's, or du_ric_bound's and
-    mar's where it calls them, evaluated on rows with the same bits: each
-    product and norm has the operand layout and BLAS call of the 1-d form.
+    call. delta is ``du_ric_bound(d).value``, max(1 - min d^2, max d^2 - 1);
+    in the noisy mode the MAR is ``mar``'s K min x_i^2 / ||x||^2, and the
+    noise is scaled so sqrt(SNR) = SNR_MARGIN + ``snr_threshold``. Each
+    product and norm has the operand layout and BLAS call of the 1-d form,
+    so a row's bits do not depend on the other seeds of the call.
+    ``test_matrix_follows_documented_draw_order`` and
+    ``test_noisy_calibration`` in tests/test_harness.py pin these
+    expressions against ``du_ric_bound`` and ``mar``.
     """
     d, source, support, nonzeros, direction = zip(
         *(_draw(sparsity, n_select, noisy, seed, flat_signal) for seed in seeds)
     )
-    d, support, nonzeros = np.stack(d), np.stack(support), np.stack(nonzeros)
-    source = np.stack(source)  # drops the per-seed copies before the QR
+    d, support, nonzeros = np.array(d), np.array(support), np.array(nonzeros)
+    source = np.array(source)  # drops the per-seed copies before the QR
     entries = du_entries(d, source)
     del source
     values = np.zeros(d.shape)
-    np.put_along_axis(values, support - 1, nonzeros, axis=1)
+    values[np.arange(len(values))[:, None], support - 1] = nonzeros
     clean = (entries @ values[:, :, None])[:, :, 0]
     clean_norm = np.sqrt(row_dot(clean, clean))
+    sq = d * d
+    delta = np.maximum(1.0 - sq.min(axis=1), sq.max(axis=1) - 1.0)
     if noisy:
-        sq = d * d
-        delta = np.maximum(1.0 - sq.min(axis=1), sq.max(axis=1) - 1.0)  # du_ric_bound(d).value
-        mar_values = sparsity * (nonzeros * nonzeros).min(axis=1) / row_dot(values, values)  # mar
+        mar_values = sparsity * (nonzeros * nonzeros).min(axis=1) / row_dot(values, values)
         target_root_snr = np.array([
             SNR_MARGIN + snr_threshold(sparsity, n_select, delta_t, mar_t)
             for delta_t, mar_t in zip(delta.tolist(), mar_values.tolist())
         ])
-        direction = np.stack(direction)
+        direction = np.array(direction)
         noise = (clean_norm / target_root_snr)[:, None] * (
             direction / np.sqrt(row_dot(direction, direction))[:, None]
         )
@@ -197,14 +188,14 @@ def _stacked_instances(
     else:
         noise = np.zeros(values.shape)
         epsilon = NOISE_FLOOR_REL * clean_norm
-    return entries, values, noise, clean + noise, epsilon
+    return entries, support, values, noise, clean + noise, epsilon, delta
 
 
 def _run_stacked(
     sparsity: int, n_select: int, noisy: bool, seeds: Sequence[int], flat_signal: bool
 ) -> list[TrialReport]:
     """``run_trial`` for each seed as one stacked generate-and-pursue pass."""
-    entries, x, _, observation, epsilon = _stacked_instances(
+    entries, _, x, _, observation, epsilon, _ = _stacked_instances(
         sparsity, n_select, noisy, seeds, flat_signal
     )
     run = gomp_stacked(entries, observation, epsilon, sparsity, n_select)

@@ -33,13 +33,15 @@ class SensingMatrix:
     Parameters
     ----------
     entries : ndarray, shape (m, n)
-        Dense real matrix; all entries must be finite.
+        Dense real matrix; all entries must be finite. Stored C-contiguous,
+        so products formed from it have the same bits whatever the input's
+        memory layout.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = np.asarray(self.entries, dtype=float, order="C")
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d matrix, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -170,7 +170,6 @@ def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) ->
 
 
 def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
-    entries = np.ascontiguousarray(entries)  # same Gram bits for every input layout
     gram = entries.T @ entries
     tau = _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
     n = entries.shape[1]

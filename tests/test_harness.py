@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from gompkit import (
+    RicEstimate,
+    RicKind,
     check_recovery_condition,
     du_ric_bound,
     emit_report,
@@ -165,9 +167,10 @@ class TestRunTrials:
                                                    (5, 2, True, True), (8, 4, True, False),
                                                    (8, 4, False, False)])
     def test_stacked_instances_match_gen_instance_bits(self, k, nsel, noisy, flat):
+        # batch independence: row t of a 6-seed call is the one-seed call on seed t
         seeds = range(70, 76)
-        entries, values, noise, observation, epsilon = harness._stacked_instances(
-            k, nsel, noisy, seeds, flat
+        entries, support, values, noise, observation, epsilon, delta = (
+            harness._stacked_instances(k, nsel, noisy, seeds, flat)
         )
         for t, seed in enumerate(seeds):
             inst = gen_instance(k, nsel, noisy, seed, flat_signal=flat)
@@ -176,6 +179,9 @@ class TestRunTrials:
             assert noise[t].tobytes() == inst.noise.tobytes()
             assert observation[t].tobytes() == inst.observation.tobytes()
             assert epsilon[t] == inst.epsilon
+            assert inst.claimed_delta == RicEstimate(nsel * k + 1, delta[t], RicKind.ANALYTIC_DU)
+            assert sorted(support[t].tolist()) == sorted(inst.signal.support)
+            assert len(support[t]) == k
 
     def test_linalg_error_is_recorded_not_raised(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -306,6 +312,16 @@ class TestCli:
         doc = json.loads(path.read_text())
         inst = gen_instance(3, 1, noisy=True, seed=99)
         assert np.array_equal(np.array(doc["matrix"]), inst.matrix.entries)
+
+    @pytest.mark.parametrize("k,nsel,seed", [("0", "1", "1"), ("1", "0", "1"), ("1", "1", "-1")])
+    def test_gen_rejects_bad_parameters(self, k, nsel, seed, capsys):
+        # the library raises ValueError and the CLI reports it with status 2
+        with pytest.raises(ValueError) as raised:
+            gen_instance(int(k), int(nsel), False, int(seed))
+        assert cli.main(["gen", "--k", k, "--n-select", nsel, "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {raised.value}"]
 
     def test_ric_on_generated_file(self, tmp_path, capsys):
         path = tmp_path / "inst.json"

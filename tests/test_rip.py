@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations
 
@@ -362,13 +363,19 @@ class TestLowerTriangleScreen:
             with pytest.raises(ValueError):
                 index[0] = 1
 
-    @pytest.mark.parametrize("order", (2, 4, 6))
-    def test_value_does_not_depend_on_memory_layout(self, order):
-        strided = (np.random.default_rng(97).standard_normal((24, 30)) / 4.0)[::2, ::2]
-        contiguous = np.ascontiguousarray(strided)
-        value = exact_ric(contiguous, order).value
-        for a in (np.asfortranarray(contiguous), np.ascontiguousarray(contiguous.T).T, strided):
-            assert exact_ric(a, order).value == value
+    @pytest.mark.parametrize("estimate", [
+        *(pytest.param(functools.partial(exact_ric, order=order), id=str(order))
+          for order in (2, 4, 6)),
+        pytest.param(spectral_ric_bound, id="spectral"),
+    ])
+    def test_value_does_not_depend_on_memory_layout(self, estimate):
+        rng = np.random.default_rng(97)
+        for _ in range(3):
+            strided = (rng.standard_normal((24, 30)) / 4.0)[::2, ::2]
+            contiguous = np.ascontiguousarray(strided)
+            value = estimate(contiguous).value
+            for a in (np.asfortranarray(contiguous), np.ascontiguousarray(contiguous.T).T, strided):
+                assert estimate(a).value == value
 
 
 class TestDuBound:
