@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -14,8 +13,7 @@ from .greedy import GompParams, gomp_run
 from .harness import emit_report, gen_instance, load_matrix, run_trials, write_instance
 from .rip import ENUMERATION_BUDGET, exact_ric
 from .verify import (
-    lemma4_holds,
-    lemma4_sides,
+    lemma4_min_slack,
     random_lemma_instance,
     verify_selection_condition,
     verify_stopping,
@@ -61,17 +59,9 @@ def _cmd_ric(args: argparse.Namespace) -> int:
 
 
 def _verify_lemma4(count: int, seed: int) -> tuple[int, float, int]:
-    """Failures among ``count`` seeded lemma-4 instances, with the smallest
-    slack lhs - rhs and the (0-based) index of the instance that reached it."""
+    """``lemma4_min_slack`` over ``count`` seeded lemma-4 instances."""
     rng = np.random.default_rng(seed)
-    failed, min_slack, argmin = 0, math.inf, -1
-    for i in range(count):
-        lhs, rhs = lemma4_sides(random_lemma_instance(rng))
-        if not lemma4_holds(lhs, rhs):
-            failed += 1
-        if lhs - rhs < min_slack:
-            min_slack, argmin = lhs - rhs, i
-    return failed, min_slack, argmin
+    return lemma4_min_slack(random_lemma_instance(rng) for _ in range(count))
 
 
 def _verify_traces(count: int, seed: int, noisy: bool, holds) -> int:

@@ -8,6 +8,14 @@ explicit normal equations, because the submatrices this toolkit meets are
 only isometry-good, not perfectly conditioned. The orthogonal factor
 also takes a stack of same-shape matrices and gives each slice the bits
 of the 2-d call.
+
+The orthogonal factor refuses a source whose computed singular values
+have s_min < RANK_RTOL s_max, but on all but the smallest inputs it runs
+that SVD only when a Cholesky certificate cannot clear the stack. A
+successful Cholesky factorization of M^T M - 4 (n + 1) eps tr(M^T M) I,
+on M scaled by a power of two, proves sigma_min / sigma_max >= 3e-8
+despite every rounding error, so the SVD would pass M. The certificate
+decides nothing else; the argument is in ``orthogonal_factor``.
 """
 
 from __future__ import annotations
@@ -24,6 +32,14 @@ from .exceptions import DimensionMismatch, RankDeficient, Singular
 # as rank-deficient. Matches the double-precision noise floor at the dense
 # desk-scale sizes (<= 1e3) this package targets.
 RANK_RTOL = 1e-10
+# The orthogonal factor's certificate shifts M^T M by this times (n + 1)
+# tr(M^T M) at order n: four times the combined backward error of forming
+# M^T M, its trace and its Cholesky factor (about (n + 1) eps tr(M^T M)).
+_CERTIFICATE_SHIFT = 4 * np.finfo(float).eps
+# Stacks of fewer entries go straight to the SVD guard: on them the
+# certificate's dozen small numpy calls cost more than the SVD it saves
+# (the two cost the same at about 100 entries, single matrices and stacks).
+_CERTIFICATE_MIN_ENTRIES = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,22 +166,67 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _certified_nonsingular(m: np.ndarray) -> bool:
+    """Whether one Cholesky factorization certifies that every slice of the
+    finite stack ``m`` passes the SVD guard of ``orthogonal_factor``
+    (argument there)."""
+    n = m.shape[-1]
+    peak = np.abs(m).max(axis=(-2, -1))
+    scaled = np.ldexp(m, -np.frexp(peak)[1][..., None, None])
+    gram = np.swapaxes(scaled, -1, -2) @ scaled
+    diagonal = gram.reshape(*gram.shape[:-2], n * n)[..., :: n + 1]
+    diagonal -= (_CERTIFICATE_SHIFT * (n + 1)) * diagonal.sum(axis=-1)[..., None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     """Orthogonal factor of a nonsingular square matrix, via QR.
 
     Accepts one matrix or a stack of shape (..., n, n); a stack is
     factored slice by slice with the same bits as one 2-d call per slice,
-    and is refused whole when any slice is singular. The triangular
-    factor's diagonal is forced nonnegative so the result is a
-    deterministic function of the input (needed for seeded
-    reproducibility).
+    and is refused whole when any slice is singular. Non-finite entries
+    raise ValueError. The triangular factor's diagonal is forced
+    nonnegative so the result is a deterministic function of the input
+    (needed for seeded reproducibility).
+
+    A slice is singular when its computed singular values have
+    s_max <= 0 or s_min < RANK_RTOL s_max. On stacks of at least
+    _CERTIFICATE_MIN_ENTRIES entries that SVD runs only when a Cholesky
+    certificate cannot clear the stack. Each slice M is scaled by the
+    power of two that puts its largest |entry| in [1/2, 1), so that
+    ||M||_F^2 >= 1/4, no entry of G = M^T M exceeds n, and the scaling
+    changes no singular-value ratio (it is exact, except that entries
+    pushed below 2^-1022 move by at most 2^-1075). One Cholesky
+    factorization then runs on G - c tr(G) I for the whole stack, with
+    c = 4 (n + 1) eps. If it succeeds, the errors of forming G
+    (gamma_n ||M||_F^2 in norm), of subtracting the shift (eps/2 max G_ii)
+    and of the Cholesky factor (gamma_{n+1} tr G; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, Thm 10.3) add up to about
+    (n + 1) eps ||M||_F^2, a quarter of the shift, and the rounded trace
+    and shift are within gamma_{n+1} of their exact values. So the exact
+    sigma_min^2 >= 2 (n + 1) eps ||M||_F^2 >= 2 (n + 1) eps sigma_max^2,
+    and sigma_min / sigma_max >= sqrt(4 eps) = 3e-8, 300 times RANK_RTOL.
+    Gradual underflow adds absolute errors below n^2 2^-1074, nothing
+    against ||M||_F^2 >= 1/4. The SVD is backward stable and would compute
+    each singular value within p(n) eps sigma_max of the truth, for a
+    modest p(n), so it would pass the slice. If the Cholesky fails on any
+    slice, the SVD decides for the whole stack. The QR and the sign fix
+    are the same calls either way, so the factor's bits and the set of
+    inputs refused as Singular are those of the SVD guard alone.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] == 0:
         raise DimensionMismatch(f"expected nonempty square matrices, got shape {m.shape}")
-    s = np.linalg.svd(m, compute_uv=False)
-    if ((s[..., 0] <= 0.0) | (s[..., -1] < RANK_RTOL * s[..., 0])).any():
-        raise Singular("matrix is numerically singular; no orthogonal factor")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    if m.size < _CERTIFICATE_MIN_ENTRIES or not _certified_nonsingular(m):
+        s = np.linalg.svd(m, compute_uv=False)
+        if ((s[..., 0] <= 0.0) | (s[..., -1] < RANK_RTOL * s[..., 0])).any():
+            raise Singular("matrix is numerically singular; no orthogonal factor")
     q, r = np.linalg.qr(m)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0

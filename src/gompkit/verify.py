@@ -15,8 +15,9 @@ certified by exhaustive enumeration:
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,19 @@ def lemma4_holds(lhs: float, rhs: float) -> bool:
     return lhs >= rhs - LEMMA_SLACK
 
 
+def _settle_lemma4(inst: LemmaInstance, floor: float) -> tuple[float, float] | None:
+    """None once the instance passes at 0.0 or at a running value w of the
+    enumeration with slack lhs - rhs(w) >= ``floor``; otherwise both sides
+    at the exact constant, the last running value (see ``verify_lemma4``)."""
+    lhs, rhs = _lemma4_terms(inst)
+    running = _running_ric(inst.matrix, inst.ric_order)  # raises before any pass
+    for delta in itertools.chain([0.0], running):
+        right = rhs(delta)
+        if lemma4_holds(lhs, right) and lhs - right >= floor:
+            return None
+    return lhs, right
+
+
 def verify_lemma4(inst: LemmaInstance) -> bool:
     """Whether the selection-margin inequality holds on this instance.
 
@@ -164,14 +178,33 @@ def verify_lemma4(inst: LemmaInstance) -> bool:
     passes it. It fails only when the last running value, which is the
     exact constant, fails it too.
     """
-    lhs, rhs = _lemma4_terms(inst)
-    running = _running_ric(inst.matrix, inst.ric_order)  # raises before any pass
-    if lemma4_holds(lhs, rhs(0.0)):
-        return True
-    for delta in running:
-        if lemma4_holds(lhs, rhs(delta)):
-            return True
-    return False
+    return _settle_lemma4(inst, -math.inf) is None
+
+
+def lemma4_min_slack(instances: Iterable[LemmaInstance]) -> tuple[int, float, int]:
+    """Failures among ``instances``, the smallest slack lhs - rhs of
+    ``lemma4_sides`` and the (0-based) index of the first instance that
+    reached it (math.inf and -1 for no instances).
+
+    Equal, bit for bit, to scanning ``lemma4_sides`` on every instance,
+    but an instance stops enumerating once it passes at a running value w
+    with lhs - rhs(w) >= the smallest slack so far. The computed slack is
+    non-decreasing in delta, because rhs is non-increasing (see
+    ``verify_lemma4``) and a correctly rounded subtraction is monotone. So
+    such an instance passes at its exact constant too, with a slack that
+    is not below the minimum so far, and changes neither output.
+    """
+    failed, min_slack, argmin = 0, math.inf, -1
+    for i, inst in enumerate(instances):
+        sides = _settle_lemma4(inst, min_slack)
+        if sides is None:
+            continue
+        lhs, rhs = sides
+        if not lemma4_holds(lhs, rhs):
+            failed += 1
+        if lhs - rhs < min_slack:
+            min_slack, argmin = lhs - rhs, i
+    return failed, min_slack, argmin
 
 
 def verify_stopping(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gompkit import (
     orthogonal_factor,
     project_complement,
 )
+from gompkit.linops import RANK_RTOL
 
 
 def normal_equations_oracle(a_s, y):
@@ -155,6 +158,128 @@ class TestOrthogonalFactor:
     def test_non_square_or_empty_rejected(self, shape):
         with pytest.raises(DimensionMismatch):
             orthogonal_factor(np.ones(shape))
+
+
+def svd_guard_raises(m):
+    """The singularity guard by itself, as ``orthogonal_factor`` ran it on
+    every input before the Cholesky certificate: the reference for which
+    inputs are refused as Singular."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return bool(((s[..., 0] <= 0.0) | (s[..., -1] < RANK_RTOL * s[..., 0])).any())
+
+
+def unscreened_factor(m):
+    """``orthogonal_factor`` decided by ``svd_guard_raises`` alone; None
+    stands for a Singular refusal."""
+    if svd_guard_raises(m):
+        return None
+    q, r = np.linalg.qr(m)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[..., None, :]
+
+
+def spy_svd(monkeypatch):
+    """Count the calls of ``np.linalg.svd``; ``orthogonal_factor`` calls it
+    only for its guard."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+def with_spread(n, ratio, seed):
+    """U diag(sigma) V^T with sigma geometric from 1 down to ``ratio``."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (u * np.geomspace(1.0, ratio, n)) @ v.T
+
+
+def mixed_stack():
+    """Well-conditioned Gaussian slices and one slice at cond ~ 1e8, which
+    the certificate cannot clear but the SVD guard passes."""
+    m = np.random.default_rng(21).standard_normal((6, 8, 8))
+    m[3] = with_spread(8, 1e-8, 22)
+    return m
+
+
+# case: (input, guard SVDs run). Inputs of at least 128 entries meet the
+# certificate first; smaller ones go straight to the SVD guard.
+GUARD_CASES = {
+    **{f"spread_{name}": (lambda r=r: with_spread(12, r, 31), 1) for name, r in (
+        ("1e-10_low", 1e-10 * (1 - 1e-6)), ("1e-10_high", 1e-10 * (1 + 1e-6)),
+        ("1e-9", 1e-9), ("1e-8", 1e-8))},
+    "spread_1e-4": (lambda: with_spread(12, 1e-4, 31), 0),
+    "small_spread_1e-4": (lambda: with_spread(6, 1e-4, 31), 1),
+    "scale_2^600": (lambda: 2.0**600 * np.random.default_rng(32).standard_normal((12, 12)), 0),
+    "scale_2^-600": (lambda: 2.0**-600 * np.random.default_rng(32).standard_normal((12, 12)), 0),
+    "ones_1e-160": (lambda: 1e-160 * np.ones((3, 3)), 1),
+    "ones_stack_1e-160": (lambda: 1e-160 * np.ones((16, 3, 3)), 1),
+    "gaussian_1e-310": (lambda: 1e-310 * np.random.default_rng(33).standard_normal((12, 12)), 0),
+    "zero": (lambda: np.zeros((12, 12)), 1),
+    "empty_stack": (lambda: np.zeros((0, 3, 3)), 1),
+    "stack_2x3x33": (lambda: np.random.default_rng(34).standard_normal((2, 3, 33, 33)), 0),
+    "mixed_stack": (mixed_stack, 1),
+}
+
+
+class TestSingularityGuard:
+    @pytest.mark.parametrize("case", GUARD_CASES)
+    def test_agrees_with_svd_guard(self, case, monkeypatch):
+        build, guard_svds = GUARD_CASES[case]
+        m = build()
+        want = unscreened_factor(m)
+        calls = spy_svd(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                with pytest.raises(Singular):
+                    orthogonal_factor(m)
+            else:
+                assert orthogonal_factor(m).tobytes() == want.tobytes()
+        assert len(calls) == guard_svds
+
+    def test_expected_refusals(self):
+        # the cases straddle the guard: the SVD refuses below 1e-10 and the
+        # rank-one and zero matrices, and passes everything else
+        refused = {case for case, (build, _) in GUARD_CASES.items()
+                   if unscreened_factor(build()) is None}
+        assert refused == {"spread_1e-10_low", "ones_1e-160", "ones_stack_1e-160", "zero"}
+
+    def test_gaussian_stack_needs_no_svd(self, monkeypatch):
+        m = np.random.default_rng(35).standard_normal((128, 33, 33))
+        want = unscreened_factor(m)
+        calls = spy_svd(monkeypatch)
+        assert orthogonal_factor(m).tobytes() == want.tobytes()
+        assert calls == []
+
+    def test_random_stacks_agree(self):
+        # random orders, batch sizes, power-of-two scales and condition
+        # numbers from 1 to 1e12, on both sides of the 128-entry gate
+        rng = np.random.default_rng(36)
+        decisions = set()
+        for _ in range(150):
+            n, batch = int(rng.integers(1, 17)), int(rng.integers(1, 5))
+            m = np.stack([with_spread(n, 10.0 ** -rng.uniform(0, 12), int(rng.integers(1 << 30)))
+                          for _ in range(batch)])
+            m *= 2.0 ** rng.integers(-900, 900, size=(batch, 1, 1))
+            want = unscreened_factor(m)
+            decisions.add(want is None)
+            if want is None:
+                with pytest.raises(Singular):
+                    orthogonal_factor(m)
+            else:
+                assert orthogonal_factor(m).tobytes() == want.tobytes()
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)])
+    def test_non_finite_rejected(self, bad, shape):
+        m = np.random.default_rng(37).standard_normal(shape)
+        m.reshape(-1, 3, 3)[-1, 1, 2] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            orthogonal_factor(m)
 
 
 class TestSensingMatrix:

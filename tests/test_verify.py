@@ -24,8 +24,8 @@ from gompkit import (
     verify_selection_condition,
     verify_stopping,
 )
-from gompkit import rip, verify
-from gompkit.verify import lemma4_holds
+from gompkit import cli, rip, verify
+from gompkit.verify import lemma4_holds, lemma4_min_slack
 
 
 def make_instance(matrix, values, selected, competitors, iteration, n_select):
@@ -102,21 +102,23 @@ def lemma_draw(i):
 
 
 def spy_enumeration(monkeypatch):
-    """Record, for each enumeration ``verify_lemma4`` starts, its support
-    count, how many running values it handed out and how many support
-    tables were built or fetched."""
+    """Record, for each enumeration ``verify_lemma4`` or ``lemma4_min_slack``
+    starts, its support count, how many running values it handed out,
+    whether it ran to its end and how many support tables were built or
+    fetched."""
     calls, tables = [], []
     running_ric = verify._running_ric
 
     def counting_ric(a, order, budget=rip.ENUMERATION_BUDGET):
         running = running_ric(a, order, budget)
-        call = {"supports": math.comb(a.n, order), "taken": 0}
+        call = {"supports": math.comb(a.n, order), "taken": 0, "exhausted": False}
         calls.append(call)
 
         def take():
             for value in running:
                 call["taken"] += 1
                 yield value
+            call["exhausted"] = True
 
         return take()
 
@@ -189,6 +191,51 @@ class TestLazyLemma4:
         assert lemma4_holds(lhs, rhs(0.0))
         with pytest.raises(BudgetExceeded):
             verify_lemma4(inst)
+
+
+def exact_lemma4_scan(count, seed):
+    """The lemma-4 scan of ``gompkit verify`` before it was made lazy:
+    ``lemma4_sides`` on every instance. The reference for
+    ``lemma4_min_slack``."""
+    rng = np.random.default_rng(seed)
+    failed, min_slack, argmin = 0, math.inf, -1
+    for i in range(count):
+        lhs, rhs = lemma4_sides(random_lemma_instance(rng))
+        if not verify.lemma4_holds(lhs, rhs):
+            failed += 1
+        if lhs - rhs < min_slack:
+            min_slack, argmin = lhs - rhs, i
+    return failed, min_slack, argmin
+
+
+class TestLazyMinSlack:
+    @pytest.mark.parametrize("margin", [0.0, 0.05])
+    @pytest.mark.parametrize("seed,count", [(1, 1), (3, 2), (7, 60), (11, 150)])
+    def test_cli_output_equals_exact_scan(self, seed, count, margin, monkeypatch, capsys):
+        if margin:  # a stricter pass rule, still monotone in rhs, that fails some instances
+            holds = verify.lemma4_holds
+            monkeypatch.setattr(verify, "lemma4_holds", lambda lhs, rhs: holds(lhs, rhs + margin))
+        args = ["verify", "--lemma", "4", "--instances", str(count), "--seed", str(seed)]
+        lazy = cli.main(args), capsys.readouterr()
+        monkeypatch.setattr(cli, "_verify_lemma4", exact_lemma4_scan)
+        exact = cli.main(args), capsys.readouterr()
+        assert lazy == exact
+        assert lazy[0] == (1 if margin and count >= 60 else 0)
+
+    def test_instances_stop_once_they_cannot_move_the_minimum(self, monkeypatch):
+        calls, _ = spy_enumeration(monkeypatch)
+        rng = np.random.default_rng(7)
+        failed, min_slack, argmin = lemma4_min_slack(random_lemma_instance(rng) for _ in range(200))
+        assert (failed, min_slack, argmin) == exact_lemma4_scan(200, 7)
+        assert len(calls) == 200
+        assert calls[0]["exhausted"] and calls[argmin]["exhausted"]
+        stopped = [c for c in calls if not c["exhausted"]]
+        assert len(stopped) > 150
+        assert any(c["taken"] == 0 for c in stopped)
+        assert any(c["taken"] > 0 for c in stopped)
+
+    def test_no_instances(self):
+        assert lemma4_min_slack([]) == (0, math.inf, -1)
 
 
 def run_generated(sparsity, n_select, noisy, seed):
