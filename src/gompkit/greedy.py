@@ -11,12 +11,14 @@ ties and keeps the support growing by exactly ``n_select`` per iteration.
 
 ``gomp_run`` is the traced reference. ``gomp_stacked`` runs many
 same-shape problems as one stacked computation without traces and gives
-the same bits per problem.
+the same bits per problem. Both select through ``_top_n`` and refit
+through linops' SVD solve, which holds the rank test.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ from .exceptions import (
     RankDeficient,
     TraceIncomplete,
 )
-from .linops import RANK_RTOL, MatrixLike, as_sensing_matrix, least_squares, row_dot
+from .linops import MatrixLike, _solve_submatrix, as_sensing_matrix, least_squares, row_dot
 
 
 class Termination(enum.Enum):
@@ -111,7 +113,7 @@ def select_top_n(
 
     Ties are broken toward the smaller index so that runs are deterministic
     and reproducible across implementations. Returns 1-based indices in
-    selection (descending-magnitude) order.
+    selection (descending-magnitude) order; NaN correlations raise ValueError.
     """
     c = np.asarray(correlations, dtype=float)
     n = c.size
@@ -124,10 +126,19 @@ def select_top_n(
         raise InsufficientCandidates(
             f"need {n_select} candidates, only {available} remain"
         )
-    candidates = np.array([i for i in range(n) if i not in excluded0], dtype=int)
-    # stable order: primary |c| descending, secondary index ascending
-    order = np.lexsort((candidates, -np.abs(c[candidates])))
-    return [int(candidates[i]) + 1 for i in order[:n_select]]
+    if math.isnan(c @ c):  # iff an entry is NaN, which would sort after the excluded
+        raise ValueError("correlations must not be NaN")
+    picks = _top_n(c, n_select, np.fromiter(excluded0, np.intp, len(excluded0)))
+    return [i + 1 for i in picks.tolist()]
+
+
+def _top_n(correlations: np.ndarray, n_select: int, excluded: np.ndarray) -> np.ndarray:
+    """Zero-based positions of the ``n_select`` largest |c| on the last axis,
+    largest first and the smaller position winning ties, by a stable sort on
+    -|c| with ``excluded`` (an index array or a boolean mask) pushed to +inf."""
+    key = -np.abs(correlations)
+    key[excluded] = np.inf
+    return np.argsort(key, axis=-1, kind="stable")[..., :n_select]
 
 
 def _check_fits(params: GompParams, m: int, n: int) -> None:
@@ -241,7 +252,7 @@ def gomp_stacked(
     the memory layout the scalar run gives its operands, so BLAS sums in
     the same order. A row freezes once its residual norm is <= its
     epsilon. A rank-deficient refit in any row raises RankDeficient for
-    the whole stack.
+    the whole stack, with ``gomp_run``'s message for the first such row.
     """
     entries = np.asarray(entries, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -273,28 +284,22 @@ def gomp_stacked(
             break
         # Frozen rows are correlated too: cheaper than copying the live slices.
         corr = (a_t @ residual[:, :, None])[live, :, 0]
-        # Stable sort on -|c| with the support pushed last: the smallest
-        # index wins ties, as in select_top_n.
-        key = -np.abs(corr)
-        key[chosen[live]] = np.inf
-        picks = np.argsort(key, axis=1, kind="stable")[:, :n_select]
-        chosen[live[:, None], picks] = True
+        chosen[live[:, None], _top_n(corr, n_select, chosen[live])] = True
         cols = np.nonzero(chosen[live])[1].reshape(live.size, k * n_select)
         # Rows of A^T gathered C-ordered, so each A_S view is F-ordered
         # like the scalar entries[:, cols].
         sub = a_t[live[:, None], cols].transpose(0, 2, 1)
-        y_live = y[live, :, None]
-        # linops.least_squares on every slice: SVD solve, same rank check
-        u, s, vt = np.linalg.svd(sub, full_matrices=False)
-        if ((s[:, 0] <= 0.0) | (s[:, -1] < RANK_RTOL * s[:, 0])).any():
-            raise RankDeficient(f"iteration {k}: a support submatrix is numerically rank-deficient")
-        coef = vt.transpose(0, 2, 1) @ ((u.transpose(0, 2, 1) @ y_live) / s[:, :, None])
-        r_live = (y_live - sub @ coef)[:, :, 0]
-        del sub, u, vt  # free the (T, m, s) stacks before the next gather
+        y_live = y[live]
+        try:
+            coef = _solve_submatrix(sub, y_live)
+        except RankDeficient as exc:
+            raise RankDeficient(f"iteration {k}: {exc}") from exc
+        r_live = y_live - (sub @ coef[:, :, None])[:, :, 0]
+        del sub  # free the (T, m, s) stack before the next gather
         residual[live] = r_live
         norms[live] = np.sqrt(row_dot(r_live, r_live))
         iterations[live] = k
-        estimates[live[:, None], cols] = coef[:, :, 0]
+        estimates[live[:, None], cols] = coef
     return StackedRun(chosen, estimates, iterations, norms)
 
 

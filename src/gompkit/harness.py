@@ -15,10 +15,10 @@ direction. Identical seeds give bit-identical instances.
 
 There is one generator, ``_stacked_instances``, which builds the
 instances of many seeds as stacked rows; a row's bits do not depend on
-the other seeds. ``gen_instance`` is its call on one seed. ``run_trials``
-runs each (K, N) cell in stacked passes (``_run_stacked``: the generator,
-then ``greedy.gomp_stacked``) that give the same bits as ``run_trial``,
-which stays the traced scalar reference.
+the other seeds. ``gen_instance`` is its call on one seed. Every trial
+runs through ``_run_stacked`` (the generator, ``greedy.gomp_stacked``,
+scoring): ``run_trials`` in passes of many seeds, ``run_trial`` on one.
+The traced ``gomp_run`` on ``gen_instance`` is the reference for its bits.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .exceptions import GompkitError
-from .greedy import GompParams, gomp_run, gomp_stacked
+from .greedy import gomp_stacked
 from .linops import SensingMatrix, draw_du, du_entries, row_dot
 from .metrics import SparseSignal, snr_threshold
 from .rip import RicEstimate, RicKind
@@ -194,7 +194,7 @@ def _stacked_instances(
 def _run_stacked(
     sparsity: int, n_select: int, noisy: bool, seeds: Sequence[int], flat_signal: bool
 ) -> list[TrialReport]:
-    """``run_trial`` for each seed as one stacked generate-and-pursue pass."""
+    """The trials of ``seeds``, generated, pursued and scored as one stacked pass."""
     entries, _, x, _, observation, epsilon, _ = _stacked_instances(
         sparsity, n_select, noisy, seeds, flat_signal
     )
@@ -210,27 +210,9 @@ def _run_stacked(
 
 
 def run_trial(sparsity: int, n_select: int, noisy: bool, seed: int, *, flat_signal: bool = False) -> TrialReport:
-    """Generate one instance, run the pursuit, and score the outcome."""
+    """One seeded trial: the one-seed stacked pass, or a report of the error it raised."""
     try:
-        inst = gen_instance(sparsity, n_select, noisy, seed, flat_signal=flat_signal)
-        params = GompParams(sparsity=sparsity, n_select=n_select, epsilon=inst.epsilon)
-        trace = gomp_run(inst.matrix, inst.observation, params)
-        x = inst.signal.values
-        err = float(np.max(np.abs(trace.final_estimate - x)))
-        exact = err <= EXACT_RECOVERY_RTOL * float(np.max(np.abs(x)))
-        support_ok = inst.signal.support <= trace.final_support
-        residual = (
-            trace.iterations[-1].residual_norm
-            if trace.iterations
-            else float(np.linalg.norm(inst.observation))
-        )
-        return TrialReport(
-            instance_seed=seed,
-            exact_recovery=exact,
-            support_recovery=support_ok,
-            iterations_used=trace.iterations_used,
-            residual_final=residual,
-        )
+        return _run_stacked(sparsity, n_select, noisy, [seed], flat_signal)[0]
     except (GompkitError, np.linalg.LinAlgError) as exc:
         return TrialReport(
             instance_seed=seed,

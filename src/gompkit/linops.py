@@ -5,9 +5,9 @@ Index sets on the public surface are 1-based (columns are numbered 1..n,
 like the math they implement); the conversion to zero-based storage is
 internal. Solves go through an orthogonal factorization (SVD), never the
 explicit normal equations, because the submatrices this toolkit meets are
-only isometry-good, not perfectly conditioned. The orthogonal factor
-also takes a stack of same-shape matrices and gives each slice the bits
-of the 2-d call.
+only isometry-good, not perfectly conditioned. The submatrix solve and
+the orthogonal factor also take stacks of same-shape matrices, giving
+each slice the bits of the 2-d call, and both refuse by one rank test.
 
 The orthogonal factor refuses a source whose computed singular values
 have s_min < RANK_RTOL s_max, but on all but the smallest inputs it runs
@@ -95,18 +95,30 @@ def _to_cols(index_set: Iterable[int], n: int) -> np.ndarray:
     return np.asarray(cols, dtype=int) - 1
 
 
+def _rank_deficient(s: np.ndarray) -> np.ndarray:
+    """Per slice of descending singular values: s_max <= 0 or s_min < RANK_RTOL s_max.
+    Callers reduce it with ``any(mask.flat)``, cheap on a one-slice scalar."""
+    s_max, s_min = s[..., 0][()], s[..., -1][()]  # one slice: scalars, not slow 0-d arrays
+    return (s_max <= 0.0) | (s_min < RANK_RTOL * s_max)
+
+
 def _solve_submatrix(a_s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares on an explicit submatrix via SVD.
 
-    Raises RankDeficient when the singular-value spread exceeds RANK_RTOL.
+    Takes (m, s) and (m,), or stacks (..., m, s) and (..., m) whose slices
+    get the bits of the 2-d call. Raises RankDeficient, with the ratio of
+    the first slice that fails ``_rank_deficient``.
     """
     u, s, vt = np.linalg.svd(a_s, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] < RANK_RTOL * s[0]:
+    failing = _rank_deficient(s)
+    if any(failing.flat):
+        # a one-slice (scalar) mask indexes like a stack of one
+        s_max, s_min = s[failing][0, [0, -1]].tolist()
         raise RankDeficient(
             f"submatrix is numerically rank-deficient "
-            f"(sigma_min/sigma_max = {0.0 if s[0] <= 0 else s[-1] / s[0]:.3e})"
+            f"(sigma_min/sigma_max = {0.0 if s_max <= 0 else s_min / s_max:.3e})"
         )
-    return vt.T @ ((u.T @ y) / s)
+    return (vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ y[..., None]) / s[..., None]))[..., 0]
 
 
 def least_squares(a: MatrixLike, index_set: Iterable[int], y: np.ndarray) -> np.ndarray:
@@ -224,8 +236,7 @@ def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if m.size < _CERTIFICATE_MIN_ENTRIES or not _certified_nonsingular(m):
-        s = np.linalg.svd(m, compute_uv=False)
-        if ((s[..., 0] <= 0.0) | (s[..., -1] < RANK_RTOL * s[..., 0])).any():
+        if any(_rank_deficient(np.linalg.svd(m, compute_uv=False)).flat):
             raise Singular("matrix is numerically singular; no orthogonal factor")
     q, r = np.linalg.qr(m)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))

@@ -179,7 +179,7 @@ def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
     start, size = 0, _FIRST_CHUNK
     while start < total:
         cols = np.ascontiguousarray(table[start:start + size].T, dtype=np.intp)
-        if start > 0 and worst > tau:  # the band is empty while w <= tau
+        if worst > tau:  # the band is empty while w <= tau, as on the first chunk
             rows, columns = _lower_pairs(order)
             lower = flat.take(cols[rows] * n + cols[columns])
             cols = cols[:, ~_inside_band(lower, 1.0 - worst + tau, 1.0 + worst - tau)]

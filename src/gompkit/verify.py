@@ -287,9 +287,7 @@ def random_lemma_instance(rng: np.random.Generator, n_max: int = 12) -> LemmaIns
         if hi < lo:
             continue
         overlap = int(rng.integers(lo, hi + 1))
-        off_support = n - support_size
-        if off_support < (iteration * n_select - overlap) + n_select:
-            continue
+        # overlap >= iteration, so this also leaves the off-support columns used below
         if n_select * (iteration + 1) + support_size - iteration > n:
             continue
         break

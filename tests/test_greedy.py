@@ -31,6 +31,28 @@ class TestSelectTopN:
         with pytest.raises(InsufficientCandidates):
             select_top_n(np.array([1.0, 2.0]), 2, excluded={1})
 
+    def test_matches_lexsort_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            c = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))  # ties
+            excluded = set((rng.permutation(n)[: int(rng.integers(0, n))] + 1).tolist())
+            n_select = int(rng.integers(1, n - len(excluded) + 1))
+            assert select_top_n(c, n_select, excluded) == lexsort_top_n(c, n_select, excluded)
+
+    def test_nan_rejected(self):
+        # a NaN would sort after the excluded entries and let one be picked
+        with pytest.raises(ValueError, match="NaN"):
+            select_top_n(np.array([np.nan, 0.5, np.nan, 0.2]), 3, excluded={2})
+
+
+def lexsort_top_n(c, n_select, excluded):
+    """The top-N rule as a lexsort over the candidates: |c| descending,
+    then index ascending."""
+    candidates = np.array([i for i in range(c.size) if i + 1 not in excluded], dtype=int)
+    order = np.lexsort((candidates, -np.abs(c[candidates])))
+    return [int(candidates[i]) + 1 for i in order[:n_select]]
+
 
 class TestGompParams:
     @pytest.mark.parametrize("bad", [dict(sparsity=0, n_select=1, epsilon=0.0),
@@ -270,6 +292,15 @@ class TestStackedKernel:
         a, y = duplicate_column_problem()
         with pytest.raises(RankDeficient):
             gomp_stacked(np.stack([np.eye(4, 5), a]), np.stack([y, y]), np.full(2, 1e-12), 2, 2)
+
+    def test_rank_deficient_message_matches_gomp_run(self):
+        a, y = duplicate_column_problem()
+        with pytest.raises(RankDeficient) as scalar:
+            gomp_run(a, y, GompParams(sparsity=2, n_select=2, epsilon=1e-12))
+        with pytest.raises(RankDeficient) as stacked:
+            gomp_stacked(a[None], y[None], np.full(1, 1e-12), 2, 2)
+        assert str(stacked.value) == str(scalar.value)
+        assert str(scalar.value).startswith("iteration 2: ")
 
     def test_rejects_bad_input(self):
         entries, y, eps = stacked_problems(2, 1, True, range(2))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from gompkit import (
+    GompkitError,
+    GompParams,
     RicEstimate,
     RicKind,
     check_recovery_condition,
@@ -14,6 +16,7 @@ from gompkit import (
     emit_report,
     exact_ric,
     gen_instance,
+    gomp_run,
     mar,
     orthogonal_factor,
     run_trial,
@@ -22,8 +25,8 @@ from gompkit import (
     snr_threshold,
     write_instance,
 )
-from gompkit import cli, harness
-from gompkit.harness import instance_payload, load_matrix, report_payload, report_rows
+from gompkit import cli, harness, linops
+from gompkit.harness import TrialReport, instance_payload, load_matrix, report_payload, report_rows
 from gompkit.verify import lemma4_sides, random_lemma_instance
 
 
@@ -107,6 +110,22 @@ class TestGenInstance:
         assert mar(inst.signal, 4) == 1.0
 
 
+def scalar_trial(k, nsel, noisy, seed, flat=False):
+    """The trial of one seed through the traced scalar path: ``gen_instance``
+    and ``gomp_run``, scored as acceptance criteria 1 and 2 score, with a
+    raised error reported as ``run_trial`` reports it."""
+    try:
+        inst = gen_instance(k, nsel, noisy, seed, flat_signal=flat)
+        trace = gomp_run(inst.matrix, inst.observation, GompParams(k, nsel, inst.epsilon))
+    except (GompkitError, np.linalg.LinAlgError) as exc:
+        return TrialReport(seed, False, False, 0, math.nan, f"{type(exc).__name__}: {exc}")
+    x = inst.signal.values
+    exact = np.max(np.abs(trace.final_estimate - x)) <= 1e-8 * np.max(np.abs(x))
+    residual = trace.final_residual_norm if trace.iterations else float(np.linalg.norm(inst.observation))
+    return TrialReport(seed, bool(exact), inst.signal.support <= trace.final_support,
+                       trace.iterations_used, residual)
+
+
 class TestRunTrials:
     def test_zero_trials_is_empty(self):
         assert run_trials([2, 3], [1, 2], 0, noisy=False, base_seed=0) == []
@@ -140,8 +159,9 @@ class TestRunTrials:
     def test_cells_are_seeded_single_trials(self):
         results = run_trials([2, 3], [1, 2], 4, True, 90)
         for cell in results:
-            expected = tuple(run_trial(cell.sparsity, cell.n_select, True, 90 + t) for t in range(4))
+            expected = tuple(scalar_trial(cell.sparsity, cell.n_select, True, 90 + t) for t in range(4))
             assert cell.reports == expected
+            assert tuple(run_trial(cell.sparsity, cell.n_select, True, 90 + t) for t in range(4)) == expected
 
     @pytest.mark.parametrize("k,nsel,noisy,flat", [
         (8, 4, True, False), (8, 4, False, False), (2, 1, True, False), (2, 1, False, False),
@@ -149,19 +169,17 @@ class TestRunTrials:
     ])
     def test_stacked_cell_matches_scalar_trials(self, k, nsel, noisy, flat):
         [cell] = run_trials([k], [nsel], 10, noisy, 400, flat_signal=flat)
-        assert cell.reports == tuple(
-            run_trial(k, nsel, noisy, 400 + t, flat_signal=flat) for t in range(10)
-        )
+        assert cell.reports == tuple(scalar_trial(k, nsel, noisy, 400 + t, flat) for t in range(10))
 
     def test_rows_stopping_at_different_iterations_match(self):
         [cell] = run_trials([6], [2], 12, True, 31)
         assert len({r.iterations_used for r in cell.reports}) > 1
-        assert cell.reports == tuple(run_trial(6, 2, True, 31 + t) for t in range(12))
+        assert cell.reports == tuple(scalar_trial(6, 2, True, 31 + t) for t in range(12))
 
     def test_passes_split_at_stack_rows(self, monkeypatch):
         monkeypatch.setattr(harness, "STACK_ROWS", 3)
         [cell] = run_trials([4], [3], 7, True, 12)
-        assert cell.reports == tuple(run_trial(4, 3, True, 12 + t) for t in range(7))
+        assert cell.reports == tuple(scalar_trial(4, 3, True, 12 + t) for t in range(7))
 
     @pytest.mark.parametrize("k,nsel,noisy,flat", [(1, 1, True, False), (2, 1, False, True),
                                                    (5, 2, True, True), (8, 4, True, False),
@@ -188,7 +206,6 @@ class TestRunTrials:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(harness, "gomp_stacked", broken)
-        monkeypatch.setattr(harness, "gomp_run", broken)
         [cell] = run_trials([2], [1], 3, False, 5)
         assert all(r.error.startswith("LinAlgError") for r in cell.reports)
         assert cell.exact_rate == cell.support_rate == 0.0
@@ -196,14 +213,36 @@ class TestRunTrials:
         assert report_payload([cell])["cells"][0]["errors"] == {"LinAlgError": 3}
 
     def test_failed_stacked_pass_is_redone_per_seed(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        original, rows = harness.gomp_stacked, []
 
-        expected = tuple(run_trial(3, 2, True, 44 + t) for t in range(5))
-        monkeypatch.setattr(harness, "gomp_stacked", broken)
+        def broken_on_stacks(entries, *args):
+            rows.append(len(entries))
+            if len(entries) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original(entries, *args)
+
+        monkeypatch.setattr(harness, "gomp_stacked", broken_on_stacks)
         [cell] = run_trials([3], [2], 5, True, 44)
-        assert cell.reports == expected
+        assert rows == [5, 1, 1, 1, 1, 1]
+        assert cell.reports == tuple(scalar_trial(3, 2, True, 44 + t) for t in range(5))
         assert all(r.error is None for r in cell.reports)
+
+    def test_failed_refits_report_the_scalar_error(self, monkeypatch):
+        # every refit of more than one column fails once the instances exist
+        generate = harness._stacked_instances
+
+        def then_strict(*args):
+            monkeypatch.setattr(linops, "RANK_RTOL", 1e-10)
+            instances = generate(*args)
+            monkeypatch.setattr(linops, "RANK_RTOL", 0.999)
+            return instances
+
+        monkeypatch.setattr(harness, "_stacked_instances", then_strict)
+        for k, nsel, noisy in [(3, 1, True), (4, 2, False)]:
+            [cell] = run_trials([k], [nsel], 4, noisy, 8)
+            assert all(r.error.startswith("RankDeficient: iteration ") for r in cell.reports)
+            expected = [scalar_trial(k, nsel, noisy, 8 + t) for t in range(4)]
+            assert list(map(repr, cell.reports)) == list(map(repr, expected))  # nan != nan
 
 
 class TestEmitReport:

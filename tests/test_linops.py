@@ -12,7 +12,7 @@ from gompkit import (
     orthogonal_factor,
     project_complement,
 )
-from gompkit.linops import RANK_RTOL
+from gompkit.linops import RANK_RTOL, _solve_submatrix
 
 
 def normal_equations_oracle(a_s, y):
@@ -76,6 +76,54 @@ class TestLeastSquares:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             least_squares(np.eye(3), set(), np.ones(3))
+
+
+def unstacked_solve(a_s, y):
+    """The 2-d solve as written before it took stacks: the reference for
+    the bits of every slice."""
+    u, s, vt = np.linalg.svd(a_s, full_matrices=False)
+    return vt.T @ ((u.T @ y) / s)
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (2, 3, 6, 6), (4, 33, 17), (1, 4, 1)])
+    def test_slices_match_the_2d_call_bits(self, shape):
+        rng = np.random.default_rng(list(shape))
+        a = rng.standard_normal(shape)
+        y = rng.standard_normal(shape[:-1])
+        got = _solve_submatrix(a, y)
+        assert got.shape == shape[:-2] + shape[-1:]
+        for index in np.ndindex(*shape[:-2]):
+            want = unstacked_solve(a[index], y[index])
+            assert _solve_submatrix(a[index], y[index]).tobytes() == want.tobytes()
+            assert got[index].tobytes() == want.tobytes()
+
+    def test_gathered_views_match_the_scalar_gather(self):
+        # the F-ordered A_S views gomp_stacked gathers from the rows of A^T
+        rng = np.random.default_rng(3)
+        entries = rng.standard_normal((6, 13, 13))
+        y = rng.standard_normal((6, 13))
+        cols = np.sort(np.argsort(rng.standard_normal((6, 13)), axis=1)[:, :8], axis=1)
+        sub = entries.transpose(0, 2, 1)[np.arange(6)[:, None], cols].transpose(0, 2, 1)
+        assert sub[0].flags.f_contiguous
+        got = _solve_submatrix(sub, y)
+        for t in range(6):
+            assert got[t].tobytes() == unstacked_solve(entries[t][:, cols[t]], y[t]).tobytes()
+
+    def test_names_the_first_failing_slice(self):
+        good = np.eye(4, 2)
+        duplicate = np.column_stack([np.ones(4), np.ones(4)])
+        scaled = np.column_stack([np.ones(4), 1e-12 * np.arange(4.0)])
+        y = np.arange(4.0)
+        for bad in (duplicate, scaled, np.zeros((4, 2))):
+            with pytest.raises(RankDeficient) as flat:
+                _solve_submatrix(bad, y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RankDeficient) as stacked:
+                    _solve_submatrix(np.stack([good, bad, duplicate]), np.stack([y, y, y]))
+            assert str(stacked.value) == str(flat.value)
+        assert "0.000e+00" in str(flat.value)  # the zero slice: no 0/0
 
 
 class TestProjectComplement:
