@@ -32,9 +32,10 @@ ENUMERATION_BUDGET = 1_000_000
 # _MAX_CHUNK.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 2_048
-# Margin of the definiteness screen, times k^3 max(1, max|G|) at order k:
-# a few hundred times the worst-case backward error of the order-k LDL^T
-# pivots (about 8 k^3 eps max(1, max|G|)) and of eigvalsh.
+# Margin of the screen, times k^3 max(1, max|G|) at order k: a few hundred
+# times the worst-case backward error of the order-k LDL^T pivots (about
+# 8 k^3 eps max(1, max|G|)) and of eigvalsh. The trace bound carries its own
+# rounding allowance and needs none of this margin.
 _SCREEN_RTOL = 1e-12
 
 
@@ -113,40 +114,114 @@ def _lower_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _inside_band(lower: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Which symmetric matrices of a batch certifiably have every eigenvalue
-    strictly inside (low, high).
+@functools.lru_cache(maxsize=128)
+def _trace_weights(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights over the lower-triangle layout of order k: the
+    trace weights (1 on the diagonal entries i(i+3)/2, 0 elsewhere) and the
+    squared-Frobenius weights (1 on the diagonal, 2 elsewhere)."""
+    trace = np.zeros(k * (k + 1) // 2)
+    trace[[i * (i + 3) // 2 for i in range(k)]] = 1.0
+    squares = 2.0 - trace
+    for weights in (trace, squares):
+        weights.flags.writeable = False
+    return trace, squares
+
+
+def _trace_bound(lower: np.ndarray, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of the screen: which sides of a batch the trace bound leaves
+    open, as boolean masks (low_open, high_open).
+
+    ``lower`` is laid out as for ``_inside_band``. For a symmetric k x k
+    matrix G with m = tr(G)/k and s^2 = ||G||_F^2/k - m^2 (the variance of
+    its eigenvalues), every eigenvalue lies in
+    [m - s sqrt(k-1), m + s sqrt(k-1)] (Wolkowicz & Styan, Linear Algebra
+    Appl. 29, 1980). A side with gap = m - low (low side) or high - m (high
+    side) is certified when gap > 0 and (k-1) s^2 < gap^2; the test compares
+    squares and never takes a root of the cancelled difference s^2.
+
+    Rounding, with u = 2^-53, P = k(k+1)/2, gamma_j = j u/(1 - j u) and
+    q = ||G||_F^2/k (so m^2 <= q). The trace is a sum of k entries (its 0/1
+    weights are exact) and ||G||_F^2 of P squares with exact weights 1 and
+    2, so in any summation order the computed m is within gamma_{k+1} sqrt(q)
+    of m and the computed q within gamma_{P+1} q of q. Through the remaining
+    operations, the computed (k-1) s^2 is within (k-1) gamma_{P+2k+8} q of
+    the true one, and whenever the computed gap is positive the true gap^2
+    is at least the computed one minus gamma_{k+3} (gap^2 + q). The
+    allowance 8(k^3 + 8) u (q + gap^2) is more than twice the sum of both
+    errors at every k, so a side that passes has (k-1) s^2 < gap^2 exactly.
+    It also has gap > 0: a positive computed gap whose true gap is not
+    positive is at most gamma_{k+2} sqrt(q), and its square is far below
+    the allowance. The absolute term
+    2^-1022 covers underflow (each product or quotient adds at most 2^-1075,
+    and a support takes fewer than 300 of them). So every true eigenvalue of
+    a certified side's matrix lies strictly inside (low, high). Sums that
+    overflow to inf or NaN fail every comparison and leave the side open;
+    only gap^2 may overflow without doing so, and then it exceeds any
+    finite (k-1) s^2 plus its allowance.
+    """
+    k = math.isqrt(2 * lower.shape[0])
+    trace, squares = _trace_weights(k)
+    mean = (trace @ lower) / k
+    mean_square = (squares @ (lower * lower)) / k
+    allowance = 8.0 * (k**3 + 8) * 2.0**-53
+    base = (k - 1) * (mean_square - mean * mean) + allowance * mean_square + 2.0**-1022
+    sides = []
+    for gap in (mean - low, high - mean):
+        sides.append(~((gap > 0.0) & (base < (1.0 - allowance) * (gap * gap))))
+    return sides[0], sides[1]
+
+
+def _inside_band(lower: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Stage 2 of the screen: which symmetric matrices of a batch
+    certifiably have every eigenvalue strictly above their own shift.
 
     ``lower`` holds the lower triangles batch-last, shape (k(k+1)/2, B):
     entry (i, j), i >= j, of matrix b is lower[i(i+1)/2 + j, b], the
-    ``np.tril_indices`` order. Entry b of the result is True when both
-    G_b - low*I and high*I - G_b have all-positive pivots under an LDL^T
-    factorization without pivoting. A run with positive pivots is a
-    computed Cholesky factorization, which is backward stable: the pivots
-    are exact for a symmetric matrix within O(k^2 eps) * ||shifted matrix||
-    of it.
+    ``np.tril_indices`` order. Entry b of the result is True when
+    G_b - shift[b]*I has all-positive pivots under an LDL^T factorization
+    without pivoting; the high side of a band (low, high) is this test on
+    -G_b with shift -high. A run with positive pivots is a computed
+    Cholesky factorization, which is backward stable: the pivots are exact
+    for a symmetric matrix within O(k^2 eps) * ||shifted matrix|| of it.
+    Columns never mix, so a column's decision does not depend on the batch
+    it runs in.
     """
-    batch = lower.shape[1]
     k = math.isqrt(2 * lower.shape[0])
-    both = np.concatenate((lower, -lower), axis=1)
-    shift = np.concatenate((np.full(batch, low), np.full(batch, -high)))
-    ok = np.ones(2 * batch, dtype=bool)
+    ok = np.ones(lower.shape[1], dtype=bool)
     unit = [[None] * k for _ in range(k)]  # unit[i][j]: entry (i, j) of the unit-lower L
     pivots = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(k):
             scaled = [unit[j][p] * pivots[p] for p in range(j)]  # (L D)[j, p]
-            pivot = both[j * (j + 1) // 2 + j] - shift
+            pivot = lower[j * (j + 1) // 2 + j] - shift
             for p in range(j):
                 pivot -= scaled[p] * unit[j][p]
             ok &= pivot > 0.0
             pivots.append(pivot)
             for i in range(j + 1, k):
-                entry = both[i * (i + 1) // 2 + j]
+                entry = lower[i * (i + 1) // 2 + j]
                 for p in range(j):
                     entry = entry - unit[i][p] * scaled[p]
                 unit[i][j] = entry / pivot
-    return ok[:batch] & ok[batch:]
+    return ok
+
+
+def _screen(lower: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Which matrices of a batch the screen cannot place inside (low, high).
+
+    Stage 1, ``_trace_bound``, settles each side of most matrices; stage 2,
+    ``_inside_band``, runs LDL^T only on the sides stage 1 left open, as one
+    stack [G_low | -G_high] with shifts low and -high, and not at all when
+    none is open.
+    """
+    low_open, high_open = _trace_bound(lower, low, high)
+    lows, highs = np.flatnonzero(low_open), np.flatnonzero(high_open)
+    if lows.size or highs.size:
+        sides = np.concatenate((lower.take(lows, axis=1), -lower.take(highs, axis=1)), axis=1)
+        inside = _inside_band(sides, np.repeat((low, -high), (lows.size, highs.size)))
+        low_open[lows[inside[:lows.size]]] = False
+        high_open[highs[inside[lows.size:]]] = False
+    return low_open | high_open
 
 
 def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) -> Iterator[float]:
@@ -182,7 +257,7 @@ def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
         if worst > tau:  # the band is empty while w <= tau, as on the first chunk
             rows, columns = _lower_pairs(order)
             lower = flat.take(cols[rows] * n + cols[columns])
-            cols = cols[:, ~_inside_band(lower, 1.0 - worst + tau, 1.0 + worst - tau)]
+            cols = cols[:, _screen(lower, 1.0 - worst + tau, 1.0 + worst - tau)]
         if cols.shape[1]:
             sets = cols.T
             eigs = np.linalg.eigvalsh(flat.take(sets[:, :, None] * n + sets[:, None, :]))
@@ -204,19 +279,25 @@ def exact_ric(a: MatrixLike, order: int, *, budget: int = ENUMERATION_BUDGET) ->
     The value equals that of running ``eigvalsh`` on every support, bit for
     bit; most supports never reach it. Supports go in chunks in
     lexicographic order. The first chunk goes to ``eigvalsh`` and sets the
-    running worst deviation w. In every later chunk, a support whose
-    G_S = A_S^T A_S passes both LDL^T definiteness tests of ``_inside_band``
-    against (1 - w + tau, 1 + w - tau), tau = 1e-12 k^3 max(1, max|G|), is
-    skipped. The screen's backward error (O(k^3 eps max(1, max|G|)), since
-    ||G_S|| and w are at most k max|G| + 1) is far below tau/2, so every
-    true eigenvalue of G_S lies inside (1 - w + tau/2, 1 + w - tau/2).
-    ``eigvalsh`` is backward stable too and would compute each eigenvalue
-    within tau/2 of the truth, so the skipped support's computed deviation
-    is below w and cannot change the maximum. The other supports go to
-    ``eigvalsh``, whose result for a matrix does not depend on the batch it
-    runs in. The screen reads only the k(k+1)/2 lower-triangle entries of
-    each G_S, taken from the flattened Gram matrix; the full G_S is
-    gathered only for the supports that reach ``eigvalsh``.
+    running worst deviation w. In every later chunk, a support is skipped
+    when the screen places every eigenvalue of G_S = A_S^T A_S inside the
+    band (1 - w + tau, 1 + w - tau), tau = 1e-12 k^3 max(1, max|G|). The
+    screen has two stages. The trace bound of ``_trace_bound`` settles each
+    side of the band from tr(G_S) and ||G_S||_F^2 alone, with a rounding
+    allowance under which a certified side has every true eigenvalue
+    strictly inside the band. The LDL^T definiteness test of
+    ``_inside_band`` then runs only on the sides stage 1 left open. The
+    LDL^T backward error (O(k^3 eps max(1, max|G|)), since
+    ||G_S|| and w are at most k max|G| + 1) is far below tau/2. Either way,
+    every true eigenvalue of a skipped G_S lies inside
+    (1 - w + tau/2, 1 + w - tau/2). ``eigvalsh`` is backward stable too and
+    would compute each eigenvalue within tau/2 of the truth, so the skipped
+    support's computed deviation is below w and cannot change the maximum.
+    The other supports go to ``eigvalsh``, whose result for a matrix does
+    not depend on the batch it runs in. The screen reads only the k(k+1)/2
+    lower-triangle entries of each G_S, taken from the flattened Gram
+    matrix; the full G_S is gathered only for the supports that reach
+    ``eigvalsh``.
     """
     *_, value = _running_ric(a, order, budget)
     return RicEstimate(order=order, value=value, kind=RicKind.EXACT_ENUMERATION)

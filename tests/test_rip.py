@@ -17,6 +17,7 @@ from gompkit import (
     condition_threshold,
     du_ric_bound,
     exact_ric,
+    gen_instance,
     orthogonal_factor,
     project_complement,
     spectral_ric_bound,
@@ -46,30 +47,50 @@ def unscreened_ric(a, order):
     return max(0.0, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
 
 
-def reference_inside_band(stack, low, high):
-    """The screen on full batch-last stacks, shape (k, k, B): the same
-    left-looking LDL^T as ``rip._inside_band``, reading entry (i, j) of the
-    doubled stack [G | -G] directly."""
-    k, _, batch = stack.shape
-    both = np.concatenate((stack, -stack), axis=2)
-    shift = np.concatenate((np.full(batch, low), np.full(batch, -high)))
-    ok = np.ones(2 * batch, dtype=bool)
+def reference_above(stack, shift):
+    """One side of the screen on full batch-last stacks, shape (k, k, B):
+    the same left-looking LDL^T as ``rip._inside_band``, reading entry
+    (i, j) directly; True where stack_b - shift_b*I has all-positive
+    pivots."""
+    k = stack.shape[0]
+    ok = np.ones(stack.shape[2], dtype=bool)
     unit = [[None] * k for _ in range(k)]
     pivots = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(k):
             scaled = [unit[j][p] * pivots[p] for p in range(j)]
-            pivot = both[j, j] - shift
+            pivot = stack[j, j] - shift
             for p in range(j):
                 pivot -= scaled[p] * unit[j][p]
             ok &= pivot > 0.0
             pivots.append(pivot)
             for i in range(j + 1, k):
-                entry = both[i, j]
+                entry = stack[i, j]
                 for p in range(j):
                     entry = entry - unit[i][p] * scaled[p]
                 unit[i][j] = entry / pivot
-    return ok[:batch] & ok[batch:]
+    return ok
+
+
+def reference_sides(stack, low, high):
+    """Both sides of the band test on a full stack, run as one doubled
+    stack [G | -G] with shifts [low | -high]: (low side, high side)."""
+    batch = stack.shape[2]
+    shift = np.concatenate((np.full(batch, low), np.full(batch, -high)))
+    ok = reference_above(np.concatenate((stack, -stack), axis=2), shift)
+    return ok[:batch], ok[batch:]
+
+
+def reference_inside_band(stack, low, high):
+    """Every eigenvalue of each matrix certifiably inside (low, high)."""
+    low_ok, high_ok = reference_sides(stack, low, high)
+    return low_ok & high_ok
+
+
+def band_screen(lower, low, high):
+    """``rip._inside_band`` run on both sides of the band (low, high)."""
+    batch = lower.shape[1]
+    return rip._inside_band(lower, np.full(batch, low)) & rip._inside_band(-lower, np.full(batch, -high))
 
 
 def lower_triangles(stack):
@@ -211,19 +232,28 @@ class TestScreenedEnumeration:
     def test_screen_prunes_across_ramped_chunks(self, monkeypatch):
         # C(16, 5) = 4368 supports: chunks of 64 (unscreened), 128, 256, ...
         _, a = du_matrix(np.random.default_rng(59), 16, 0.6)
-        calls = []
-        screen = rip._inside_band
+        stage1, screened, stage2, reached = [], [], [], []
+        trace_bound, screen, inside_band = rip._trace_bound, rip._screen, rip._inside_band
+        eigvalsh = np.linalg.eigvalsh
 
-        def spy(lower, low, high):
-            inside = screen(lower, low, high)
-            calls.append((lower.shape[1], int(inside.sum())))
-            return inside
+        def spy_screen(lower, low, high):
+            outside = screen(lower, low, high)
+            screened.append((lower.shape[1], int(outside.sum())))
+            return outside
 
-        monkeypatch.setattr(rip, "_inside_band", spy)
-        assert exact_ric(a, 5).value == unscreened_ric(a, 5)
-        assert [b for b, _ in calls][:3] == [128, 256, 512]
-        assert sum(b for b, _ in calls) == math.comb(16, 5) - 64
-        assert sum(kept for _, kept in calls) > 0.9 * (math.comb(16, 5) - 64)
+        monkeypatch.setattr(rip, "_trace_bound", lambda lower, low, high: stage1.append(lower.shape[1]) or trace_bound(lower, low, high))
+        monkeypatch.setattr(rip, "_screen", spy_screen)
+        monkeypatch.setattr(rip, "_inside_band", lambda lower, shift: stage2.append(lower.shape[1]) or inside_band(lower, shift))
+        expected = unscreened_ric(a, 5)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: reached.append(len(x)) or eigvalsh(x))
+        assert exact_ric(a, 5).value == expected
+        total = math.comb(16, 5) - 64
+        assert stage1[:3] == [128, 256, 512]
+        assert stage1 == [b for b, _ in screened] and sum(stage1) == total
+        assert sum(stage2) <= 2 * total
+        # the first chunk plus the supports the screen left open reach eigvalsh
+        assert reached[0] == 64 and sum(reached) == 64 + sum(kept for _, kept in screened)
+        assert sum(kept for _, kept in screened) < 0.1 * total
 
     def test_support_table_is_lexicographic_combinations(self):
         for n in range(1, 13):
@@ -244,7 +274,7 @@ class TestScreenedEnumeration:
         computed = np.linalg.eigvalsh(grams)
         expected = (computed[:, 0] > low) & (computed[:, -1] < high)
         assert np.array_equal(expected, ~out)
-        got = rip._inside_band(grams.transpose(1, 2, 0)[np.tril_indices(k)], low, high)
+        got = band_screen(grams.transpose(1, 2, 0)[np.tril_indices(k)], low, high)
         assert np.array_equal(got, expected)
 
     def test_small_tables_are_cached_read_only(self):
@@ -282,7 +312,7 @@ class TestLowerTriangleScreen:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_classification_spectra(self, k):
         stack = np.ascontiguousarray(classification_grams(k)[0].transpose(1, 2, 0))
-        got = rip._inside_band(lower_triangles(stack), 0.5, 1.5)
+        got = band_screen(lower_triangles(stack), 0.5, 1.5)
         assert np.array_equal(got, reference_inside_band(stack, 0.5, 1.5))
 
     @pytest.mark.parametrize("k", range(1, 13))
@@ -298,7 +328,7 @@ class TestLowerTriangleScreen:
             deviation = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
             for quantile in (0.1, 0.5, 0.9):
                 w = float(np.quantile(deviation, quantile))
-                got = rip._inside_band(lower_triangles(stack), 1.0 - w, 1.0 + w)
+                got = band_screen(lower_triangles(stack), 1.0 - w, 1.0 + w)
                 assert np.array_equal(got, reference_inside_band(stack, 1.0 - w, 1.0 + w))
                 assert 0 < got.sum() < got.size, quantile
 
@@ -315,12 +345,12 @@ class TestLowerTriangleScreen:
         diagonal[np.arange(k), np.arange(k)] = eigs.T
         # pivots of a diagonal matrix are d - low and high - d, exact this near the edge
         inside = ((eigs > low) & (eigs < high)).all(axis=1)
-        assert np.array_equal(rip._inside_band(lower_triangles(diagonal), low, high), inside)
+        assert np.array_equal(band_screen(lower_triangles(diagonal), low, high), inside)
         q = orthogonal_factor(rng.standard_normal((batch, k, k)))
         rotated = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
         rotated = np.ascontiguousarray(((rotated + rotated.transpose(0, 2, 1)) / 2.0).transpose(1, 2, 0))
         for stack in (diagonal, rotated):
-            got = rip._inside_band(lower_triangles(stack), low, high)
+            got = band_screen(lower_triangles(stack), low, high)
             assert np.array_equal(got, reference_inside_band(stack, low, high))
 
     def test_same_supports_reach_eigvalsh(self, monkeypatch):
@@ -332,11 +362,11 @@ class TestLowerTriangleScreen:
         screened = batches.copy()
         batches.clear()
 
-        def full_stack_screen(lower, low, high):
+        def full_stack_screen(lower, shift):
             k = math.isqrt(2 * len(lower))
             stack = np.zeros((k, k, lower.shape[1]))
             stack[np.tril_indices(k)] = lower
-            return reference_inside_band(stack, low, high)
+            return reference_above(stack, shift)
 
         monkeypatch.setattr(rip, "_inside_band", full_stack_screen)
         assert exact_ric(a, 5).value == value
@@ -345,14 +375,15 @@ class TestLowerTriangleScreen:
 
     def test_small_enumerations_build_no_index_pairs(self, monkeypatch):
         orders = []
-        pairs = rip._lower_pairs
+        pairs, weights = rip._lower_pairs, rip._trace_weights
         monkeypatch.setattr(rip, "_lower_pairs", lambda k: orders.append(k) or pairs(k))
+        monkeypatch.setattr(rip, "_trace_weights", lambda k: orders.append(-k) or weights(k))
         a = np.random.default_rng(89).standard_normal((8, 8))
         exact_ric(a, 3)  # C(8, 3) = 56 supports: the unscreened first chunk only
         exact_ric(a, 5)
         assert orders == []
         exact_ric(a, 4)  # C(8, 4) = 70: a second, screened chunk
-        assert orders == [4]
+        assert orders == [4, -4]
 
     def test_index_pairs_are_cached_read_only(self):
         pairs = rip._lower_pairs(6)
@@ -362,6 +393,19 @@ class TestLowerTriangleScreen:
             assert not index.flags.writeable
             with pytest.raises(ValueError):
                 index[0] = 1
+
+    def test_trace_weights_are_cached_read_only(self):
+        for k in range(1, 13):
+            trace, squares = rip._trace_weights(k)
+            again = rip._trace_weights(k)
+            assert again[0] is trace and again[1] is squares
+            rows, columns = np.tril_indices(k)
+            assert trace.tolist() == (rows == columns).astype(float).tolist()
+            assert squares.tolist() == np.where(rows == columns, 1.0, 2.0).tolist()
+            for weights in (trace, squares):
+                assert not weights.flags.writeable
+                with pytest.raises(ValueError):
+                    weights[0] = 3.0
 
     @pytest.mark.parametrize("estimate", [
         *(pytest.param(functools.partial(exact_ric, order=order), id=str(order))
@@ -376,6 +420,133 @@ class TestLowerTriangleScreen:
             value = estimate(contiguous).value
             for a in (np.asfortranarray(contiguous), np.ascontiguousarray(contiguous.T).T, strided):
                 assert estimate(a).value == value
+
+
+def assert_stage1_sound(grams, low, high):
+    """Stage 1 certifies a side of G only where eigvalsh puts every
+    eigenvalue of G strictly inside the band on that side; returns how many
+    sides it certified."""
+    eigs = np.linalg.eigvalsh(grams)
+    lower = lower_triangles(np.ascontiguousarray(grams.transpose(1, 2, 0)))
+    low_open, high_open = rip._trace_bound(lower, low, high)
+    assert np.all(low_open | (eigs[:, 0] > low)), (low, high)
+    assert np.all(high_open | (eigs[:, -1] < high)), (low, high)
+    return int(np.count_nonzero(~low_open) + np.count_nonzero(~high_open))
+
+
+def spread_families(k):
+    """Batches (48, k, k) where the trace bound is easiest to get wrong:
+    eigenvalues 1e4 (1 +- 1e-12), whose spread s^2 cancels to rounding
+    noise; rank-one spikes I + beta v v^T, on which the bound is tight; and
+    spectra in (0.5, 1.5) scaled by 1e6 and 1e150."""
+    rng = np.random.default_rng(101 + k)
+    batch = 48
+    q = orthogonal_factor(rng.standard_normal((batch, k, k)))
+
+    def with_spectra(eigs):
+        g = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+        return (g + g.transpose(0, 2, 1)) / 2.0
+
+    v = q[:, :, 0]
+    beta = rng.choice([-1.0, 1.0], batch) * rng.uniform(0.1, 0.9, batch)
+    return {
+        "near-zero-spread": with_spectra(1e4 * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, (batch, k)))),
+        "rank-one-spike": np.eye(k) + beta[:, None, None] * (v[:, :, None] * v[:, None, :]),
+        "max|G|-1e6": 1e6 * with_spectra(rng.uniform(0.5, 1.5, (batch, k))),
+        "max|G|-1e150": 1e150 * with_spectra(rng.uniform(0.5, 1.5, (batch, k))),
+    }
+
+
+class TestTwoStageScreen:
+    """Stage 1 (the trace bound) is sound, stage 2 (one-sided LDL^T) is the
+    reference's arithmetic side by side, and LDL^T sees few side tests."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_trace_bound_on_scaled_identity_at_the_band_edges(self, k):
+        low, high = 0.75, 1.25
+        steps = np.arange(-4, 5)
+        c = np.concatenate((low + steps * np.spacing(low), high + steps * np.spacing(high), [1.0]))
+        grams = c[:, None, None] * np.eye(k)
+        lower = lower_triangles(np.ascontiguousarray(grams.transpose(1, 2, 0)))
+        low_open, high_open = rip._trace_bound(lower, low, high)
+        assert_stage1_sound(grams, low, high)
+        # a few ulps never clear an edge; the far side and the centre clear
+        assert low_open[:9].all() and high_open[9:18].all()
+        assert not low_open[9:].any() and not high_open[:9].any() and not high_open[-1]
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_trace_bound_is_sound_near_the_extremes(self, k):
+        for name, grams in spread_families(k).items():
+            eigs = np.linalg.eigvalsh(grams)
+            certified = 0
+            for b in range(0, len(grams), 6):
+                lo, hi = eigs[b, 0], eigs[b, -1]
+                scale = max(abs(lo), abs(hi))
+                offsets = [j * np.spacing(scale) for j in (-4, -1, 0, 1, 4)]
+                offsets += [r * scale for r in (-1e-9, 1e-12, 1e-9, 1e-6, 1e-3, 0.1)]
+                for d in offsets:
+                    certified += assert_stage1_sound(grams, lo - d, hi + d)
+            assert certified > 0, name
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_trace_bound_is_sound_where_squares_underflow(self, k):
+        # entries near 1e-161 square to subnormals or to 0
+        rng = np.random.default_rng(131 + k)
+        certified = 0
+        for scale in 10.0 ** rng.uniform(-163.0, -158.0, size=8):
+            grams = rng.standard_normal((64, k, k)) * scale
+            grams = (grams + grams.transpose(0, 2, 1)) / 2.0
+            eigs = np.linalg.eigvalsh(grams)
+            steps = [d * np.spacing(0.0) for d in (-2, 0, 1, 4, 16, 64, 1024)] + [1e6 * scale, 1e12 * scale]
+            for step in steps:
+                certified += assert_stage1_sound(grams, eigs[0, 0] - step, eigs[0, -1] + step)
+        assert certified > 0
+
+    def test_trace_bound_leaves_overflow_open(self):
+        grams = np.stack([1e200 * np.eye(3), np.full((3, 3), np.nan), np.full((3, 3), np.inf)])
+        lower = lower_triangles(np.ascontiguousarray(grams.transpose(1, 2, 0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            low_open, high_open = rip._trace_bound(lower, -1.0, 1.0)
+        assert low_open.all() and high_open.all()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_one_sided_ldl_equals_each_reference_side(self, k):
+        rng = np.random.default_rng(113 + k)
+        stack = np.ascontiguousarray(classification_grams(k)[0].transpose(1, 2, 0))
+        low_ok, high_ok = reference_sides(stack, 0.5, 1.5)
+        lower = lower_triangles(stack)
+        batch = lower.shape[1]
+        assert np.array_equal(rip._inside_band(lower, np.full(batch, 0.5)), low_ok)
+        assert np.array_equal(rip._inside_band(-lower, np.full(batch, -1.5)), high_ok)
+        # a mixed stack [G_low | -G_high] with per-column shifts, as the screen builds it
+        lows, highs = rng.permutation(batch)[:120], rng.permutation(batch)[:90]
+        sides = np.concatenate((lower[:, lows], -lower[:, highs]), axis=1)
+        shift = np.repeat((0.5, -1.5), (lows.size, highs.size))
+        got = rip._inside_band(sides, shift)
+        assert np.array_equal(got, np.concatenate((low_ok[lows], high_ok[highs])))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_screen_clears_only_supports_inside_the_band(self, k):
+        rng = np.random.default_rng(127 + k)
+        _, du = du_matrix(rng, 16, 0.6)
+        gram = du.T @ du
+        cols = rip._support_table(16, k)[:512].T.astype(np.intp)
+        stack = gram[cols[:, None, :], cols[None, :, :]]
+        eigs = np.linalg.eigvalsh(np.moveaxis(stack, 2, 0))
+        deviation = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
+        for quantile in (0.1, 0.5, 0.9):
+            w = float(np.quantile(deviation, quantile))
+            outside = rip._screen(lower_triangles(stack), 1.0 - w, 1.0 + w)
+            assert not np.any(outside & reference_inside_band(stack, 1.0 - w, 1.0 + w))
+            assert np.all(outside | (deviation < w))
+            assert outside.any() and not outside.all()
+
+    def test_ldl_sees_under_a_third_of_the_side_tests(self, monkeypatch):
+        columns = []
+        inside_band = rip._inside_band
+        monkeypatch.setattr(rip, "_inside_band", lambda lower, shift: columns.append(lower.shape[1]) or inside_band(lower, shift))
+        exact_ric(gen_instance(8, 3, False, 4100000).matrix, 6)
+        assert 0 < sum(columns) < 2 * math.comb(25, 6) / 3
 
 
 class TestDuBound:
