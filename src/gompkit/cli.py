@@ -39,6 +39,8 @@ def _closed_range(low_flag: str, low: int, high_flag: str, high: int) -> range:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.per_trial and args.format != "json":
+        raise ValueError("--per-trial needs --format json")
     results = run_trials(
         _closed_range("--k-min", args.k_min, "--k-max", args.k_max),
         _closed_range("--nsel-min", args.nsel_min, "--nsel-max", args.nsel_max),
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--flat-signal", action="store_true", help="unit-magnitude nonzeros")
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--per-trial", action="store_true", help="include per-trial detail (JSON)")
+    run.add_argument("--per-trial", action="store_true", help="include per-trial detail (JSON only)")
     run.add_argument("--out", default=None, help="destination path (default: stdout)")
     run.set_defaults(func=_cmd_run)
 

@@ -107,7 +107,7 @@ def _draw(sparsity: int, n_select: int, noisy: bool, seed: int, flat_signal: boo
         nonzeros = rng.integers(0, 2, size=sparsity) * 2.0 - 1.0
     else:
         nonzeros = rng.standard_normal(sparsity)
-        while (nonzeros == 0.0).any():  # measure-zero, but the type forbids zeros
+        while (nonzeros == 0.0).any():  # measure-zero, but a zero leaves fewer than K nonzeros
             nonzeros[nonzeros == 0.0] = rng.standard_normal(np.count_nonzero(nonzeros == 0.0))
     direction = rng.standard_normal(n) if noisy else None
     return d, source, support, nonzeros, direction
@@ -128,12 +128,12 @@ def gen_instance(
     standard normals, pinning the minimum-to-average ratio at 1 so the
     isometry condition is exercised in isolation.
     """
-    entries, support, values, noise, observation, epsilon, delta = _stacked_instances(
+    entries, values, noise, observation, epsilon, delta = _stacked_instances(
         sparsity, n_select, noisy, [seed], flat_signal
     )
     return Instance(
         matrix=SensingMatrix(entries[0]),
-        signal=SparseSignal(values=values[0], support=frozenset(support[0].tolist())),
+        signal=SparseSignal(values[0]),
         noise=noise[0],
         observation=observation[0],
         sparsity=sparsity,
@@ -147,9 +147,9 @@ def gen_instance(
 def _stacked_instances(
     sparsity: int, n_select: int, noisy: bool, seeds: Sequence[int], flat_signal: bool
 ) -> tuple[np.ndarray, ...]:
-    """The instances of ``seeds``, stacked by row: matrix entries, 1-based
-    support, signal values, noise, observation, epsilon and the claimed
-    isometry constant delta.
+    """The instances of ``seeds``, stacked by row: matrix entries, signal
+    values, noise, observation, epsilon and the claimed isometry constant
+    delta.
 
     The draws are ``_draw``'s and the orthogonal factor is one stacked
     call. delta is ``du_ric_bound(d).value``, max(1 - min d^2, max d^2 - 1);
@@ -188,14 +188,14 @@ def _stacked_instances(
     else:
         noise = np.zeros(values.shape)
         epsilon = NOISE_FLOOR_REL * clean_norm
-    return entries, support, values, noise, clean + noise, epsilon, delta
+    return entries, values, noise, clean + noise, epsilon, delta
 
 
 def _run_stacked(
     sparsity: int, n_select: int, noisy: bool, seeds: Sequence[int], flat_signal: bool
 ) -> list[TrialReport]:
     """The trials of ``seeds``, generated, pursued and scored as one stacked pass."""
-    entries, _, x, _, observation, epsilon, _ = _stacked_instances(
+    entries, x, _, observation, epsilon, _ = _stacked_instances(
         sparsity, n_select, noisy, seeds, flat_signal
     )
     run = gomp_stacked(entries, observation, epsilon, sparsity, n_select)

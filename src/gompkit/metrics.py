@@ -8,7 +8,7 @@ the sufficient SNR threshold for support recovery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,31 +19,20 @@ from .rip import Condition, condition_threshold
 
 @dataclass(frozen=True, eq=False)
 class SparseSignal:
-    """A length-n vector that is nonzero exactly on ``support`` (1-based)."""
+    """A length-n vector; ``support`` is the 1-based positions of its
+    nonzeros (-0.0 counts as zero)."""
 
     values: np.ndarray
-    support: frozenset[int]
+    support: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise DimensionMismatch("signal must be a 1-d vector")
-        sup = frozenset(int(i) for i in self.support)
-        if sup and (min(sup) < 1 or max(sup) > vals.size):
-            raise IndexError(f"support indices must lie in 1..{vals.size}")
-        on_support = np.count_nonzero(vals[np.fromiter(sup, np.intp, len(sup)) - 1])
-        if np.count_nonzero(vals) > on_support:
-            raise ValueError("signal has nonzeros outside its declared support")
-        if on_support < len(sup):
-            raise ValueError("declared support contains a zero entry")
+        if not np.isfinite(vals).all():
+            raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "support", sup)
-
-    @classmethod
-    def from_dense(cls, values: np.ndarray) -> "SparseSignal":
-        vals = np.asarray(values, dtype=float)
-        support = frozenset(int(i) + 1 for i in np.flatnonzero(vals))
-        return cls(values=vals, support=support)
+        object.__setattr__(self, "support", frozenset((np.flatnonzero(vals) + 1).tolist()))
 
     @property
     def n(self) -> int:
@@ -77,7 +66,7 @@ def mar(x: SparseSignal, sparsity: int) -> float:
         raise ValueError(
             f"sparsity {sparsity} is below the support size {len(x.support)}"
         )
-    nonzero = x.values[np.array(sorted(x.support)) - 1]
+    nonzero = x.values[x.values != 0.0]
     smallest = float(np.min(nonzero * nonzero))
     energy = float(x.values @ x.values)
     return sparsity * smallest / energy
@@ -91,7 +80,7 @@ def snr_threshold(sparsity: int, n_select: int, delta: float, mar_value: float) 
     Defined only while delta < 1/sqrt(K/N + 1); the support size is taken
     at its worst case K. Note this bounds sqrt(SNR), not SNR.
     """
-    if delta < 0.0:
+    if not (delta >= 0.0):
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not (0.0 < mar_value):
         raise ValueError(f"MAR must be positive, got {mar_value}")

@@ -256,7 +256,7 @@ def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
         cols = np.ascontiguousarray(table[start:start + size].T, dtype=np.intp)
         if worst > tau:  # the band is empty while w <= tau, as on the first chunk
             rows, columns = _lower_pairs(order)
-            lower = flat.take(cols[rows] * n + cols[columns])
+            lower = flat.take((cols * n)[rows] + cols[columns])
             cols = cols[:, _screen(lower, 1.0 - worst + tau, 1.0 + worst - tau)]
         if cols.shape[1]:
             sets = cols.T
@@ -314,6 +314,8 @@ def du_ric_bound(d: np.ndarray) -> RicEstimate:
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.size < 1:
         raise DimensionError("expected a nonempty 1-d vector of diagonal entries")
+    if not np.isfinite(d).all():
+        raise ValueError("diagonal entries must be finite")
     if np.any(d <= 0.0):
         raise NonPositiveDiagonal("diagonal entries must be strictly positive")
     sq = d * d

@@ -42,23 +42,23 @@ LEMMA_SLACK = 1e-12
 # Noise-free residual floor, relative to ||y||; also the generator's noise-free epsilon.
 NOISE_FLOOR_REL = 1e-10
 
+LEMMA_N_MAX = 12  # largest column count of a random lemma instance
+
 
 @dataclass(frozen=True)
 class LemmaInstance:
     """One admissible configuration for the selection-margin inequality.
 
-    ``selected`` plays the role of the set already picked after
-    ``iteration`` rounds of ``n_select`` picks each; ``competitors`` is a
-    candidate set of off-support indices the selection could confuse with
-    the true support. All index sets are 1-based.
+    ``competitors`` is a candidate set of ``n_select`` off-support indices
+    the selection could confuse with the true support; ``selected`` plays
+    the role of the set already picked after ``iteration`` rounds of
+    ``n_select`` picks each. All index sets are 1-based.
     """
 
     matrix: SensingMatrix
     signal: SparseSignal
     selected: frozenset[int]
     competitors: frozenset[int]
-    iteration: int
-    n_select: int
 
     def __post_init__(self):
         mat = self.matrix
@@ -70,25 +70,37 @@ class LemmaInstance:
         for name, s in (("selected", self.selected), ("competitors", self.competitors)):
             if s and (min(s) < 1 or max(s) > mat.n):
                 raise IndexError(f"{name} indices outside 1..{mat.n}")
-        if len(self.selected) != self.iteration * self.n_select:
+        n_select = len(self.competitors)
+        if not n_select:
+            raise ValueError("competitor set must be nonempty")
+        iteration, rest = divmod(len(self.selected), n_select)
+        if rest:
             raise ValueError(
-                f"|selected| = {len(self.selected)} != iteration * n_select = "
-                f"{self.iteration * self.n_select}"
+                f"|selected| = {len(self.selected)} is not a multiple of "
+                f"n_select = |competitors| = {n_select}"
             )
-        if len(self.competitors) != self.n_select:
-            raise ValueError("competitor set must have exactly n_select indices")
         if self.competitors & omega:
             raise ValueError("competitors must avoid the signal support")
         if self.competitors & self.selected:
             raise ValueError("competitors must avoid the selected set")
         overlap = len(omega & self.selected)
-        if not (0 <= self.iteration <= overlap <= len(omega) - 1):
+        if not (iteration <= overlap <= len(omega) - 1):
             raise ValueError(
                 f"need iteration <= |support & selected| <= |support| - 1, got "
-                f"iteration={self.iteration}, overlap={overlap}, |support|={len(omega)}"
+                f"iteration={iteration}, overlap={overlap}, |support|={len(omega)}"
             )
-        if self.n_select * (self.iteration + 1) + len(omega) - self.iteration > mat.m:
+        if n_select * (iteration + 1) + len(omega) - iteration > mat.m:
             raise ValueError("instance too large for the row count")
+
+    @property
+    def n_select(self) -> int:
+        """Indices picked per iteration: the size of the competitor set."""
+        return len(self.competitors)
+
+    @property
+    def iteration(self) -> int:
+        """Rounds of ``n_select`` picks that produced the selected set."""
+        return len(self.selected) // self.n_select
 
     @property
     def overlap(self) -> int:
@@ -268,7 +280,7 @@ def verify_selection_condition(
     return True
 
 
-def random_lemma_instance(rng: np.random.Generator, n_max: int = 12) -> LemmaInstance:
+def random_lemma_instance(rng: np.random.Generator) -> LemmaInstance:
     """Draw one admissible instance for the selection-margin inequality.
 
     The matrix is diagonal-times-orthogonal with a controlled constant so
@@ -277,7 +289,7 @@ def random_lemma_instance(rng: np.random.Generator, n_max: int = 12) -> LemmaIns
     would almost never land on the sparsely admissible (iteration,
     overlap) pairs.
     """
-    n = int(rng.integers(4, n_max + 1))
+    n = int(rng.integers(4, LEMMA_N_MAX + 1))
     for _ in range(200):
         n_select = int(rng.integers(1, 4))
         support_size = int(rng.integers(1, n))
@@ -301,15 +313,8 @@ def random_lemma_instance(rng: np.random.Generator, n_max: int = 12) -> LemmaIns
     off = [int(i) for i in perm[support_size:]]
     values = np.zeros(n)
     values[np.asarray(omega) - 1] = rng.standard_normal(support_size)
-    signal = SparseSignal(values=values, support=frozenset(omega))
+    signal = SparseSignal(values)
 
     selected = frozenset(omega[:overlap]) | frozenset(off[: iteration * n_select - overlap])
     competitors = frozenset(off[iteration * n_select - overlap:][:n_select])
-    return LemmaInstance(
-        matrix=mat,
-        signal=signal,
-        selected=selected,
-        competitors=competitors,
-        iteration=iteration,
-        n_select=n_select,
-    )
+    return LemmaInstance(matrix=mat, signal=signal, selected=selected, competitors=competitors)

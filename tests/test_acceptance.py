@@ -24,6 +24,7 @@ from gompkit import (
     verify_lemma4,
     verify_selection_condition,
 )
+from test_greedy import textbook_omp_selections
 
 GRID_SPARSITIES = range(2, 9)
 GRID_N_SELECT = range(1, 5)
@@ -85,7 +86,7 @@ def test_criterion_3_selection_margin_inequality():
     failures = 0
     count = 10_000
     for _ in range(count):
-        if not verify_lemma4(random_lemma_instance(rng, n_max=12)):
+        if not verify_lemma4(random_lemma_instance(rng)):
             failures += 1
     report(3, "selection-margin inequality", failures == 0,
            f"{count - failures}/{count} instances satisfied lhs >= rhs - 1e-12")
@@ -125,18 +126,6 @@ def test_criterion_5_threshold_ordering():
                     violations += 1
     report(5, "threshold ordering", violations == 0,
            f"{pairs} (K, N) pairs, {violations} violations across {len(priors)} prior thresholds")
-
-
-def textbook_omp_selections(a, y, sparsity, epsilon):
-    support = []
-    residual = y.copy()
-    while len(support) < sparsity and np.linalg.norm(residual) > epsilon:
-        j = int(np.argmax(np.abs(a.T @ residual)))
-        support.append(j)
-        cols = a[:, support]
-        coef = np.linalg.solve(cols.T @ cols, cols.T @ y)
-        residual = y - cols @ coef
-    return [j + 1 for j in support]
 
 
 def test_criterion_6_omp_equivalence():

@@ -561,6 +561,9 @@ class TestDuBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveDiagonal):
             du_ric_bound(np.array([1.0, 0.0]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                du_ric_bound(np.array([1.0, bad]))
 
     def test_construction_interval_stays_under_bound(self):
         rng = np.random.default_rng(37)

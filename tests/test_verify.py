@@ -28,20 +28,18 @@ from gompkit import cli, rip, verify
 from gompkit.verify import lemma4_holds, lemma4_min_slack
 
 
-def make_instance(matrix, values, selected, competitors, iteration, n_select):
+def make_instance(matrix, values, selected, competitors):
     return LemmaInstance(
         matrix=SensingMatrix(np.asarray(matrix, dtype=float)),
-        signal=SparseSignal.from_dense(np.asarray(values, dtype=float)),
+        signal=SparseSignal(np.asarray(values, dtype=float)),
         selected=frozenset(selected),
         competitors=frozenset(competitors),
-        iteration=iteration,
-        n_select=n_select,
     )
 
 
 class TestLemma4:
     def test_identity_reaches_equality(self):
-        inst = make_instance(np.eye(3), [1.0, 0.0, 0.0], set(), {2}, 0, 1)
+        inst = make_instance(np.eye(3), [1.0, 0.0, 0.0], set(), {2})
         lhs, rhs = lemma4_sides(inst)
         assert abs(lhs - 1.0) <= 1e-14
         assert abs(rhs - 1.0) <= 1e-14
@@ -49,7 +47,7 @@ class TestLemma4:
 
     def test_scaled_identity_hand_values(self):
         c = 1.05
-        inst = make_instance(c * np.eye(4), [1.0, 1.0, 0.0, 0.0], set(), {3}, 0, 1)
+        inst = make_instance(c * np.eye(4), [1.0, 1.0, 0.0, 0.0], set(), {3})
         # constant of any order for c*I is |c^2 - 1|
         delta = c * c - 1.0
         assert abs(exact_ric(c * np.eye(4), 3).value - delta) <= 1e-14
@@ -59,7 +57,7 @@ class TestLemma4:
         assert verify_lemma4(inst)
 
     def test_shrunk_identity_still_holds(self):
-        inst = make_instance(0.9 * np.eye(4), [0.0, 2.0, 0.0, -1.0], set(), {1}, 0, 1)
+        inst = make_instance(0.9 * np.eye(4), [0.0, 2.0, 0.0, -1.0], set(), {1})
         assert verify_lemma4(inst)
 
     def test_square_du_instance_with_partial_selection(self):
@@ -72,7 +70,8 @@ class TestLemma4:
         omega = [1, 3, 5, 8]
         values[np.array(omega) - 1] = rng.standard_normal(k_omega)
         # selected = one support index + one decoy, so overlap = iteration = 1
-        inst = make_instance(a, values, {1, 2}, {4, 6}, iteration, nsel)
+        inst = make_instance(a, values, {1, 2}, {4, 6})
+        assert (inst.iteration, inst.n_select) == (iteration, nsel)
         lhs, rhs = lemma4_sides(inst)
         assert lhs >= rhs - 1e-12
 
@@ -90,11 +89,17 @@ class TestLemma4:
     def test_rejects_inadmissible_overlap(self):
         # selected set covering the whole support is outside the hypothesis
         with pytest.raises(ValueError):
-            make_instance(np.eye(4), [1.0, 0.0, 0.0, 0.0], {1}, {2}, 1, 1)
+            make_instance(np.eye(4), [1.0, 0.0, 0.0, 0.0], {1}, {2})
 
     def test_rejects_competitors_on_support(self):
         with pytest.raises(ValueError):
-            make_instance(np.eye(4), [1.0, 1.0, 0.0, 0.0], set(), {2}, 0, 1)
+            make_instance(np.eye(4), [1.0, 1.0, 0.0, 0.0], set(), {2})
+
+    def test_rejects_empty_competitors_and_indivisible_selection(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            make_instance(np.eye(4), [1.0, 0.0, 0.0, 0.0], set(), set())
+        with pytest.raises(ValueError, match="not a multiple"):
+            make_instance(np.eye(6), [1.0, 1.0, 0.0, 0.0, 0.0, 0.0], {1, 3, 4}, {5, 6})
 
 
 def lemma_draw(i):
@@ -159,7 +164,7 @@ class TestLazyLemma4:
         gram = np.array([[1.0, rho, rho], [rho, 1.0, -rho], [rho, -rho, 1.0]])
         a = np.eye(12)
         a[9:, 9:] = np.linalg.cholesky(gram).T
-        inst = make_instance(a, [0.0] * 10 + [1.0, 1.0], set(), {10}, 0, 1)
+        inst = make_instance(a, [0.0] * 10 + [1.0, 1.0], set(), {10})
         running = list(rip._running_ric(a, inst.ric_order))
         assert len(running) == 3
         lhs, rhs = verify._lemma4_terms(inst)
@@ -185,7 +190,7 @@ class TestLazyLemma4:
         # on the identity, delta = 0 would pass the instance
         values = np.zeros(30)
         values[:15] = np.arange(1.0, 16.0)
-        inst = make_instance(np.eye(30), values, set(), {30}, 0, 1)
+        inst = make_instance(np.eye(30), values, set(), {30})
         assert inst.ric_order == 16
         lhs, rhs = verify._lemma4_terms(inst)
         assert lemma4_holds(lhs, rhs(0.0))
@@ -247,7 +252,7 @@ def run_generated(sparsity, n_select, noisy, seed):
 class TestStopping:
     def test_identity_runs(self):
         a = np.eye(5)
-        x = SparseSignal.from_dense(np.array([0.0, 2.0, 0.0, -1.0, 0.0]))
+        x = SparseSignal(np.array([0.0, 2.0, 0.0, -1.0, 0.0]))
         y = a @ x.values
         trace = gomp_run(a, y, GompParams(sparsity=2, n_select=1, epsilon=1e-10 * np.linalg.norm(y)))
         assert verify_stopping(a, x, trace)
@@ -261,7 +266,7 @@ class TestStopping:
         # zero residual, one correct index out of one iteration, but the
         # support is not contained: the property must flag it
         a = np.eye(4)
-        x = SparseSignal.from_dense(np.array([1.0, 0.0, 1.0, 0.0]))
+        x = SparseSignal(np.array([1.0, 0.0, 1.0, 0.0]))
         fake = RecoveryTrace(
             iterations=[
                 IterationRecord(
@@ -279,7 +284,7 @@ class TestStopping:
 
     def test_vacuous_when_not_enough_correct_picks(self):
         a = np.eye(4)
-        x = SparseSignal.from_dense(np.array([1.0, 0.0, 1.0, 0.0]))
+        x = SparseSignal(np.array([1.0, 0.0, 1.0, 0.0]))
         fake = RecoveryTrace(
             iterations=[
                 IterationRecord(
@@ -304,7 +309,7 @@ class TestStopping:
 class TestSelectionCondition:
     def test_identity_noise_free(self):
         a = np.eye(5)
-        x = SparseSignal.from_dense(np.array([0.0, 2.0, 0.0, -1.0, 0.0]))
+        x = SparseSignal(np.array([0.0, 2.0, 0.0, -1.0, 0.0]))
         y = a @ x.values
         trace = gomp_run(a, y, GompParams(sparsity=2, n_select=1, epsilon=1e-10 * np.linalg.norm(y)))
         assert verify_selection_condition(a, x, np.zeros(5), trace, 1)
@@ -331,7 +336,7 @@ class TestSelectionCondition:
 
     def test_dominant_off_support_correlations_fail(self):
         a = np.eye(3)
-        x = SparseSignal.from_dense(np.array([1.0, 0.0, 0.0]))
+        x = SparseSignal(np.array([1.0, 0.0, 0.0]))
         fake = RecoveryTrace(
             iterations=[
                 IterationRecord(
@@ -349,7 +354,7 @@ class TestSelectionCondition:
 
     def test_missing_correlations_rejected(self):
         a = np.eye(3)
-        x = SparseSignal.from_dense(np.array([1.0, 0.0, 0.0]))
+        x = SparseSignal(np.array([1.0, 0.0, 0.0]))
         bare = RecoveryTrace(
             iterations=[
                 IterationRecord(
@@ -369,7 +374,7 @@ class TestSelectionCondition:
     def test_iterations_after_support_captured_are_ignored(self):
         # once every support index is selected the condition no longer binds
         a = np.eye(3)
-        x = SparseSignal.from_dense(np.array([1.0, 0.0, 0.0]))
+        x = SparseSignal(np.array([1.0, 0.0, 0.0]))
         trace = RecoveryTrace(
             iterations=[
                 IterationRecord(
