@@ -22,7 +22,6 @@ from .exceptions import (
     OrderMismatch,
     RankDeficient,
     Singular,
-    TraceIncomplete,
 )
 from .greedy import (
     GompParams,
@@ -94,7 +93,6 @@ __all__ = [
     "Singular",
     "SparseSignal",
     "Termination",
-    "TraceIncomplete",
     "TrialReport",
     "check_recovery_condition",
     "condition_threshold",

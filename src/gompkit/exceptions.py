@@ -57,7 +57,3 @@ class EmptySupport(GompkitError, ValueError):
 
 class NotNoiseFree(GompkitError, ValueError):
     """A noise-free check was invoked on a noisy instance."""
-
-
-class TraceIncomplete(GompkitError, ValueError):
-    """The recovery trace lacks data required by a verifier."""

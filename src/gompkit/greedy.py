@@ -28,7 +28,6 @@ from .exceptions import (
     InsufficientCandidates,
     InvalidParams,
     RankDeficient,
-    TraceIncomplete,
 )
 from .linops import MatrixLike, _solve_submatrix, as_sensing_matrix, least_squares, row_dot
 
@@ -50,9 +49,9 @@ class GompParams:
     sparsity : int
         Sparsity level K; also the iteration cap.
     n_select : int
-        Indices added per iteration (N). Must satisfy
-        n_select <= (m - 1) / sparsity for the sensing matrix in use;
-        checked when the matrix is known.
+        Indices added per iteration (N). A run checks only that the full
+        support fits the matrix, N * sparsity <= m and <= n; the guarantees
+        also want N <= (m - 1) / sparsity, which is not checked.
     epsilon : float
         Absolute residual 2-norm stopping threshold (not relative to ||y||).
     """
@@ -77,23 +76,34 @@ class IterationRecord:
     ``correlations`` holds the magnitudes |A^T r| of the residual
     correlations that drove this iteration's selection (residual from the
     *previous* iteration), indexed by column position 0..n-1 for column
-    indices 1..n.
+    indices 1..n; anything but a 1-d float array raises ValueError.
     """
 
     selected: tuple[int, ...]
-    support_after: frozenset[int]
     residual_norm: float
-    correlations: np.ndarray | None = None
+    correlations: np.ndarray
+
+    def __post_init__(self):
+        corr = np.asarray(self.correlations)
+        if corr.ndim != 1 or corr.dtype.kind != "f":
+            raise ValueError(
+                f"correlations must be a 1-d float array, got {corr.dtype} {corr.shape}"
+            )
+        object.__setattr__(self, "correlations", corr)
 
 
 @dataclass(frozen=True)
 class RecoveryTrace:
-    """Full record of a run: per-iteration state plus the final estimate."""
+    """Full record of a run: per-iteration state plus the final estimate.
+    ``final_support`` is the union of the iterations' selections."""
 
     iterations: list[IterationRecord]
     final_estimate: np.ndarray
-    final_support: frozenset[int]
     termination: Termination
+
+    @property
+    def final_support(self) -> frozenset[int]:
+        return frozenset(i for record in self.iterations for i in record.selected)
 
     @property
     def iterations_used(self) -> int:
@@ -142,9 +152,7 @@ def _top_n(correlations: np.ndarray, n_select: int, excluded: np.ndarray) -> np.
 
 
 def _check_fits(params: GompParams, m: int, n: int) -> None:
-    # The guarantee theory wants n_select <= (m - 1)/sparsity so the
-    # order-NK+1 constant exists; the algorithm itself only needs the full
-    # support to stay fittable (<= m) and selectable (<= n).
+    # The full support must stay fittable (<= m) and selectable (<= n).
     size = params.n_select * params.sparsity
     if size > m:
         raise InvalidParams(f"n_select * sparsity = {size} exceeds the row count {m}")
@@ -197,10 +205,7 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
         except RankDeficient as exc:
             err = RankDeficient(f"iteration {k}: {exc}")
             err.partial_trace = RecoveryTrace(
-                iterations=records,
-                final_estimate=_placed(mat.n, support, coef),
-                final_support=frozenset(support),
-                termination=Termination.RANK_DEFICIENT,
+                records, _placed(mat.n, support, coef), Termination.RANK_DEFICIENT
             )
             raise err from exc
         support.extend(picked)
@@ -209,12 +214,7 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
         fitted = mat.entries[:, np.asarray(sorted_support) - 1] @ coef
         residual = y - fitted
         records.append(
-            IterationRecord(
-                selected=tuple(picked),
-                support_after=frozenset(support),
-                residual_norm=float(np.linalg.norm(residual)),
-                correlations=np.abs(correlations),
-            )
+            IterationRecord(tuple(picked), float(np.linalg.norm(residual)), np.abs(correlations))
         )
 
     final_norm = float(np.linalg.norm(residual))
@@ -223,12 +223,7 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
         if final_norm <= params.epsilon
         else Termination.MAX_ITERATIONS
     )
-    return RecoveryTrace(
-        iterations=records,
-        final_estimate=_placed(mat.n, support, coef),
-        final_support=frozenset(support),
-        termination=termination,
-    )
+    return RecoveryTrace(records, _placed(mat.n, support, coef), termination)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,9 +297,3 @@ def gomp_stacked(
         estimates[live[:, None], cols] = coef
     return StackedRun(chosen, estimates, iterations, norms)
 
-
-def correlations_or_raise(record: IterationRecord) -> np.ndarray:
-    """Return a record's correlation magnitudes, or raise TraceIncomplete."""
-    if record.correlations is None:
-        raise TraceIncomplete("iteration record carries no correlation vector")
-    return np.asarray(record.correlations, dtype=float)

@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -49,17 +49,27 @@ STACK_ROWS = 128
 
 @dataclass(frozen=True)
 class Instance:
-    """One generated experiment: matrix, signal, noise, and observation."""
+    """One generated experiment: matrix, signal, noise, and observation.
+    ``sparsity`` is K = |signal support| and ``n_select`` is N = (n - 1) / K,
+    by the generator's rule n = N K + 1; a shape off that rule raises ValueError."""
 
     matrix: SensingMatrix
     signal: SparseSignal
     noise: np.ndarray
     observation: np.ndarray
-    sparsity: int
-    n_select: int
     epsilon: float
     seed: int
     claimed_delta: RicEstimate
+    sparsity: int = field(init=False)
+    n_select: int = field(init=False)
+
+    def __post_init__(self):
+        n, k = self.matrix.n, len(self.signal.support)
+        if self.signal.n != n or not k or (n - 1) % k or n - 1 < k:
+            raise ValueError(f"a length-{self.signal.n} signal with K = {k} nonzeros "
+                             f"does not fit n = N K + 1 = {n} for an integer N >= 1")
+        object.__setattr__(self, "sparsity", k)
+        object.__setattr__(self, "n_select", (n - 1) // k)
 
     @property
     def noisy(self) -> bool:
@@ -80,17 +90,38 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregated outcomes for one (sparsity, n_select) grid cell."""
+    """Outcomes of one (sparsity, n_select) grid cell and their aggregates:
+    the rates over all trials, the means over the trials without an error
+    (NaN when every trial has one). An empty ``reports`` raises ValueError."""
 
     sparsity: int
     n_select: int
     noisy: bool
-    trials: int
-    exact_rate: float
-    support_rate: float
-    mean_iterations: float
-    mean_final_residual: float
     reports: tuple[TrialReport, ...]
+    trials: int = field(init=False)
+    exact_rate: float = field(init=False)
+    support_rate: float = field(init=False)
+    mean_iterations: float = field(init=False)
+    mean_final_residual: float = field(init=False)
+
+    def __post_init__(self):
+        reports = tuple(self.reports)
+        if not reports:
+            raise ValueError("a cell needs at least one trial report")
+        trials, clean = len(reports), [r for r in reports if r.error is None]
+        for name, value in {
+            "reports": reports,
+            "trials": trials,
+            "exact_rate": sum(r.exact_recovery for r in reports) / trials,
+            "support_rate": sum(r.support_recovery for r in reports) / trials,
+            "mean_iterations": (
+                sum(r.iterations_used for r in clean) / len(clean) if clean else math.nan
+            ),
+            "mean_final_residual": (
+                sum(r.residual_final for r in clean) / len(clean) if clean else math.nan
+            ),
+        }.items():
+            object.__setattr__(self, name, value)
 
 
 def _draw(sparsity: int, n_select: int, noisy: bool, seed: int, flat_signal: bool) -> tuple:
@@ -136,8 +167,6 @@ def gen_instance(
         signal=SparseSignal(values[0]),
         noise=noise[0],
         observation=observation[0],
-        sparsity=sparsity,
-        n_select=n_select,
         epsilon=float(epsilon[0]),
         seed=seed,
         claimed_delta=RicEstimate(entries.shape[-1], float(delta[0]), RicKind.ANALYTIC_DU),
@@ -254,24 +283,7 @@ def run_trials(
                 reports += _run_stacked(k, nsel, noisy, seeds, flat_signal)
             except (GompkitError, np.linalg.LinAlgError):
                 reports += [run_trial(k, nsel, noisy, s, flat_signal=flat_signal) for s in seeds]
-        clean = [r for r in reports if r.error is None]
-        results.append(
-            CellResult(
-                sparsity=k,
-                n_select=nsel,
-                noisy=noisy,
-                trials=trials_per_cell,
-                exact_rate=sum(r.exact_recovery for r in reports) / trials_per_cell,
-                support_rate=sum(r.support_recovery for r in reports) / trials_per_cell,
-                mean_iterations=(
-                    sum(r.iterations_used for r in clean) / len(clean) if clean else float("nan")
-                ),
-                mean_final_residual=(
-                    sum(r.residual_final for r in clean) / len(clean) if clean else float("nan")
-                ),
-                reports=tuple(reports),
-            )
-        )
+        results.append(CellResult(k, nsel, noisy, tuple(reports)))
     return results
 
 

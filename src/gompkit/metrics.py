@@ -40,13 +40,16 @@ class SparseSignal:
 
 
 def snr(a: MatrixLike, x: SparseSignal, v: np.ndarray) -> float:
-    """Signal-to-noise ratio ||A x||^2 / ||v||^2; +inf for zero noise."""
+    """Signal-to-noise ratio ||A x||^2 / ||v||^2; +inf for zero noise.
+    Non-finite noise raises ValueError."""
     mat = as_sensing_matrix(a)
     v = np.asarray(v, dtype=float)
     if x.n != mat.n:
         raise DimensionMismatch(f"signal length {x.n} != matrix columns {mat.n}")
     if v.shape != (mat.m,):
         raise DimensionMismatch(f"noise has shape {v.shape}, expected ({mat.m},)")
+    if not np.isfinite(v).all():
+        raise ValueError("noise entries must be finite")
     noise_energy = float(v @ v)
     if noise_energy == 0.0:
         return math.inf
@@ -82,8 +85,8 @@ def snr_threshold(sparsity: int, n_select: int, delta: float, mar_value: float) 
     """
     if not (delta >= 0.0):
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if not (0.0 < mar_value):
-        raise ValueError(f"MAR must be positive, got {mar_value}")
+    if not (0.0 < mar_value < math.inf):
+        raise ValueError(f"MAR must be positive and finite, got {mar_value}")
     limit = condition_threshold(sparsity, n_select, Condition.SHARP)
     if delta >= limit:
         raise ConditionViolated(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotNoiseFree
-from .greedy import RecoveryTrace, correlations_or_raise, select_top_n
+from .greedy import RecoveryTrace, select_top_n
 from .linops import (
     MatrixLike,
     SensingMatrix,
@@ -266,17 +266,17 @@ def verify_selection_condition(
     mat = as_sensing_matrix(a)
     omega = x.support
     on = np.asarray(sorted(omega)) - 1
-    prior: frozenset[int] = frozenset()
+    prior: set[int] = set()
     for record in trace.iterations:
         if omega <= prior:
             break
-        corr = correlations_or_raise(record)
+        corr = record.correlations
         best_on = float(np.max(corr[on]))
         rivals = select_top_n(corr, n_select, excluded=omega)
         rival_mean = float(np.mean(corr[np.asarray(rivals) - 1]))
         if not best_on > rival_mean:
             return False
-        prior = record.support_after
+        prior.update(record.selected)
     return True
 
 
@@ -290,7 +290,8 @@ def random_lemma_instance(rng: np.random.Generator) -> LemmaInstance:
     overlap) pairs.
     """
     n = int(rng.integers(4, LEMMA_N_MAX + 1))
-    for _ in range(200):
+    # A draw with n_select = 1 always passes, so the loop ends.
+    while True:
         n_select = int(rng.integers(1, 4))
         support_size = int(rng.integers(1, n))
         iteration = int(rng.integers(0, support_size))
@@ -303,8 +304,6 @@ def random_lemma_instance(rng: np.random.Generator) -> LemmaInstance:
         if n_select * (iteration + 1) + support_size - iteration > n:
             continue
         break
-    else:
-        n_select, support_size, iteration, overlap = 1, 1, 0, 0
 
     mat = SensingMatrix(du_entries(*draw_du(rng, n, support_size / n_select)))
 

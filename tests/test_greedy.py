@@ -142,12 +142,20 @@ def traces():
     return out
 
 
+def supports_after(trace):
+    """The support after each iteration: the union of the picks so far."""
+    support = frozenset()
+    for rec in trace.iterations:
+        support |= set(rec.selected)
+        yield rec, support
+
+
 class TestRunInvariants:
     def test_support_grows_by_n_select(self, traces):
         for inst, trace in traces:
-            for i, rec in enumerate(trace.iterations, start=1):
+            for i, (rec, support) in enumerate(supports_after(trace), start=1):
                 assert len(rec.selected) == inst.n_select
-                assert len(rec.support_after) == i * inst.n_select
+                assert len(support) == i * inst.n_select
 
     def test_selected_indices_are_fresh(self, traces):
         for _, trace in traces:
@@ -155,7 +163,7 @@ class TestRunInvariants:
             for rec in trace.iterations:
                 assert not (set(rec.selected) & seen)
                 seen |= set(rec.selected)
-                assert rec.support_after == frozenset(seen)
+            assert trace.final_support == seen
 
     def test_residual_monotone(self, traces):
         for inst, trace in traces:
@@ -168,8 +176,8 @@ class TestRunInvariants:
         for inst, trace in traces:
             a = inst.matrix.entries
             y = inst.observation
-            for rec in trace.iterations:
-                cols = np.array(sorted(rec.support_after)) - 1
+            for rec, support in supports_after(trace):
+                cols = np.array(sorted(support)) - 1
                 coef, *_ = np.linalg.lstsq(a[:, cols], y, rcond=None)
                 resid = y - a[:, cols] @ coef
                 assert np.max(np.abs(a[:, cols].T @ resid)) <= 1e-8 * np.linalg.norm(y)
@@ -178,8 +186,8 @@ class TestRunInvariants:
         for inst, trace in traces:
             a = inst.matrix.entries
             y = inst.observation
-            for rec in trace.iterations:
-                cols = np.array(sorted(rec.support_after)) - 1
+            for rec, support in supports_after(trace):
+                cols = np.array(sorted(support)) - 1
                 coef, *_ = np.linalg.lstsq(a[:, cols], y, rcond=None)
                 recomputed = np.linalg.norm(y - a[:, cols] @ coef)
                 assert abs(recomputed - rec.residual_norm) <= 1e-10 * max(1.0, rec.residual_norm)
@@ -196,10 +204,9 @@ class TestRunInvariants:
             a = inst.matrix.entries
             y = inst.observation
             resid = y.copy()
-            for rec in trace.iterations:
-                assert rec.correlations is not None
+            for rec, support in supports_after(trace):
                 assert np.allclose(rec.correlations, np.abs(a.T @ resid), atol=1e-12)
-                cols = np.array(sorted(rec.support_after)) - 1
+                cols = np.array(sorted(support)) - 1
                 coef, *_ = np.linalg.lstsq(a[:, cols], y, rcond=None)
                 resid = y - a[:, cols] @ coef
 

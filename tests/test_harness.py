@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from gompkit import (
+    CellResult,
     GompkitError,
     GompParams,
+    Instance,
     RicEstimate,
     RicKind,
+    SensingMatrix,
+    SparseSignal,
     check_recovery_condition,
     du_ric_bound,
     emit_report,
@@ -37,6 +41,21 @@ class TestGenInstance:
             assert inst.matrix.n == nsel * k + 1
             assert inst.matrix.m == inst.matrix.n
             assert len(inst.signal.support) == k
+            assert (inst.sparsity, inst.n_select) == (k, nsel)
+
+    @pytest.mark.parametrize("values", [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_instance_refuses_shape_off_the_rule(self, values):
+        # n = 4 gives n - 1 = 3, which K = 2 does not divide; K = 0 has no N
+        with pytest.raises(ValueError):
+            Instance(
+                matrix=SensingMatrix(np.eye(4)),
+                signal=SparseSignal(np.array(values)),
+                noise=np.zeros(4),
+                observation=np.array(values),
+                epsilon=0.0,
+                seed=0,
+                claimed_delta=RicEstimate(4, 0.0, RicKind.ANALYTIC_DU),
+            )
 
     def test_diagonal_within_interval(self):
         inst = gen_instance(2, 2, noisy=False, seed=5)
@@ -129,6 +148,17 @@ def scalar_trial(k, nsel, noisy, seed, flat=False):
 class TestRunTrials:
     def test_zero_trials_is_empty(self):
         assert run_trials([2, 3], [1, 2], 0, noisy=False, base_seed=0) == []
+
+    def test_cell_refuses_empty_reports(self):
+        with pytest.raises(ValueError):
+            CellResult(2, 1, False, ())
+
+    def test_cell_aggregates_its_reports(self):
+        reports = (TrialReport(1, True, True, 2, 0.5), TrialReport(2, False, True, 4, 1.5),
+                   TrialReport(3, False, False, 0, math.nan, "Singular: x"))
+        cell = CellResult(2, 1, True, reports)
+        assert (cell.trials, cell.exact_rate, cell.support_rate) == (3, 1 / 3, 2 / 3)
+        assert (cell.mean_iterations, cell.mean_final_residual) == (3.0, 1.0)
 
     def test_small_noise_free_grid_recovers(self):
         results = run_trials(range(2, 4), range(1, 3), 10, noisy=False, base_seed=50)

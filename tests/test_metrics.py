@@ -36,6 +36,13 @@ class TestSnr:
         x = SparseSignal(np.array([1.0, 0.0]))
         assert snr(np.eye(2), x, np.zeros(2)) == math.inf
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_noise(self, bad):
+        # nan noise used to give nan, inf noise an SNR of 0.0
+        x = SparseSignal(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            snr(np.eye(2), x, np.array([bad, 0.0]))
+
     def test_pythagorean_case(self):
         x = SparseSignal(np.array([3.0, 0.0, 0.0, 4.0]))
         v = np.array([0.0, 0.0, 5.0, 0.0])
@@ -118,6 +125,12 @@ class TestSnrThreshold:
             snr_threshold(4, 1, 0.9, 1.0)
         with pytest.raises(ValueError):
             snr_threshold(2, 1, math.nan, 0.5)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_mar_outside_positive_finite(self, bad):
+        # an infinite MAR used to give a threshold of 0.0
+        with pytest.raises(ValueError, match="MAR"):
+            snr_threshold(2, 1, 0.1, bad)
 
     def test_monotone_in_delta_and_mar(self):
         deltas = np.linspace(0.0, 0.44, 20)

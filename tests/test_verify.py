@@ -13,7 +13,6 @@ from gompkit import (
     SensingMatrix,
     SparseSignal,
     Termination,
-    TraceIncomplete,
     exact_ric,
     gen_instance,
     gomp_run,
@@ -271,15 +270,14 @@ class TestStopping:
             iterations=[
                 IterationRecord(
                     selected=(1, 2),
-                    support_after=frozenset({1, 2}),
                     residual_norm=0.0,
                     correlations=np.zeros(4),
                 )
             ],
             final_estimate=np.array([1.0, 1.0, 0.0, 0.0]),
-            final_support=frozenset({1, 2}),
             termination=Termination.RESIDUAL_BELOW_EPSILON,
         )
+        assert fake.final_support == {1, 2}
         assert not verify_stopping(a, x, fake)
 
     def test_vacuous_when_not_enough_correct_picks(self):
@@ -289,15 +287,14 @@ class TestStopping:
             iterations=[
                 IterationRecord(
                     selected=(2,),
-                    support_after=frozenset({2}),
                     residual_norm=0.0,
                     correlations=np.zeros(4),
                 )
             ],
             final_estimate=np.zeros(4),
-            final_support=frozenset({2}),
             termination=Termination.RESIDUAL_BELOW_EPSILON,
         )
+        assert fake.final_support == {2}
         assert verify_stopping(a, x, fake)
 
     def test_noisy_instance_rejected(self):
@@ -332,7 +329,7 @@ class TestSelectionCondition:
                 if omega <= prior:
                     break
                 assert set(rec.selected) & omega
-                prior = rec.support_after
+                prior |= set(rec.selected)
 
     def test_dominant_off_support_correlations_fail(self):
         a = np.eye(3)
@@ -341,35 +338,45 @@ class TestSelectionCondition:
             iterations=[
                 IterationRecord(
                     selected=(2, 3),
-                    support_after=frozenset({2, 3}),
                     residual_norm=0.5,
                     correlations=np.array([0.1, 5.0, 4.0]),
                 )
             ],
             final_estimate=np.zeros(3),
-            final_support=frozenset({2, 3}),
             termination=Termination.MAX_ITERATIONS,
         )
+        assert fake.final_support == {2, 3}
         assert not verify_selection_condition(a, x, np.zeros(3), fake, 2)
 
     def test_missing_correlations_rejected(self):
+        # a record without a correlation vector cannot be built, so no
+        # verifier ever sees one
+        with pytest.raises(ValueError, match="1-d float array"):
+            IterationRecord(selected=(1,), residual_norm=0.0, correlations=None)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 1)), np.arange(3), 0.5])
+    def test_malformed_correlations_rejected(self, bad):
+        with pytest.raises(ValueError, match="1-d float array"):
+            IterationRecord(selected=(1,), residual_norm=0.0, correlations=bad)
+
+    def test_failing_later_iteration_rejected(self):
+        # iteration 1 picks support index 1 and passes; iteration 2 is
+        # taken with index 2 still missing and its best on-support
+        # correlation 0.1 loses to the off-support 0.5
         a = np.eye(3)
-        x = SparseSignal(np.array([1.0, 0.0, 0.0]))
-        bare = RecoveryTrace(
+        x = SparseSignal(np.array([1.0, 1.0, 0.0]))
+        trace = RecoveryTrace(
             iterations=[
-                IterationRecord(
-                    selected=(1,),
-                    support_after=frozenset({1}),
-                    residual_norm=0.0,
-                    correlations=None,
-                )
+                IterationRecord(selected=(1,), residual_norm=1.0,
+                                correlations=np.array([1.0, 0.5, 0.0])),
+                IterationRecord(selected=(3,), residual_norm=1.0,
+                                correlations=np.array([0.0, 0.1, 0.5])),
             ],
-            final_estimate=x.values.copy(),
-            final_support=frozenset({1}),
-            termination=Termination.RESIDUAL_BELOW_EPSILON,
+            final_estimate=np.array([1.0, 0.0, 0.0]),
+            termination=Termination.MAX_ITERATIONS,
         )
-        with pytest.raises(TraceIncomplete):
-            verify_selection_condition(a, x, np.zeros(3), bare, 1)
+        assert trace.final_support == {1, 3}
+        assert not verify_selection_condition(a, x, np.zeros(3), trace, 1)
 
     def test_iterations_after_support_captured_are_ignored(self):
         # once every support index is selected the condition no longer binds
@@ -379,19 +386,17 @@ class TestSelectionCondition:
             iterations=[
                 IterationRecord(
                     selected=(1,),
-                    support_after=frozenset({1}),
                     residual_norm=0.0,
                     correlations=np.array([1.0, 0.0, 0.0]),
                 ),
                 IterationRecord(
                     selected=(2,),
-                    support_after=frozenset({1, 2}),
                     residual_norm=0.0,
                     correlations=np.array([0.0, 0.1, 0.0]),
                 ),
             ],
             final_estimate=x.values.copy(),
-            final_support=frozenset({1, 2}),
             termination=Termination.MAX_ITERATIONS,
         )
+        assert trace.final_support == {1, 2}
         assert verify_selection_condition(a, x, np.zeros(3), trace, 1)
