@@ -8,21 +8,7 @@ numerically, and reproduces noise-free and noisy recovery experiments from
 seeded instances.
 """
 
-from .exceptions import (
-    BudgetExceeded,
-    ConditionViolated,
-    DimensionError,
-    DimensionMismatch,
-    EmptySupport,
-    GompkitError,
-    InsufficientCandidates,
-    InvalidParams,
-    NonPositiveDiagonal,
-    NotNoiseFree,
-    OrderMismatch,
-    RankDeficient,
-    Singular,
-)
+from .exceptions import BudgetExceeded, GompkitError, RankDeficient, Singular
 from .greedy import (
     GompParams,
     IterationRecord,
@@ -71,20 +57,11 @@ __all__ = [
     "BudgetExceeded",
     "CellResult",
     "Condition",
-    "ConditionViolated",
-    "DimensionError",
-    "DimensionMismatch",
-    "EmptySupport",
     "GompParams",
     "GompkitError",
-    "InsufficientCandidates",
     "Instance",
-    "InvalidParams",
     "IterationRecord",
     "LemmaInstance",
-    "NonPositiveDiagonal",
-    "NotNoiseFree",
-    "OrderMismatch",
     "RankDeficient",
     "RecoveryTrace",
     "RicEstimate",

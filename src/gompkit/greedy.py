@@ -23,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatch,
-    InsufficientCandidates,
-    InvalidParams,
-    RankDeficient,
+from .exceptions import RankDeficient
+from .linops import (
+    MatrixLike,
+    _solve_submatrix,
+    as_sensing_matrix,
+    as_vector,
+    least_squares,
+    row_dot,
 )
-from .linops import MatrixLike, _solve_submatrix, as_sensing_matrix, least_squares, row_dot
 
 
 class Termination(enum.Enum):
@@ -62,11 +64,11 @@ class GompParams:
 
     def __post_init__(self):
         if self.sparsity < 1:
-            raise InvalidParams(f"sparsity must be >= 1, got {self.sparsity}")
+            raise ValueError(f"sparsity must be >= 1, got {self.sparsity}")
         if self.n_select < 1:
-            raise InvalidParams(f"n_select must be >= 1, got {self.n_select}")
+            raise ValueError(f"n_select must be >= 1, got {self.n_select}")
         if not (self.epsilon >= 0.0):
-            raise InvalidParams(f"epsilon must be >= 0, got {self.epsilon}")
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ class IterationRecord:
     ``correlations`` holds the magnitudes |A^T r| of the residual
     correlations that drove this iteration's selection (residual from the
     *previous* iteration), indexed by column position 0..n-1 for column
-    indices 1..n; anything but a 1-d float array raises ValueError.
+    indices 1..n. Anything but a 1-d float array of finite, nonnegative
+    entries raises ValueError, and so do picks below 1 or repeated.
     """
 
     selected: tuple[int, ...]
@@ -89,6 +92,10 @@ class IterationRecord:
             raise ValueError(
                 f"correlations must be a 1-d float array, got {corr.dtype} {corr.shape}"
             )
+        if not (corr.min(initial=0.0) >= 0.0 and corr.max(initial=0.0) < math.inf):
+            raise ValueError("correlations must be finite and nonnegative")
+        if min(self.selected, default=1) < 1 or len(set(self.selected)) < len(self.selected):
+            raise ValueError(f"picks must be distinct and >= 1, got {self.selected}")
         object.__setattr__(self, "correlations", corr)
 
 
@@ -133,9 +140,7 @@ def select_top_n(
             raise IndexError(f"excluded index {i + 1} outside 1..{n}")
     available = n - len(excluded0)
     if n_select > available:
-        raise InsufficientCandidates(
-            f"need {n_select} candidates, only {available} remain"
-        )
+        raise ValueError(f"need {n_select} candidates, only {available} remain")
     if math.isnan(c @ c):  # iff an entry is NaN, which would sort after the excluded
         raise ValueError("correlations must not be NaN")
     picks = _top_n(c, n_select, np.fromiter(excluded0, np.intp, len(excluded0)))
@@ -155,9 +160,9 @@ def _check_fits(params: GompParams, m: int, n: int) -> None:
     # The full support must stay fittable (<= m) and selectable (<= n).
     size = params.n_select * params.sparsity
     if size > m:
-        raise InvalidParams(f"n_select * sparsity = {size} exceeds the row count {m}")
+        raise ValueError(f"n_select * sparsity = {size} exceeds the row count {m}")
     if size > n:
-        raise InvalidParams(f"n_select * sparsity = {size} exceeds the {n} available columns")
+        raise ValueError(f"n_select * sparsity = {size} exceeds the {n} available columns")
 
 
 def _placed(n: int, support: list[int], coef: np.ndarray) -> np.ndarray:
@@ -182,11 +187,7 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
     it, terminated as RANK_DEFICIENT.
     """
     mat = as_sensing_matrix(a)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (mat.m,):
-        raise DimensionMismatch(f"observation has shape {y.shape}, expected ({mat.m},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation entries must be finite")
+    y = as_vector(y, mat.m, "observation")
     _check_fits(params, mat.m, mat.n)
     k_max, n_sel = params.sparsity, params.n_select
 
@@ -253,7 +254,7 @@ def gomp_stacked(
     y = np.asarray(y, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if entries.ndim != 3 or y.shape != entries.shape[:2] or eps.shape != entries.shape[:1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"expected entries (T, m, n), y (T, m) and eps (T,), "
             f"got {entries.shape}, {y.shape} and {eps.shape}"
         )
@@ -262,7 +263,7 @@ def gomp_stacked(
     if not np.all(np.isfinite(y)):
         raise ValueError("observation entries must be finite")
     if not np.all(eps >= 0.0):
-        raise InvalidParams("epsilon must be >= 0")
+        raise ValueError("epsilon must be >= 0")
     rows, m, n = entries.shape
     _check_fits(GompParams(sparsity, n_select, 0.0), m, n)
 

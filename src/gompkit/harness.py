@@ -239,7 +239,8 @@ def _run_stacked(
 
 
 def run_trial(sparsity: int, n_select: int, noisy: bool, seed: int, *, flat_signal: bool = False) -> TrialReport:
-    """One seeded trial: the one-seed stacked pass, or a report of the error it raised."""
+    """One seeded trial: the one-seed stacked pass, or a report of the numerical
+    refusal (a GompkitError or LinAlgError) it raised; bad input raises."""
     try:
         return _run_stacked(sparsity, n_select, noisy, [seed], flat_signal)[0]
     except (GompkitError, np.linalg.LinAlgError) as exc:

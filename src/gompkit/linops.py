@@ -26,7 +26,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, RankDeficient, Singular
+from .exceptions import RankDeficient, Singular
 
 # Smallest/largest singular value ratio below which a submatrix is treated
 # as rank-deficient. Matches the double-precision noise floor at the dense
@@ -59,9 +59,9 @@ class SensingMatrix:
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float, order="C")
         if arr.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d matrix, got ndim={arr.ndim}")
+            raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionMismatch(f"matrix must be at least 1x1, got {arr.shape}")
+            raise ValueError(f"matrix must be at least 1x1, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", arr)
@@ -83,6 +83,17 @@ def as_sensing_matrix(a: MatrixLike) -> SensingMatrix:
     if isinstance(a, SensingMatrix):
         return a
     return SensingMatrix(np.asarray(a, dtype=float))
+
+
+def as_vector(v: np.ndarray, m: int, name: str) -> np.ndarray:
+    """``v`` as a float vector of shape (m,); a wrong shape or a non-finite
+    entry raises ValueError, with a message that starts with ``name``."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (m,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({m},)")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} entries must be finite")
+    return v
 
 
 def _to_cols(index_set: Iterable[int], n: int) -> np.ndarray:
@@ -139,16 +150,12 @@ def least_squares(a: MatrixLike, index_set: Iterable[int], y: np.ndarray) -> np.
         orthogonal to every selected column up to roundoff.
     """
     mat = as_sensing_matrix(a)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (mat.m,):
-        raise DimensionMismatch(f"observation has shape {y.shape}, expected ({mat.m},)")
+    y = as_vector(y, mat.m, "observation")
     cols = _to_cols(index_set, mat.n)
     if cols.size == 0:
         raise ValueError("index set must be nonempty")
     if cols.size > mat.m:
-        raise DimensionMismatch(
-            f"cannot fit {cols.size} columns with only {mat.m} rows"
-        )
+        raise ValueError(f"cannot fit {cols.size} columns with only {mat.m} rows")
     return _solve_submatrix(mat.entries[:, cols], y)
 
 
@@ -159,9 +166,7 @@ def project_complement(a: MatrixLike, index_set: Iterable[int], u: np.ndarray) -
     to every selected column, and the operator is idempotent and symmetric.
     """
     mat = as_sensing_matrix(a)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mat.m,):
-        raise DimensionMismatch(f"vector has shape {u.shape}, expected ({mat.m},)")
+    u = as_vector(u, mat.m, "vector")
     cols = _to_cols(index_set, mat.n)
     if cols.size == 0:
         return u.copy()
@@ -232,7 +237,7 @@ def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] == 0:
-        raise DimensionMismatch(f"expected nonempty square matrices, got shape {m.shape}")
+        raise ValueError(f"expected nonempty square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if m.size < _CERTIFICATE_MIN_ENTRIES or not _certified_nonsingular(m):

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConditionViolated, DimensionMismatch, EmptySupport
-from .linops import MatrixLike, as_sensing_matrix
+from .linops import MatrixLike, as_sensing_matrix, as_vector
 from .rip import Condition, condition_threshold
 
 
@@ -28,7 +27,7 @@ class SparseSignal:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
-            raise DimensionMismatch("signal must be a 1-d vector")
+            raise ValueError("signal must be a 1-d vector")
         if not np.isfinite(vals).all():
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", vals)
@@ -43,13 +42,9 @@ def snr(a: MatrixLike, x: SparseSignal, v: np.ndarray) -> float:
     """Signal-to-noise ratio ||A x||^2 / ||v||^2; +inf for zero noise.
     Non-finite noise raises ValueError."""
     mat = as_sensing_matrix(a)
-    v = np.asarray(v, dtype=float)
     if x.n != mat.n:
-        raise DimensionMismatch(f"signal length {x.n} != matrix columns {mat.n}")
-    if v.shape != (mat.m,):
-        raise DimensionMismatch(f"noise has shape {v.shape}, expected ({mat.m},)")
-    if not np.isfinite(v).all():
-        raise ValueError("noise entries must be finite")
+        raise ValueError(f"signal length {x.n} != matrix columns {mat.n}")
+    v = as_vector(v, mat.m, "noise")
     noise_energy = float(v @ v)
     if noise_energy == 0.0:
         return math.inf
@@ -64,7 +59,7 @@ def mar(x: SparseSignal, sparsity: int) -> float:
     (0, 1] when the support has exactly ``sparsity`` entries.
     """
     if not x.support:
-        raise EmptySupport("MAR is undefined for an all-zero signal")
+        raise ValueError("MAR is undefined for an all-zero signal")
     if sparsity < len(x.support):
         raise ValueError(
             f"sparsity {sparsity} is below the support size {len(x.support)}"
@@ -89,9 +84,7 @@ def snr_threshold(sparsity: int, n_select: int, delta: float, mar_value: float) 
         raise ValueError(f"MAR must be positive and finite, got {mar_value}")
     limit = condition_threshold(sparsity, n_select, Condition.SHARP)
     if delta >= limit:
-        raise ConditionViolated(
-            f"delta = {delta} >= 1/sqrt(K/N + 1) = {limit}; threshold undefined"
-        )
+        raise ValueError(f"delta = {delta} >= 1/sqrt(K/N + 1) = {limit}; threshold undefined")
     ratio_root = math.sqrt(sparsity / n_select + 1.0)
     return (
         math.sqrt(2.0 * sparsity)

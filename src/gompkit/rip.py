@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    BudgetExceeded,
-    DimensionError,
-    NonPositiveDiagonal,
-    OrderMismatch,
-)
+from .exceptions import BudgetExceeded
 from .linops import MatrixLike, as_sensing_matrix
 
 ENUMERATION_BUDGET = 1_000_000
@@ -235,7 +230,7 @@ def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) ->
     """
     mat = as_sensing_matrix(a)
     if order < 1 or order > mat.n:
-        raise DimensionError(f"order must lie in 1..{mat.n}, got {order}")
+        raise ValueError(f"order must lie in 1..{mat.n}, got {order}")
     total = math.comb(mat.n, order)
     if total > budget:
         raise BudgetExceeded(
@@ -313,11 +308,11 @@ def du_ric_bound(d: np.ndarray) -> RicEstimate:
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.size < 1:
-        raise DimensionError("expected a nonempty 1-d vector of diagonal entries")
+        raise ValueError("expected a nonempty 1-d vector of diagonal entries")
     if not np.isfinite(d).all():
         raise ValueError("diagonal entries must be finite")
     if np.any(d <= 0.0):
-        raise NonPositiveDiagonal("diagonal entries must be strictly positive")
+        raise ValueError("diagonal entries must be strictly positive")
     sq = d * d
     value = max(float(1.0 - sq.min()), float(sq.max() - 1.0))
     return RicEstimate(order=d.size, value=value, kind=RicKind.ANALYTIC_DU)
@@ -360,7 +355,6 @@ def condition_threshold(sparsity: int, n_select: int, which: Condition | str = C
         return 1.0 / (root + 1.0)
     if which is Condition.SHEN2014:
         return 1.0 / (root + 1.27)
-    raise ValueError(f"unknown condition {which!r}")
 
 
 def check_recovery_condition(delta: RicEstimate, sparsity: int, n_select: int) -> bool:
@@ -373,7 +367,5 @@ def check_recovery_condition(delta: RicEstimate, sparsity: int, n_select: int) -
     """
     required = n_select * sparsity + 1
     if delta.kind is RicKind.EXACT_ENUMERATION and delta.order < required:
-        raise OrderMismatch(
-            f"estimate of order {delta.order} cannot certify order {required}"
-        )
+        raise ValueError(f"estimate of order {delta.order} cannot certify order {required}")
     return delta.value < condition_threshold(sparsity, n_select, Condition.SHARP)

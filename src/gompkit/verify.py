@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotNoiseFree
 from .greedy import RecoveryTrace, select_top_n
 from .linops import (
     MatrixLike,
@@ -219,6 +218,21 @@ def lemma4_min_slack(instances: Iterable[LemmaInstance]) -> tuple[int, float, in
     return failed, min_slack, argmin
 
 
+def _check_trace(trace: RecoveryTrace, n: int) -> None:
+    """Refuse, with ValueError, a trace that does not fit a length-n signal:
+    a record with other than n correlations, a pick above n, or a pick
+    repeated across records (``IterationRecord`` checks within a record)."""
+    seen: set[int] = set()
+    for record in trace.iterations:
+        if record.correlations.size != n:
+            raise ValueError(f"record has {record.correlations.size} correlations, expected {n}")
+        if max(record.selected, default=1) > n:
+            raise ValueError(f"pick {max(record.selected)} outside 1..{n}")
+        if seen.intersection(record.selected):
+            raise ValueError(f"picks {sorted(seen.intersection(record.selected))} repeat")
+        seen.update(record.selected)
+
+
 def verify_stopping(
     a: MatrixLike,
     x: SparseSignal,
@@ -230,11 +244,13 @@ def verify_stopping(
 
     If the run ended with a residual at the noise floor and had collected
     at least one correct index per iteration performed, the full support
-    must be inside the final selection. Vacuously true otherwise.
+    must be inside the final selection. Vacuously true otherwise. A trace
+    that does not fit ``x`` raises ValueError.
     """
     if noise is not None and float(np.linalg.norm(noise)) > 0.0:
-        raise NotNoiseFree("stopping property applies to noise-free instances only")
+        raise ValueError("stopping property applies to noise-free instances only")
     mat = as_sensing_matrix(a)
+    _check_trace(trace, x.n)
     k0 = len(trace.iterations)
     if k0 == 0:
         return True
@@ -261,9 +277,11 @@ def verify_selection_condition(
     the ``n_select`` largest off-support ones -- the condition under which
     an iteration is guaranteed to pick at least one support index. ``v``
     is the noise vector of the instance the trace came from (the check
-    itself reads only the recorded correlations).
+    itself reads only the recorded correlations). A trace that does not fit
+    ``x`` raises ValueError.
     """
     mat = as_sensing_matrix(a)
+    _check_trace(trace, x.n)
     omega = x.support
     on = np.asarray(sorted(omega)) - 1
     prior: set[int] = set()

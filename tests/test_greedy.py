@@ -5,8 +5,6 @@ import pytest
 
 from gompkit import (
     GompParams,
-    InsufficientCandidates,
-    InvalidParams,
     RankDeficient,
     Termination,
     gen_instance,
@@ -28,7 +26,7 @@ class TestSelectTopN:
         assert select_top_n(np.array([0.9, 0.0, 0.2]), 2, excluded={1}) == [3, 2]
 
     def test_insufficient_candidates(self):
-        with pytest.raises(InsufficientCandidates):
+        with pytest.raises(ValueError, match="^need 2 candidates, only 1 remain$"):
             select_top_n(np.array([1.0, 2.0]), 2, excluded={1})
 
     def test_matches_lexsort_reference(self):
@@ -55,16 +53,21 @@ def lexsort_top_n(c, n_select, excluded):
 
 
 class TestGompParams:
-    @pytest.mark.parametrize("bad", [dict(sparsity=0, n_select=1, epsilon=0.0),
-                                     dict(sparsity=1, n_select=0, epsilon=0.0),
-                                     dict(sparsity=1, n_select=1, epsilon=-1.0)])
-    def test_rejects_invalid(self, bad):
-        with pytest.raises(InvalidParams):
+    @pytest.mark.parametrize("bad,message", [
+        pytest.param(dict(sparsity=0, n_select=1, epsilon=0.0), "sparsity must be >= 1, got 0",
+                     id="bad0"),
+        pytest.param(dict(sparsity=1, n_select=0, epsilon=0.0), "n_select must be >= 1, got 0",
+                     id="bad1"),
+        pytest.param(dict(sparsity=1, n_select=1, epsilon=-1.0), "epsilon must be >= 0, got -1.0",
+                     id="bad2"),
+    ])
+    def test_rejects_invalid(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             GompParams(**bad)
 
     def test_run_rejects_oversized_support(self):
         a = np.eye(4)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValueError, match=r"^n_select \* sparsity = 6 exceeds the row count 4$"):
             gomp_run(a, np.ones(4), GompParams(sparsity=3, n_select=2, epsilon=0.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -311,7 +314,7 @@ class TestStackedKernel:
 
     def test_rejects_bad_input(self):
         entries, y, eps = stacked_problems(2, 1, True, range(2))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValueError, match=r"^n_select \* sparsity = 6 exceeds the row count 3$"):
             gomp_stacked(entries, y, eps, 3, 2)
         with pytest.raises(ValueError, match="finite"):
             gomp_stacked(entries, np.where(y > 0, np.nan, y), eps, 2, 1)

@@ -1,10 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from gompkit import (
-    DimensionMismatch,
     RankDeficient,
     SensingMatrix,
     Singular,
@@ -70,12 +70,18 @@ class TestLeastSquares:
             least_squares(a, {1, 2}, np.arange(4.0))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"^observation has shape \(4,\), expected \(3,\)$"):
             least_squares(np.eye(3), {1}, np.ones(4))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             least_squares(np.eye(3), set(), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        # once returned [nan] for a NaN entry outside the fitted column
+        with pytest.raises(ValueError, match="^observation entries must be finite$"):
+            least_squares(np.eye(3), [1], np.array([bad, 0.0, 0.0]))
 
 
 def unstacked_solve(a_s, y):
@@ -165,6 +171,17 @@ class TestProjectComplement:
             u = rng.standard_normal(9)
             assert np.linalg.norm(project_complement(a, {1, 4}, u)) <= np.linalg.norm(u) + 1e-14
 
+    @pytest.mark.parametrize("index_set", [set(), {1}])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad, index_set):
+        # once returned NaNs for an infinite entry
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            project_complement(np.eye(3), index_set, np.array([bad, 0.0, 0.0]))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^vector has shape \(2,\), expected \(3,\)$"):
+            project_complement(np.eye(3), {1}, np.ones(2))
+
 
 class TestOrthogonalFactor:
     def test_identity(self):
@@ -204,7 +221,8 @@ class TestOrthogonalFactor:
 
     @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), (0, 0)])
     def test_non_square_or_empty_rejected(self, shape):
-        with pytest.raises(DimensionMismatch):
+        message = f"expected nonempty square matrices, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             orthogonal_factor(np.ones(shape))
 
 
@@ -340,9 +358,9 @@ class TestSensingMatrix:
             SensingMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="^expected a 2-d matrix, got ndim=1$"):
             SensingMatrix(np.ones(3))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"^matrix must be at least 1x1, got \(0, 2\)$"):
             SensingMatrix(np.ones((0, 2)))
 
     def test_out_of_range_indices(self):

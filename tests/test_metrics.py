@@ -1,11 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gompkit import (
-    ConditionViolated,
-    EmptySupport,
     SparseSignal,
     gen_instance,
     mar,
@@ -73,7 +72,7 @@ class TestMar:
         assert abs(mar(x, 2) - 0.4) <= 1e-15
 
     def test_empty_support_rejected(self):
-        with pytest.raises(EmptySupport):
+        with pytest.raises(ValueError, match="^MAR is undefined for an all-zero signal$"):
             mar(SparseSignal(np.zeros(3)), 2)
 
     def test_sparsity_below_support_rejected(self):
@@ -119,10 +118,10 @@ class TestSnrThreshold:
 
     def test_rejects_delta_at_or_past_limit(self):
         limit = 1.0 / math.sqrt(5.0)
-        with pytest.raises(ConditionViolated):
-            snr_threshold(4, 1, limit, 1.0)
-        with pytest.raises(ConditionViolated):
-            snr_threshold(4, 1, 0.9, 1.0)
+        for delta in (limit, 0.9):
+            message = f"delta = {delta} >= 1/sqrt(K/N + 1) = {limit}; threshold undefined"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                snr_threshold(4, 1, delta, 1.0)
         with pytest.raises(ValueError):
             snr_threshold(2, 1, math.nan, 0.5)
 

@@ -8,7 +8,6 @@ from gompkit import (
     GompParams,
     IterationRecord,
     LemmaInstance,
-    NotNoiseFree,
     RecoveryTrace,
     SensingMatrix,
     SparseSignal,
@@ -299,7 +298,8 @@ class TestStopping:
 
     def test_noisy_instance_rejected(self):
         inst, trace = run_generated(2, 2, True, 1234)
-        with pytest.raises(NotNoiseFree):
+        message = "stopping property applies to noise-free instances only"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             verify_stopping(inst.matrix, inst.signal, trace, noise=inst.noise)
 
 
@@ -358,6 +358,39 @@ class TestSelectionCondition:
     def test_malformed_correlations_rejected(self, bad):
         with pytest.raises(ValueError, match="1-d float array"):
             IterationRecord(selected=(1,), residual_norm=0.0, correlations=bad)
+
+    @pytest.mark.parametrize("correlations", [[-5.0, 0.1, 0.0], [np.nan, 0.0, 0.0],
+                                              [0.0, np.inf, 0.0]])
+    def test_negative_or_non_finite_correlations_rejected(self, correlations):
+        # [-5, 0.1, 0] with support {1} was once judged failing, though |-5| > 0.1
+        with pytest.raises(ValueError, match="^correlations must be finite and nonnegative$"):
+            IterationRecord(selected=(1,), residual_norm=0.0, correlations=np.array(correlations))
+
+    @pytest.mark.parametrize("selected", [(0,), (2, 2), (-1, 3)])
+    def test_bad_picks_rejected(self, selected):
+        with pytest.raises(ValueError, match="^picks must be distinct and >= 1, got "):
+            IterationRecord(selected=selected, residual_norm=0.0, correlations=np.zeros(3))
+
+    @pytest.mark.parametrize("records,message", [
+        # the one-record trace that once passed both verifiers, claiming a column 5 of eye(3)
+        pytest.param([((5,), [0.0, 0.0, 0.1, 0.0, 0.05])], "record has 5 correlations, expected 3",
+                     id="correlation-length"),
+        pytest.param([((5,), [0.0, 0.0, 0.1])], "pick 5 outside 1..3", id="pick-above-n"),
+        pytest.param([((3,), [0.0, 0.0, 0.1]), ((3,), [0.0, 0.0, 0.1])], r"picks \[3\] repeat",
+                     id="pick-repeated"),
+    ])
+    def test_traces_that_do_not_fit_the_signal_rejected(self, records, message):
+        a = np.eye(3)
+        x = SparseSignal(np.array([0.0, 0.0, 1.0]))
+        trace = RecoveryTrace(
+            [IterationRecord(picks, 0.0, np.array(corr)) for picks, corr in records],
+            np.zeros(3),
+            Termination.RESIDUAL_BELOW_EPSILON,
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_selection_condition(a, x, np.zeros(3), trace, 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_stopping(a, x, trace)
 
     def test_failing_later_iteration_rejected(self):
         # iteration 1 picks support index 1 and passes; iteration 2 is
