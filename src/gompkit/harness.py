@@ -422,7 +422,10 @@ def load_matrix(path: str | Path) -> np.ndarray:
         if "matrix" not in doc:
             raise ValueError(f"{path}: no 'matrix' field in JSON document")
         doc = doc["matrix"]
-    arr = np.asarray(doc, dtype=float)
+    try:
+        arr = np.asarray(doc, dtype=float)
+    except TypeError as exc:  # a non-numeric entry such as {}
+        raise ValueError(f"{path}: {exc}") from exc
     if arr.ndim != 2:
         raise ValueError(f"{path}: expected a 2-d array, got ndim={arr.ndim}")
     return arr

@@ -417,6 +417,14 @@ class TestCli:
         status, _ = call_cli(capsys, "ric", "--matrix", str(path), "--order", "6", "--budget", "2")
         assert status != 0
 
+    def test_ric_rejects_non_numeric_matrix(self, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        path.write_text("[[{}, 1], [0, 1]]")
+        assert cli.main(["ric", "--matrix", str(path), "--order", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: float() argument must be")
+
     def test_run_csv_deterministic(self):
         args = ("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
                 "--trials", "5", "--seed", "17", "--format", "csv")
