@@ -229,28 +229,55 @@ class TestScreenedEnumeration:
     def test_screen_prunes_across_ramped_chunks(self, monkeypatch):
         # C(16, 5) = 4368 supports: chunks of 64 (unscreened), 128, 256, ...
         _, a = du_matrix(np.random.default_rng(59), 16, 0.6)
-        stage1, screened, stage2, reached = [], [], [], []
-        trace_bound, screen, inside_band = rip._trace_bound, rip._screen, rip._inside_band
+        stage1, stage2, reached = [], [], []
+        trace_bound, inside_band = rip._trace_bound, rip._inside_band
         eigvalsh = np.linalg.eigvalsh
 
-        def spy_screen(lower, low, high):
-            outside = screen(lower, low, high)
-            screened.append((lower.shape[1], int(outside.sum())))
-            return outside
+        def spy_inside_band(lower, shift):
+            inside = inside_band(lower, shift)
+            stage2.append((lower.shape[1], int(np.count_nonzero(~inside))))
+            return inside
 
         monkeypatch.setattr(rip, "_trace_bound", lambda lower, low, high: stage1.append(lower.shape[1]) or trace_bound(lower, low, high))
-        monkeypatch.setattr(rip, "_screen", spy_screen)
-        monkeypatch.setattr(rip, "_inside_band", lambda lower, shift: stage2.append(lower.shape[1]) or inside_band(lower, shift))
+        monkeypatch.setattr(rip, "_inside_band", spy_inside_band)
         expected = unscreened_ric(a, 5)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: reached.append(len(x)) or eigvalsh(x))
         assert exact_ric(a, 5).value == expected
         total = math.comb(16, 5) - 64
-        assert stage1[:3] == [128, 256, 512]
-        assert stage1 == [b for b, _ in screened] and sum(stage1) == total
-        assert sum(stage2) <= 2 * total
-        # the first chunk plus the supports the screen left open reach eigvalsh
-        assert reached[0] == 64 and sum(reached) == 64 + sum(kept for _, kept in screened)
-        assert sum(kept for _, kept in screened) < 0.1 * total
+        assert stage1[:3] == [128, 256, 512] and sum(stage1) == total
+        # LDL^T runs once per flush of the queue of open sides: at _MAX_CHUNK
+        # queued sides, and on what is left at the last chunk
+        assert len(stage2) >= 2
+        assert all(sides >= rip._MAX_CHUNK for sides, _ in stage2[:-1])
+        assert sum(sides for sides, _ in stage2) <= 2 * total
+        # the first chunk, then exactly the supports of the sides that failed
+        failed = sum(fails for _, fails in stage2)
+        assert reached[0] == 64 and sum(reached) == 64 + failed
+        assert failed < 0.1 * total
+
+    def test_queue_flushes_mid_enumeration_and_at_the_end(self, monkeypatch):
+        # C(20, 5) = 15504 supports: two full flushes before the last chunk,
+        # and a partial one at it
+        _, a = du_matrix(np.random.default_rng(7), 20, 0.6)
+        expected = unscreened_ric(a, 5)
+        events = []
+        trace_bound, inside_band = rip._trace_bound, rip._inside_band
+        monkeypatch.setattr(rip, "_trace_bound", lambda lower, low, high: events.append(("stage1", lower.shape[1])) or trace_bound(lower, low, high))
+        monkeypatch.setattr(rip, "_inside_band", lambda lower, shift: events.append(("ldl", lower.shape[1])) or inside_band(lower, shift))
+        value = exact_ric(a, 5).value
+        assert value == expected
+        last_stage1 = max(i for i, (stage, _) in enumerate(events) if stage == "stage1")
+        mid = [sides for stage, sides in events[:last_stage1] if stage == "ldl"]
+        assert len(mid) >= 2 and all(sides >= rip._MAX_CHUNK for sides in mid)
+        assert events[last_stage1 + 1:] == [events[-1]]
+        assert events[-1][0] == "ldl" and 0 < events[-1][1] < rip._MAX_CHUNK
+        chunks, start, size = 0, 0, 64
+        while start < math.comb(20, 5):
+            chunks, start, size = chunks + 1, start + size, min(2 * size, 2048)
+        running = list(rip._running_ric(a, 5))
+        assert len(running) == chunks
+        assert all(lo <= hi <= value for lo, hi in zip(running, running[1:]))
+        assert running[-1] == value
 
     def test_support_table_is_lexicographic_combinations(self):
         for n in range(1, 13):
@@ -282,16 +309,30 @@ class TestScreenedEnumeration:
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
-    def test_only_tables_up_to_max_chunk_rows_are_cached(self, monkeypatch):
+    def test_large_tables_are_kept_read_only_in_two_entries(self, monkeypatch):
         builds = []
         build = rip._support_table
         monkeypatch.setattr(rip, "_support_table", lambda n, k: builds.append((n, k)) or build(n, k))
+        rip._large_support_tables.cache_clear()
         a = np.random.default_rng(67).standard_normal((16, 16))
-        for _ in range(2):
+        for _ in range(3):
             exact_ric(a, 5)  # C(16, 5) = 4368 rows
             exact_ric(a, 3)  # C(16, 3) = 560 rows
-        assert builds.count((16, 5)) == 2
+        assert builds.count((16, 5)) == 1
         assert builds.count((16, 3)) <= 1
+        table = rip._cached_support_table(16, 5)
+        assert rip._cached_support_table(16, 5) is table
+        assert table.tolist() == build(16, 5).tolist()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        # a third large (n, k) evicts the least recently used table
+        exact_ric(a, 6)  # C(16, 6) = 8008 rows
+        exact_ric(a, 7)  # C(16, 7) = 11440 rows
+        assert rip._large_support_tables.cache_info().currsize == 2
+        exact_ric(a, 5)
+        assert builds.count((16, 5)) == 2
+        assert [b for b in builds if b != (16, 3)] == [(16, 5), (16, 6), (16, 7), (16, 5)]
 
     def test_budget_checked_before_table(self, monkeypatch):
         def refuse(n, k):
@@ -533,7 +574,10 @@ class TestTwoStageScreen:
         deviation = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
         for quantile in (0.1, 0.5, 0.9):
             w = float(np.quantile(deviation, quantile))
-            outside = rip._screen(lower_triangles(stack), 1.0 - w, 1.0 + w)
+            # each support's column is its index, so _screen returns the failing ones
+            batch = np.arange(cols.shape[1])[None]
+            outside = np.zeros(cols.shape[1], dtype=bool)
+            outside[rip._screen([rip._open_sides(lower_triangles(stack), batch, 1.0 - w, 1.0 + w)])] = True
             assert not np.any(outside & reference_inside_band(stack, 1.0 - w, 1.0 + w))
             assert np.all(outside | (deviation < w))
             assert outside.any() and not outside.all()
