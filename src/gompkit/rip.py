@@ -24,9 +24,10 @@ from .linops import MatrixLike, as_sensing_matrix
 ENUMERATION_BUDGET = 1_000_000
 # Supports per enumeration chunk: the first chunk has _FIRST_CHUNK and
 # seeds the running worst deviation unscreened; later ones double up to
-# _MAX_CHUNK.
+# _MAX_CHUNK, which spreads the screen's fixed cost of about a hundred numpy
+# calls per chunk over thousands of supports.
 _FIRST_CHUNK = 64
-_MAX_CHUNK = 2_048
+_MAX_CHUNK = 4_096
 # Margin of the screen, times k^3 max(1, max|G|) at order k: a few hundred
 # times the worst-case backward error of the order-k LDL^T pivots (about
 # 8 k^3 eps max(1, max|G|)) and of eigvalsh. The trace bound carries its own
@@ -101,10 +102,10 @@ def _cached_support_table(n: int, k: int) -> np.ndarray:
 
     A table of at most _MAX_CHUNK rows costs more to build than the
     ``eigvalsh`` on its first chunk; an LRU cache keeps 128 of them, which
-    hold at most 3.4 MB with k <= 13 columns. A larger table costs
-    milliseconds to build; an LRU cache keeps the two used last, enough for
-    a caller that alternates two large (n, k). Each is the table its
-    enumeration needs anyway, C(n, k) rows of k entries of
+    hold at most 128 x 4,096 x k bytes, 6.8 MB with k <= 13 columns. A
+    larger table costs milliseconds to build; an LRU cache keeps the two
+    used last, enough for a caller that alternates two large (n, k). Each
+    is the table its enumeration needs anyway, C(n, k) rows of k entries of
     ``np.min_scalar_type(n)``: within the default budget and n <= 255 at
     most k MB, so the two hold at most 16 MB at orders up to 8.
     """
@@ -214,31 +215,20 @@ def _inside_band(lower: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _open_sides(
-    lower: np.ndarray, cols: np.ndarray, low: float, high: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage 1 of the screen on a batch, and what it leaves to stage 2.
+def _screen(lower: np.ndarray, cols: np.ndarray, low: float, high: float) -> np.ndarray:
+    """The columns of ``cols`` (one support each, laid out as ``lower``)
+    whose matrices the screen cannot place inside (low, high).
 
-    ``_trace_bound`` settles each side of most matrices. The sides it left
-    open come back as one stack [G_low | -G_high] in the layout of
-    ``_inside_band``, with shifts low and -high and each side's column of
-    ``cols`` (the support it belongs to).
+    Stage 1, ``_trace_bound``, settles each side of most matrices; stage 2,
+    ``_inside_band``, runs LDL^T once on the sides stage 1 left open, as one
+    stack [G_low | -G_high] with shifts low and -high. A support whose two
+    sides both fail comes back twice, which cannot change a maximum.
     """
     low_open, high_open = _trace_bound(lower, low, high)
     lows, highs = np.flatnonzero(low_open), np.flatnonzero(high_open)
     sides = np.concatenate((lower.take(lows, axis=1), -lower.take(highs, axis=1)), axis=1)
-    shift = np.repeat((low, -high), (lows.size, highs.size))
-    return sides, shift, cols.take(np.concatenate((lows, highs)), axis=1)
-
-
-def _screen(queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Stage 2 of the screen on a queue of ``_open_sides`` results: one
-    ``_inside_band`` call on all their sides, returning the columns of the
-    sides it cannot place inside their band. A support whose two sides both
-    fail comes back twice, which cannot change a maximum.
-    """
-    sides, shift, cols = (np.concatenate(part, axis=-1) for part in zip(*queue))
-    return cols[:, ~_inside_band(sides, shift)]
+    inside = _inside_band(sides, np.repeat((low, -high), (lows.size, highs.size)))
+    return cols.take(np.concatenate((lows, highs))[~inside], axis=1)
 
 
 def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) -> Iterator[float]:
@@ -246,11 +236,10 @@ def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) ->
 
     The order and budget checks run now, with ``exact_ric``'s exceptions;
     the returned generator builds nothing until it is first advanced. It
-    yields the running worst deviation w after each chunk: the maximum over
-    the supports decided so far. Sides still waiting in the LDL^T queue are
-    not counted until their batch runs, at the latest at the last chunk. So
-    the values never decrease, start at or above 0.0, never exceed the
-    constant, and the last one is ``exact_ric``'s value.
+    yields the running worst deviation w after each chunk: the constant over
+    every support enumerated so far, bit for bit what ``eigvalsh`` on all of
+    them would give, floored at 0.0. So the values never decrease, and the
+    last one is ``exact_ric``'s value.
     """
     mat = as_sensing_matrix(a)
     if order < 1 or order > mat.n:
@@ -270,11 +259,6 @@ def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
     flat = gram.ravel()
     table = _cached_support_table(n, order)
     worst = 0.0
-    # Open sides, with the shifts _open_sides gave them, wait for LDL^T until
-    # the queue holds _MAX_CHUNK of them or the last chunk is screened. w
-    # changes only when supports reach eigvalsh, after the queue is emptied,
-    # so every queued shift is the band of the current w.
-    queue, queued = [], 0
     start, size = 0, _FIRST_CHUNK
     while start < total:
         cols = np.ascontiguousarray(table[start:start + size].T, dtype=np.intp)
@@ -282,12 +266,7 @@ def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
         if worst > tau:  # the band is empty while w <= tau, as on the first chunk
             rows, columns = _lower_pairs(order)
             lower = flat.take((cols * n)[rows] + cols[columns])
-            queue.append(_open_sides(lower, cols, 1.0 - worst + tau, 1.0 + worst - tau))
-            queued += queue[-1][1].size
-            cols = cols[:, :0]
-            if queued >= _MAX_CHUNK or (queued and start >= total):
-                cols = _screen(queue)
-                queue, queued = [], 0
+            cols = _screen(lower, cols, 1.0 - worst + tau, 1.0 + worst - tau)
         if cols.shape[1]:
             sets = cols.T
             eigs = np.linalg.eigvalsh(flat.take(sets[:, :, None] * n + sets[:, None, :]))
@@ -311,16 +290,12 @@ def exact_ric(a: MatrixLike, order: int, *, budget: int = ENUMERATION_BUDGET) ->
     running worst deviation w. In every later chunk, a support is skipped
     when the screen places every eigenvalue of G_S = A_S^T A_S inside the
     band (1 - w + tau, 1 + w - tau), tau = 1e-12 k^3 max(1, max|G|). The
-    screen has two stages. Stage 1, the trace bound of ``_trace_bound``,
-    runs on each chunk as it comes and settles each side of the band from
+    screen has two stages, both run on each chunk as it comes. Stage 1, the
+    trace bound of ``_trace_bound``, settles each side of the band from
     tr(G_S) and ||G_S||_F^2 alone, with a rounding allowance under which a
-    certified side has every true eigenvalue strictly inside the band. The
-    sides it leaves open go into a queue. Stage 2, the LDL^T definiteness
-    test of ``_inside_band``, runs on the whole queue as one batch once it
-    holds _MAX_CHUNK sides, and on what is left at the last chunk, so it
-    pays its fixed cost of about a hundred numpy operations a few times per
-    call instead of once per chunk. While sides wait, no support reaches
-    ``eigvalsh``, so w and the band do not move. The LDL^T backward error
+    certified side has every true eigenvalue strictly inside the band.
+    Stage 2, the LDL^T definiteness test of ``_inside_band``, runs once per
+    chunk on the sides stage 1 left open. The LDL^T backward error
     (O(k^3 eps max(1, max|G|)), since ||G_S|| and w are at most
     k max|G| + 1) is far below tau/2. Either way, every true eigenvalue of
     a skipped G_S lies inside (1 - w + tau/2, 1 + w - tau/2). ``eigvalsh``

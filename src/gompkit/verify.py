@@ -27,6 +27,7 @@ from .linops import (
     MatrixLike,
     SensingMatrix,
     as_sensing_matrix,
+    as_vector,
     draw_du,
     du_entries,
     project_complement,
@@ -245,11 +246,12 @@ def verify_stopping(
     If the run ended with a residual at the noise floor and had collected
     at least one correct index per iteration performed, the full support
     must be inside the final selection. Vacuously true otherwise. A trace
-    that does not fit ``x`` raises ValueError.
+    that does not fit ``x``, or a ``noise`` that is not a finite length-m
+    vector, raises ValueError.
     """
-    if noise is not None and float(np.linalg.norm(noise)) > 0.0:
-        raise ValueError("stopping property applies to noise-free instances only")
     mat = as_sensing_matrix(a)
+    if noise is not None and as_vector(noise, mat.m, "noise").any():
+        raise ValueError("stopping property applies to noise-free instances only")
     _check_trace(trace, x.n)
     k0 = len(trace.iterations)
     if k0 == 0:

@@ -34,14 +34,20 @@ def brute_force_ric(a, order):
     return worst
 
 
-def unscreened_ric(a, order):
+def unscreened_prefix_rics(a, order, ends):
     """Full enumeration without the screen: eigvalsh on every support in
-    one batch, gathered from the same a.T @ a as ``exact_ric``."""
+    one batch, gathered from the same a.T @ a as ``exact_ric``; for each
+    end, the constant over the first ``end`` supports."""
     a = np.asarray(a, dtype=float)
     gram = a.T @ a
     sets = np.array(list(combinations(range(a.shape[1]), order)))
     eigs = np.linalg.eigvalsh(gram[sets[:, :, None], sets[:, None, :]])
-    return max(0.0, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
+    return [max(0.0, float(np.max(eigs[:end]) - 1.0), float(1.0 - np.min(eigs[:end]))) for end in ends]
+
+
+def unscreened_ric(a, order):
+    """The constant over every support, by ``unscreened_prefix_rics``."""
+    return unscreened_prefix_rics(a, order, [math.comb(np.shape(a)[1], order)])[0]
 
 
 def reference_above(stack, shift):
@@ -208,6 +214,40 @@ def classification_grams(k):
     return (grams + grams.transpose(0, 2, 1)) / 2.0, out
 
 
+def chunk_ends(total):
+    """Where each chunk of a C(n, k) = ``total`` enumeration ends: the first
+    has rip._FIRST_CHUNK supports, later ones double up to rip._MAX_CHUNK."""
+    ends, size = [0], rip._FIRST_CHUNK
+    while ends[-1] < total:
+        ends.append(min(ends[-1] + size, total))
+        size = min(2 * size, rip._MAX_CHUNK)
+    return ends[1:]
+
+
+def spy_screen(monkeypatch):
+    """Record the screen's calls in order: ("stage1", batch, open sides),
+    ("ldl", sides, failed sides) and ("eigvalsh", matrices)."""
+    events = []
+    trace_bound, inside_band = rip._trace_bound, rip._inside_band
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy_trace_bound(lower, low, high):
+        low_open, high_open = trace_bound(lower, low, high)
+        opened = int(np.count_nonzero(low_open) + np.count_nonzero(high_open))
+        events.append(("stage1", lower.shape[1], opened))
+        return low_open, high_open
+
+    def spy_inside_band(lower, shift):
+        inside = inside_band(lower, shift)
+        events.append(("ldl", lower.shape[1], int(np.count_nonzero(~inside))))
+        return inside
+
+    monkeypatch.setattr(rip, "_trace_bound", spy_trace_bound)
+    monkeypatch.setattr(rip, "_inside_band", spy_inside_band)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: events.append(("eigvalsh", len(x))) or eigvalsh(x))
+    return events
+
+
 class TestScreenedEnumeration:
     @pytest.mark.parametrize("a,orders", _screen_cases())
     def test_equals_unscreened_bit_for_bit(self, a, orders):
@@ -217,67 +257,62 @@ class TestScreenedEnumeration:
     @pytest.mark.parametrize("a,orders", _screen_cases())
     def test_running_values_rise_to_the_constant(self, a, orders):
         for order in orders:
-            chunks, start, size = 0, 0, 64
-            while start < math.comb(a.shape[1], order):
-                chunks, start, size = chunks + 1, start + size, min(2 * size, 2048)
+            ends = chunk_ends(math.comb(a.shape[1], order))
             running = list(rip._running_ric(a, order))
-            assert len(running) == chunks
-            assert running[0] >= 0.0
-            assert all(lo <= hi for lo, hi in zip(running, running[1:]))
+            # value i is the unscreened constant over the supports of chunks 0..i
+            assert running == unscreened_prefix_rics(a, order, ends)
             assert running[-1] == exact_ric(a, order).value
 
     def test_screen_prunes_across_ramped_chunks(self, monkeypatch):
         # C(16, 5) = 4368 supports: chunks of 64 (unscreened), 128, 256, ...
         _, a = du_matrix(np.random.default_rng(59), 16, 0.6)
-        stage1, stage2, reached = [], [], []
-        trace_bound, inside_band = rip._trace_bound, rip._inside_band
-        eigvalsh = np.linalg.eigvalsh
-
-        def spy_inside_band(lower, shift):
-            inside = inside_band(lower, shift)
-            stage2.append((lower.shape[1], int(np.count_nonzero(~inside))))
-            return inside
-
-        monkeypatch.setattr(rip, "_trace_bound", lambda lower, low, high: stage1.append(lower.shape[1]) or trace_bound(lower, low, high))
-        monkeypatch.setattr(rip, "_inside_band", spy_inside_band)
         expected = unscreened_ric(a, 5)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: reached.append(len(x)) or eigvalsh(x))
+        events = spy_screen(monkeypatch)
         assert exact_ric(a, 5).value == expected
         total = math.comb(16, 5) - 64
+        stage1 = [event[1] for event in events if event[0] == "stage1"]
         assert stage1[:3] == [128, 256, 512] and sum(stage1) == total
-        # LDL^T runs once per flush of the queue of open sides: at _MAX_CHUNK
-        # queued sides, and on what is left at the last chunk
-        assert len(stage2) >= 2
-        assert all(sides >= rip._MAX_CHUNK for sides, _ in stage2[:-1])
-        assert sum(sides for sides, _ in stage2) <= 2 * total
-        # the first chunk, then exactly the supports of the sides that failed
-        failed = sum(fails for _, fails in stage2)
-        assert reached[0] == 64 and sum(reached) == 64 + failed
+        # the first chunk goes to eigvalsh unscreened; then each chunk runs
+        # stage 1, LDL^T on exactly the sides stage 1 left open (so at most
+        # twice the chunk), and eigvalsh on exactly the sides that failed
+        assert events[0] == ("eigvalsh", 64)
+        failed, rest = 0, events[1:]
+        for size in stage1:
+            (_, chunk, opened), (stage, sides, fails), *rest = rest
+            assert chunk == size and stage == "ldl" and sides == opened <= 2 * size
+            if fails:
+                assert rest[0] == ("eigvalsh", fails)
+                rest = rest[1:]
+            failed += fails
+        assert rest == []
         assert failed < 0.1 * total
 
-    def test_queue_flushes_mid_enumeration_and_at_the_end(self, monkeypatch):
-        # C(20, 5) = 15504 supports: two full flushes before the last chunk,
-        # and a partial one at it
+    def test_each_chunk_is_screened_once_as_it_comes(self, monkeypatch):
+        # C(20, 5) = 15504 supports: chunks ramp 64, 128, ... up to _MAX_CHUNK
         _, a = du_matrix(np.random.default_rng(7), 20, 0.6)
         expected = unscreened_ric(a, 5)
-        events = []
-        trace_bound, inside_band = rip._trace_bound, rip._inside_band
-        monkeypatch.setattr(rip, "_trace_bound", lambda lower, low, high: events.append(("stage1", lower.shape[1])) or trace_bound(lower, low, high))
-        monkeypatch.setattr(rip, "_inside_band", lambda lower, shift: events.append(("ldl", lower.shape[1])) or inside_band(lower, shift))
-        value = exact_ric(a, 5).value
-        assert value == expected
-        last_stage1 = max(i for i, (stage, _) in enumerate(events) if stage == "stage1")
-        mid = [sides for stage, sides in events[:last_stage1] if stage == "ldl"]
-        assert len(mid) >= 2 and all(sides >= rip._MAX_CHUNK for sides in mid)
-        assert events[last_stage1 + 1:] == [events[-1]]
-        assert events[-1][0] == "ldl" and 0 < events[-1][1] < rip._MAX_CHUNK
-        chunks, start, size = 0, 0, 64
-        while start < math.comb(20, 5):
-            chunks, start, size = chunks + 1, start + size, min(2 * size, 2048)
-        running = list(rip._running_ric(a, 5))
-        assert len(running) == chunks
-        assert all(lo <= hi <= value for lo, hi in zip(running, running[1:]))
-        assert running[-1] == value
+        ends = chunk_ends(math.comb(20, 5))
+        sizes = np.diff([0, *ends]).tolist()
+        assert sizes[:2] == [rip._FIRST_CHUNK, 2 * rip._FIRST_CHUNK]
+        assert sizes.count(rip._MAX_CHUNK) >= 2 and max(sizes) == rip._MAX_CHUNK
+        events = spy_screen(monkeypatch)
+        running = []
+        for value in rip._running_ric(a, 5):
+            events.append(("yield", value))
+            running.append(value)
+        assert running[-1] == expected
+        chunks = [[]]
+        for event in events:
+            chunks[-1].append(event[0])
+            if event[0] == "yield":
+                chunks.append([])
+        assert chunks.pop() == [] and len(chunks) == len(sizes)
+        assert chunks[0] == ["eigvalsh", "yield"]
+        # every later chunk: one stage-1 call and one LDL^T call, before its yield
+        for chunk in chunks[1:]:
+            assert chunk[:2] == ["stage1", "ldl"] and chunk[2:] in (["yield"], ["eigvalsh", "yield"])
+        stage1 = [event[1] for event in events if event[0] == "stage1"]
+        assert stage1 == sizes[1:]
 
     def test_support_table_is_lexicographic_combinations(self):
         for n in range(1, 13):
@@ -577,7 +612,7 @@ class TestTwoStageScreen:
             # each support's column is its index, so _screen returns the failing ones
             batch = np.arange(cols.shape[1])[None]
             outside = np.zeros(cols.shape[1], dtype=bool)
-            outside[rip._screen([rip._open_sides(lower_triangles(stack), batch, 1.0 - w, 1.0 + w)])] = True
+            outside[rip._screen(lower_triangles(stack), batch, 1.0 - w, 1.0 + w)] = True
             assert not np.any(outside & reference_inside_band(stack, 1.0 - w, 1.0 + w))
             assert np.all(outside | (deviation < w))
             assert outside.any() and not outside.all()

@@ -107,8 +107,9 @@ def lemma_draw(i):
 def spy_enumeration(monkeypatch):
     """Record, for each enumeration ``verify_lemma4`` or ``lemma4_min_slack``
     starts, its support count, how many running values it handed out,
-    whether it ran to its end and how many support tables were built or
-    fetched."""
+    whether it ran to its end, and each support table it fetched through
+    ``rip._cached_support_table`` (a cold cache's build inside the fetch is
+    not counted again)."""
     calls, tables = [], []
     running_ric = verify._running_ric
 
@@ -125,9 +126,8 @@ def spy_enumeration(monkeypatch):
 
         return take()
 
-    for name in ("_support_table", "_cached_support_table"):
-        build = getattr(rip, name)
-        monkeypatch.setattr(rip, name, lambda n, k, build=build: tables.append((n, k)) or build(n, k))
+    fetch = rip._cached_support_table
+    monkeypatch.setattr(rip, "_cached_support_table", lambda n, k: tables.append((n, k)) or fetch(n, k))
     monkeypatch.setattr(verify, "_running_ric", counting_ric)
     return calls, tables
 
@@ -301,6 +301,20 @@ class TestStopping:
         message = "stopping property applies to noise-free instances only"
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_stopping(inst.matrix, inst.signal, trace, noise=inst.noise)
+
+    @pytest.mark.parametrize("noise,message", [
+        ([np.nan, 0.0, 0.0], "^noise entries must be finite$"),
+        ([0.0, 0.0], r"^noise has shape \(2,\), expected \(3,\)$"),
+        # nonzero noise whose squared norm underflows to 0 is still noise
+        ([1e-300, 0.0, 0.0], "^stopping property applies to noise-free instances only$"),
+    ])
+    def test_bad_noise_is_refused_not_read_as_none(self, noise, message):
+        a = np.eye(3)
+        x = SparseSignal(np.array([1.0, 0.0, 0.0]))
+        trace = gomp_run(a, a @ x.values, GompParams(sparsity=1, n_select=1, epsilon=1e-10))
+        assert verify_stopping(a, x, trace, noise=np.zeros(3))
+        with pytest.raises(ValueError, match=message):
+            verify_stopping(a, x, trace, noise=noise)
 
 
 class TestSelectionCondition:
