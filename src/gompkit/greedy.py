@@ -234,7 +234,7 @@ class StackedRun:
     supports: np.ndarray  # (T, n) bool, True on the final support
     estimates: np.ndarray  # (T, n), the last fit placed on the final support
     iterations: np.ndarray  # (T,) iterations used
-    residual_norms: np.ndarray  # (T,) final ||r||; ||y|| when no iteration ran
+    residual_norms: np.ndarray  # (T,) final ||r||; NaN when no iteration ran, as in gomp_run
 
 
 def gomp_stacked(
@@ -296,5 +296,5 @@ def gomp_stacked(
         norms[live] = np.sqrt(row_dot(r_live, r_live))
         iterations[live] = k
         estimates[live[:, None], cols] = coef
-    return StackedRun(chosen, estimates, iterations, norms)
+    return StackedRun(chosen, estimates, iterations, np.where(iterations > 0, norms, np.nan))
 

@@ -3,15 +3,19 @@
 Instances use a square diagonal-times-orthogonal sensing matrix whose
 isometry constant is known by construction: with n = N*K + 1, the
 diagonal is sampled so the constant stays at 99% of the certified
-threshold 1/sqrt(K/N + 1). In the noisy mode the noise level is
-calibrated so sqrt(SNR) sits exactly 0.01 above the sufficient threshold,
-and the stopping epsilon equals the realized noise norm.
+threshold 1/sqrt(K/N + 1). In the noisy mode the noise norm is the
+smaller of two: the norm that puts sqrt(SNR) exactly 0.01 above the
+sufficient threshold, and sqrt(1 - delta) min|x_i| / 2.02, under which the
+pursuit cannot stop at ||r|| <= epsilon with a support index missing. So
+sqrt(SNR) is at least 0.01 above the threshold, and the stopping epsilon
+equals the realized noise norm.
 
 Reproducibility contract: all randomness comes from numpy's PCG64
 generator seeded with the instance seed, drawn in this fixed order:
 diagonal entries (uniform), orthogonal-factor source matrix (standard
 normal, row-major), support permutation, nonzero values, then the noise
-direction. Identical seeds give bit-identical instances.
+direction. Identical seeds give bit-identical instances. The noise cap
+changed the noisy instances it shrinks, and only those.
 
 There is one generator, ``_stacked_instances``, which builds the
 instances of many seeds as stacked rows; a row's bits do not depend on
@@ -27,7 +31,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -181,9 +185,13 @@ def _stacked_instances(
     delta.
 
     The draws are ``_draw``'s and the orthogonal factor is one stacked
-    call. delta is ``du_ric_bound(d).value``, max(1 - min d^2, max d^2 - 1);
-    in the noisy mode the MAR is ``mar``'s K min x_i^2 / ||x||^2, and the
-    noise is scaled so sqrt(SNR) = SNR_MARGIN + ``snr_threshold``. Each
+    call. delta is ``du_ric_bound(d).value``, max(1 - min d^2, max d^2 - 1),
+    exact at order n = N K + 1. In the noisy mode the MAR is ``mar``'s
+    K min x_i^2 / ||x||^2, and the noise is scaled so sqrt(SNR) =
+    SNR_MARGIN + ``snr_threshold``, unless that puts ||v|| above the cap
+    sqrt(1 - delta) min|x_i| / (2 (1 + SNR_MARGIN)). While a support index
+    is missing, ||r|| >= sqrt(1 - delta) ||x off the support found|| - ||v||,
+    which the cap keeps above epsilon = ||v||. Each
     product and norm has the operand layout and BLAS call of the 1-d form,
     so a row's bits do not depend on the other seeds of the call.
     ``test_matrix_follows_documented_draw_order`` and
@@ -204,13 +212,12 @@ def _stacked_instances(
     sq = d * d
     delta = np.maximum(1.0 - sq.min(axis=1), sq.max(axis=1) - 1.0)
     if noisy:
-        mar_values = sparsity * (nonzeros * nonzeros).min(axis=1) / row_dot(values, values)
-        target_root_snr = np.array([
-            SNR_MARGIN + snr_threshold(sparsity, n_select, delta_t, mar_t)
-            for delta_t, mar_t in zip(delta.tolist(), mar_values.tolist())
-        ])
+        smallest = (nonzeros * nonzeros).min(axis=1)
+        mar_values = sparsity * smallest / row_dot(values, values)
+        target_root_snr = SNR_MARGIN + snr_threshold(sparsity, n_select, delta, mar_values)
+        cap = np.sqrt((1.0 - delta) * smallest) / (2.0 * (1.0 + SNR_MARGIN))
         direction = np.array(direction)
-        noise = (clean_norm / target_root_snr)[:, None] * (
+        noise = np.minimum(clean_norm / target_root_snr, cap)[:, None] * (
             direction / np.sqrt(row_dot(direction, direction))[:, None]
         )
         epsilon = np.sqrt(row_dot(noise, noise))
@@ -294,62 +301,35 @@ def run_trials(
 CSV_HEADER = "K,N,noisy,trials,exact_rate,support_rate,mean_iterations,mean_final_residual"
 
 
-def _csv_num(value: float) -> str:
-    return format(value, ".12g")
+def _cell_values(cell: CellResult) -> tuple:
+    """A cell's report fields, in CSV_HEADER order."""
+    return (cell.sparsity, cell.n_select, cell.noisy, cell.trials, cell.exact_rate,
+            cell.support_rate, cell.mean_iterations, cell.mean_final_residual)
 
 
 def report_rows(results: Sequence[CellResult]) -> list[str]:
-    rows = [CSV_HEADER]
-    for cell in results:
-        rows.append(
-            ",".join(
-                [
-                    str(cell.sparsity),
-                    str(cell.n_select),
-                    "true" if cell.noisy else "false",
-                    str(cell.trials),
-                    _csv_num(cell.exact_rate),
-                    _csv_num(cell.support_rate),
-                    _csv_num(cell.mean_iterations),
-                    _csv_num(cell.mean_final_residual),
-                ]
-            )
-        )
-    return rows
+    return [CSV_HEADER] + [
+        ",".join(format(v, ".12g") if isinstance(v, float) else str(v).lower()
+                 for v in _cell_values(cell))
+        for cell in results
+    ]
 
 
-def _trial_payload(report: TrialReport) -> dict:
-    return {
-        "instance_seed": report.instance_seed,
-        "exact_recovery": report.exact_recovery,
-        "support_recovery": report.support_recovery,
-        "iterations_used": report.iterations_used,
-        "residual_final": None if math.isnan(report.residual_final) else report.residual_final,
-        "error": report.error,
-    }
+def _nan_to_null(record: dict) -> dict:
+    return {key: None if isinstance(v, float) and math.isnan(v) else v for key, v in record.items()}
 
 
 def report_payload(results: Sequence[CellResult], *, include_trials: bool = False) -> dict:
-    """JSON-ready mirror of the CSV schema plus per-cell error counts by
-    exception name, optionally with trial detail."""
+    """JSON-ready mirror of the CSV schema (each key the header name in lower
+    case, NaN as null) plus per-cell error counts by exception name,
+    optionally with each trial's ``TrialReport`` fields."""
     cells = []
     for cell in results:
+        entry = _nan_to_null(dict(zip(CSV_HEADER.lower().split(","), _cell_values(cell))))
         errors = Counter(r.error.partition(":")[0] for r in cell.reports if r.error is not None)
-        entry = {
-            "k": cell.sparsity,
-            "n": cell.n_select,
-            "noisy": cell.noisy,
-            "trials": cell.trials,
-            "exact_rate": cell.exact_rate,
-            "support_rate": cell.support_rate,
-            "mean_iterations": None if math.isnan(cell.mean_iterations) else cell.mean_iterations,
-            "mean_final_residual": (
-                None if math.isnan(cell.mean_final_residual) else cell.mean_final_residual
-            ),
-            "errors": dict(sorted(errors.items())),
-        }
+        entry["errors"] = dict(sorted(errors.items()))
         if include_trials:
-            entry["reports"] = [_trial_payload(r) for r in cell.reports]
+            entry["reports"] = [_nan_to_null(asdict(r)) for r in cell.reports]
         cells.append(entry)
     return {"cells": cells}
 

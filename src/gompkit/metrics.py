@@ -70,24 +70,28 @@ def mar(x: SparseSignal, sparsity: int) -> float:
     return sparsity * smallest / energy
 
 
-def snr_threshold(sparsity: int, n_select: int, delta: float, mar_value: float) -> float:
+def snr_threshold(
+    sparsity: int, n_select: int, delta: float | np.ndarray, mar_value: float | np.ndarray
+) -> float | np.ndarray:
     """Sufficient threshold on sqrt(SNR) for full support identification:
 
         sqrt(2 K) (1 + delta) / ((1 - sqrt(K/N + 1) delta) sqrt(MAR)).
 
     Defined only while delta < 1/sqrt(K/N + 1); the support size is taken
-    at its worst case K. Note this bounds sqrt(SNR), not SNR.
+    at its worst case K. Note this bounds sqrt(SNR), not SNR. ``delta`` and
+    ``mar_value`` may be arrays, taken elementwise; a value out of range
+    anywhere raises ValueError.
     """
-    if not (delta >= 0.0):
+    if not np.all(delta >= 0.0):
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if not (0.0 < mar_value < math.inf):
+    if not np.all((0.0 < mar_value) & (mar_value < math.inf)):
         raise ValueError(f"MAR must be positive and finite, got {mar_value}")
     limit = condition_threshold(sparsity, n_select, Condition.SHARP)
-    if delta >= limit:
+    if np.any(delta >= limit):
         raise ValueError(f"delta = {delta} >= 1/sqrt(K/N + 1) = {limit}; threshold undefined")
     ratio_root = math.sqrt(sparsity / n_select + 1.0)
     return (
         math.sqrt(2.0 * sparsity)
         * (1.0 + delta)
-        / ((1.0 - ratio_root * delta) * math.sqrt(mar_value))
+        / ((1.0 - ratio_root * delta) * np.sqrt(mar_value))
     )

@@ -114,26 +114,17 @@ def _cached_support_table(n: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _lower_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.tril_indices(k)``, built once per order: entry (i, j),
-    i >= j, of a k x k matrix is pair i(i+1)/2 + j."""
-    pairs = np.tril_indices(k)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
-@functools.lru_cache(maxsize=128)
-def _trace_weights(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weights over the lower-triangle layout of order k: the
-    trace weights (1 on the diagonal entries i(i+3)/2, 0 elsewhere) and the
-    squared-Frobenius weights (1 on the diagonal, 2 elsewhere)."""
-    trace = np.zeros(k * (k + 1) // 2)
-    trace[[i * (i + 3) // 2 for i in range(k)]] = 1.0
-    squares = 2.0 - trace
-    for weights in (trace, squares):
-        weights.flags.writeable = False
-    return trace, squares
+def _layout(k: int) -> tuple[np.ndarray, ...]:
+    """Read-only lower-triangle layout of order k, built once per order:
+    ``np.tril_indices(k)`` (entry (i, j), i >= j, of a k x k matrix is pair
+    i(i+1)/2 + j), then the trace weights (1 on the diagonal, 0 elsewhere)
+    and the squared-Frobenius weights (1 on the diagonal, 2 elsewhere)."""
+    rows, columns = np.tril_indices(k)
+    trace = (rows == columns).astype(float)
+    layout = (rows, columns, trace, 2.0 - trace)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def _trace_bound(lower: np.ndarray, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
@@ -169,14 +160,15 @@ def _trace_bound(lower: np.ndarray, low: float, high: float) -> tuple[np.ndarray
     finite (k-1) s^2 plus its allowance.
     """
     k = math.isqrt(2 * lower.shape[0])
-    trace, squares = _trace_weights(k)
-    mean = (trace @ lower) / k
-    mean_square = (squares @ (lower * lower)) / k
+    *_, trace, squares = _layout(k)
     allowance = 8.0 * (k**3 + 8) * 2.0**-53
-    base = (k - 1) * (mean_square - mean * mean) + allowance * mean_square + 2.0**-1022
-    sides = []
-    for gap in (mean - low, high - mean):
-        sides.append(~((gap > 0.0) & (base < (1.0 - allowance) * (gap * gap))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (trace @ lower) / k
+        mean_square = (squares @ (lower * lower)) / k
+        base = (k - 1) * (mean_square - mean * mean) + allowance * mean_square + 2.0**-1022
+        sides = []
+        for gap in (mean - low, high - mean):
+            sides.append(~((gap > 0.0) & (base < (1.0 - allowance) * (gap * gap))))
     return sides[0], sides[1]
 
 
@@ -234,8 +226,9 @@ def _screen(lower: np.ndarray, cols: np.ndarray, low: float, high: float) -> np.
 def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) -> Iterator[float]:
     """The enumeration behind ``exact_ric``, one running value per chunk.
 
-    The order and budget checks run now, with ``exact_ric``'s exceptions;
-    the returned generator builds nothing until it is first advanced. It
+    The order and budget checks run now, with ``exact_ric``'s exceptions,
+    and so does the Gram matrix, refused when it overflows; the returned
+    generator builds nothing else until it is first advanced. It
     yields the running worst deviation w after each chunk: the constant over
     every support enumerated so far, bit for bit what ``eigvalsh`` on all of
     them would give, floored at 0.0. So the values never decrease, and the
@@ -249,13 +242,21 @@ def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) ->
         raise BudgetExceeded(
             f"C({mat.n}, {order}) = {total} supports exceeds budget {budget}"
         )
-    return _enumerate(mat.entries, order, total)
+    return _enumerate(_gram(mat.entries), order, total)
 
 
-def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
-    gram = entries.T @ entries
+def _gram(entries: np.ndarray) -> np.ndarray:
+    """A^T A; entries so large that it overflows raise ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        gram = entries.T @ entries
+    if not np.isfinite(gram).all():
+        raise ValueError("A^T A is not finite: the matrix entries are too large to square")
+    return gram
+
+
+def _enumerate(gram: np.ndarray, order: int, total: int) -> Iterator[float]:
     tau = _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
-    n = entries.shape[1]
+    n = gram.shape[0]
     flat = gram.ravel()
     table = _cached_support_table(n, order)
     worst = 0.0
@@ -264,7 +265,7 @@ def _enumerate(entries: np.ndarray, order: int, total: int) -> Iterator[float]:
         cols = np.ascontiguousarray(table[start:start + size].T, dtype=np.intp)
         start += size
         if worst > tau:  # the band is empty while w <= tau, as on the first chunk
-            rows, columns = _lower_pairs(order)
+            rows, columns, _, _ = _layout(order)
             lower = flat.take((cols * n)[rows] + cols[columns])
             cols = _screen(lower, cols, 1.0 - worst + tau, 1.0 + worst - tau)
         if cols.shape[1]:
@@ -282,7 +283,7 @@ def exact_ric(a: MatrixLike, order: int, *, budget: int = ENUMERATION_BUDGET) ->
     of A_S^T A_S; the constant is the worst deviation from 1 over all of
     them. Enumeration is refused (BudgetExceeded) when the number of
     supports would pass ``budget`` -- this is an oracle, never a silent
-    approximation.
+    approximation -- and ValueError when A^T A overflows.
 
     The value equals that of running ``eigvalsh`` on every support, bit for
     bit; most supports never reach it. Supports go in chunks in
@@ -338,11 +339,10 @@ def spectral_ric_bound(a: MatrixLike) -> RicEstimate:
 
     Eigenvalues of any principal submatrix of A^T A interlace those of the
     full Gram matrix, so the full-spectrum deviation from 1 dominates the
-    constant of every order.
+    constant of every order. A^T A that overflows raises ValueError.
     """
     mat = as_sensing_matrix(a)
-    gram = mat.entries.T @ mat.entries
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(_gram(mat.entries))
     value = max(float(eigs[-1] - 1.0), float(1.0 - eigs[0]))
     return RicEstimate(order=mat.n, value=max(value, 0.0), kind=RicKind.UPPER_BOUND_SPECTRAL)
 

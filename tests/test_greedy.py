@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -265,8 +266,8 @@ def assert_stacked_matches_scalar(entries, y, eps, k, nsel):
         assert support == trace.final_support
         assert run.estimates[t].tobytes() == trace.final_estimate.tobytes()
         assert run.iterations[t] == trace.iterations_used
-        residual = trace.final_residual_norm if trace.iterations else float(np.linalg.norm(y[t]))
-        assert run.residual_norms[t] == residual
+        # NaN when no iteration ran, in both
+        assert np.array_equal(run.residual_norms[t], trace.final_residual_norm, equal_nan=True)
         traces.append(trace)
     return run, traces
 
@@ -297,6 +298,11 @@ class TestStackedKernel:
         y[1] = 0.0
         run, _ = assert_stacked_matches_scalar(entries, y, eps, 3, 2)
         assert run.iterations[1] == 0 and not run.supports[1].any()
+        assert math.isnan(run.residual_norms[1])
+        # ||y|| = 0.1 <= epsilon = 0.5 with y != 0
+        run, _ = assert_stacked_matches_scalar(np.eye(3)[None], np.array([[0.1, 0.0, 0.0]]),
+                                               np.array([0.5]), 1, 1)
+        assert run.iterations[0] == 0 and math.isnan(run.residual_norms[0])
 
     def test_rank_deficient_refit_raises(self):
         a, y = duplicate_column_problem()

@@ -93,12 +93,26 @@ class TestGenInstance:
             assert err <= 1e-12 * np.linalg.norm(inst.observation)
 
     def test_noisy_calibration(self):
-        for seed in range(5):
-            inst = gen_instance(4, 2, noisy=True, seed=100 + seed)
-            assert inst.epsilon == np.linalg.norm(inst.noise)
-            target = 0.01 + snr_threshold(4, 2, inst.claimed_delta.value, mar(inst.signal, 4))
+        # ||v|| = min(||A x|| / target, cap): the target puts sqrt(SNR) 0.01 above
+        # the threshold, and the cap sqrt(1 - delta) min|x_i| / (2 (1 + 0.01))
+        # keeps ||r|| above epsilon = ||v|| while a support index is missing
+        cases = [(4, 2, seed, False) for seed in range(100, 105)] + [(2, 1, 700158, True)]
+        for k, nsel, seed, capped in cases:
+            inst = gen_instance(k, nsel, noisy=True, seed=seed)
+            noise_norm = np.linalg.norm(inst.noise)
+            assert inst.epsilon == noise_norm
+            delta = inst.claimed_delta.value
+            target = 0.01 + snr_threshold(k, nsel, delta, mar(inst.signal, k))
+            calibrated = np.linalg.norm(inst.matrix.entries @ inst.signal.values) / target
+            nonzeros = inst.signal.values[inst.signal.values != 0.0]
+            cap = math.sqrt(1.0 - delta) * np.min(np.abs(nonzeros)) / (2.0 * (1.0 + 0.01))
+            assert (cap < calibrated) == capped
+            assert abs(noise_norm - min(calibrated, cap)) <= 1e-12 * min(calibrated, cap)
             achieved = math.sqrt(snr(inst.matrix, inst.signal, inst.noise))
-            assert abs(achieved - target) <= 1e-9
+            if capped:
+                assert achieved > target
+            else:
+                assert abs(achieved - target) <= 1e-9
 
     def test_same_seed_bit_identical(self):
         a = gen_instance(3, 2, noisy=True, seed=777)
@@ -274,13 +288,22 @@ class TestRunTrials:
             assert list(map(repr, cell.reports)) == list(map(repr, expected))  # nan != nan
 
 
-@pytest.mark.xfail(strict=True, reason="the noisy rule stops at ||r|| <= ||v|| before the support is complete")
 @pytest.mark.parametrize("seed", [700158, 700682])
 def test_noisy_trial_does_not_stop_early(seed):
-    # K = 2, N = 1: both instances stop after one iteration, missing one index
+    # K = 2, N = 1: without the noise cap, both stop after one iteration at
+    # ||r|| <= ||v||, missing one index
     report = run_trial(2, 1, True, seed)
     assert report.error is None
     assert report.support_recovery
+
+
+@pytest.mark.parametrize("bench_seed", [10, 44, 51, 67, 74, 140, 273, 296])
+def test_benchmark_noisy_cell_recovers_every_support(bench_seed):
+    # The K = 2, N = 1 cell of bench/run.py --workload grid-noisy --seed bench_seed
+    # (base seed bench_seed * 100,000, 50 trials); each held one early stop
+    # before the noise cap
+    [cell] = run_trials([2], [1], 50, True, bench_seed * 100_000)
+    assert cell.support_rate == 1.0
 
 
 class TestEmitReport:

@@ -131,6 +131,19 @@ class TestSnrThreshold:
         with pytest.raises(ValueError, match="MAR"):
             snr_threshold(2, 1, 0.1, bad)
 
+    def test_elementwise_on_arrays(self):
+        rng = np.random.default_rng(67)
+        deltas, mars = rng.uniform(0.0, 0.44, 50), rng.uniform(0.05, 1.0, 50)
+        values = snr_threshold(4, 1, deltas, mars)
+        root = math.sqrt(5.0)  # the scalar formula, bit for bit
+        expected = [math.sqrt(8.0) * (1.0 + d) / ((1.0 - root * d) * math.sqrt(m))
+                    for d, m in zip(deltas.tolist(), mars.tolist())]
+        assert values.tolist() == expected
+        assert [snr_threshold(4, 1, d, m) for d, m in zip(deltas.tolist(), mars.tolist())] == expected
+        for bad_delta, bad_mar in [(0.9, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, math.inf)]:
+            with pytest.raises(ValueError):  # one bad element refuses the call
+                snr_threshold(4, 1, np.append(deltas, bad_delta), np.append(mars, bad_mar))
+
     def test_monotone_in_delta_and_mar(self):
         deltas = np.linspace(0.0, 0.44, 20)
         values = [snr_threshold(4, 1, d, 0.8) for d in deltas]

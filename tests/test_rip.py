@@ -448,20 +448,19 @@ class TestLowerTriangleScreen:
 
     def test_small_enumerations_build_no_index_pairs(self, monkeypatch):
         orders = []
-        pairs, weights = rip._lower_pairs, rip._trace_weights
-        monkeypatch.setattr(rip, "_lower_pairs", lambda k: orders.append(k) or pairs(k))
-        monkeypatch.setattr(rip, "_trace_weights", lambda k: orders.append(-k) or weights(k))
+        layout = rip._layout
+        monkeypatch.setattr(rip, "_layout", lambda k: orders.append(k) or layout(k))
         a = np.random.default_rng(89).standard_normal((8, 8))
         exact_ric(a, 3)  # C(8, 3) = 56 supports: the unscreened first chunk only
         exact_ric(a, 5)
         assert orders == []
         exact_ric(a, 4)  # C(8, 4) = 70: a second, screened chunk
-        assert orders == [4, -4]
+        assert orders == [4, 4]  # its gather, then stage 1's weights
 
     def test_index_pairs_are_cached_read_only(self):
-        pairs = rip._lower_pairs(6)
-        assert rip._lower_pairs(6) is pairs
-        for index, expected in zip(pairs, np.tril_indices(6)):
+        layout = rip._layout(6)
+        assert rip._layout(6) is layout
+        for index, expected in zip(layout[:2], np.tril_indices(6)):
             assert np.array_equal(index, expected)
             assert not index.flags.writeable
             with pytest.raises(ValueError):
@@ -469,10 +468,11 @@ class TestLowerTriangleScreen:
 
     def test_trace_weights_are_cached_read_only(self):
         for k in range(1, 13):
-            trace, squares = rip._trace_weights(k)
-            again = rip._trace_weights(k)
-            assert again[0] is trace and again[1] is squares
-            rows, columns = np.tril_indices(k)
+            rows, columns, trace, squares = rip._layout(k)
+            again = rip._layout(k)
+            assert again[2] is trace and again[3] is squares
+            assert np.array_equal(rows, np.tril_indices(k)[0])
+            assert np.array_equal(columns, np.tril_indices(k)[1])
             assert trace.tolist() == (rows == columns).astype(float).tolist()
             assert squares.tolist() == np.where(rows == columns, 1.0, 2.0).tolist()
             for weights in (trace, squares):
@@ -578,9 +578,13 @@ class TestTwoStageScreen:
     def test_trace_bound_leaves_overflow_open(self):
         grams = np.stack([1e200 * np.eye(3), np.full((3, 3), np.nan), np.full((3, 3), np.inf)])
         lower = lower_triangles(np.ascontiguousarray(grams.transpose(1, 2, 0)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            low_open, high_open = rip._trace_bound(lower, -1.0, 1.0)
+        low_open, high_open = rip._trace_bound(lower, -1.0, 1.0)  # and warns of nothing
         assert low_open.all() and high_open.all()
+
+    def test_gram_entries_whose_squares_overflow_give_the_unscreened_value(self):
+        # |G| ~ 1e200: stage 1's squares overflow, which must leave sides open quietly
+        a = np.random.default_rng(131).standard_normal((6, 12)) * 1e100
+        assert exact_ric(a, 4).value == unscreened_ric(a, 4)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_one_sided_ldl_equals_each_reference_side(self, k):
@@ -673,6 +677,15 @@ class TestSpectralBound:
             assert cap.kind is RicKind.UPPER_BOUND_SPECTRAL
             for order in range(1, 7):
                 assert exact_ric(a, order).value <= cap.value + 1e-12
+
+
+    def test_refuses_an_overflowing_gram(self):
+        a = np.random.default_rng(137).standard_normal((6, 12)) * 1e160
+        for estimate in (spectral_ric_bound, functools.partial(exact_ric, order=4)):
+            with pytest.raises(ValueError, match=r"^A\^T A is not finite"):
+                estimate(a)
+        with pytest.raises(ValueError, match=r"^A\^T A is not finite"):
+            rip._running_ric(a, 4)  # eagerly, with the order and budget checks
 
 
 class TestConditionThresholds:
