@@ -29,7 +29,6 @@ from .linops import (
     _solve_submatrix,
     as_sensing_matrix,
     as_vector,
-    least_squares,
     row_dot,
 )
 
@@ -141,7 +140,7 @@ def select_top_n(
     available = n - len(excluded0)
     if n_select > available:
         raise ValueError(f"need {n_select} candidates, only {available} remain")
-    if math.isnan(c @ c):  # iff an entry is NaN, which would sort after the excluded
+    if math.isnan(c.max(initial=0.0)):  # iff an entry is NaN, which would sort after the excluded
         raise ValueError("correlations must not be NaN")
     picks = _top_n(c, n_select, np.fromiter(excluded0, np.intp, len(excluded0)))
     return [i + 1 for i in picks.tolist()]
@@ -165,14 +164,16 @@ def _check_fits(params: GompParams, m: int, n: int) -> None:
         raise ValueError(f"n_select * sparsity = {size} exceeds the {n} available columns")
 
 
-def _placed(n: int, support: list[int], coef: np.ndarray) -> np.ndarray:
-    """Coefficients of the fit on ``support`` (1-based) placed in a length-n vector."""
-    estimate = np.zeros(n)
-    if support:
-        estimate[np.asarray(sorted(support)) - 1] = coef
-    return estimate
+def _magnitudes(correlations: np.ndarray) -> np.ndarray:
+    """|A^T r|; NaN or inf, which only an overflowing product gives for
+    finite A and r, raises ValueError in place of a plausible pick."""
+    magnitudes = np.abs(correlations)
+    if not magnitudes.max() < math.inf:  # NaN fails the comparison too
+        raise ValueError("correlations must be finite: A^T r overflows")
+    return magnitudes
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _magnitudes refuses an overflowed A^T r
 def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
     """Run the pursuit on observation ``y``.
 
@@ -184,47 +185,39 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
 
     A refit on a rank-deficient support raises RankDeficient naming the
     iteration; its ``partial_trace`` holds the iterations completed before
-    it, terminated as RANK_DEFICIENT.
+    it, terminated as RANK_DEFICIENT. Entries so large that A^T r
+    overflows raise ValueError.
     """
     mat = as_sensing_matrix(a)
     y = as_vector(y, mat.m, "observation")
     _check_fits(params, mat.m, mat.n)
-    k_max, n_sel = params.sparsity, params.n_select
-
-    support: list[int] = []  # 1-based, insertion order
-    residual = y.copy()
-    coef = np.empty(0)
+    chosen = np.zeros(mat.n, dtype=bool)
+    estimate = np.zeros(mat.n)
     records: list[IterationRecord] = []
-
-    k = 0
-    while k < k_max and float(np.linalg.norm(residual)) > params.epsilon:
-        k += 1
+    residual, norm = y, float(np.linalg.norm(y))
+    while len(records) < params.sparsity and norm > params.epsilon:
         correlations = mat.entries.T @ residual
-        picked = select_top_n(correlations, n_sel, excluded=frozenset(support))
+        magnitudes = _magnitudes(correlations)
+        picks = _top_n(correlations, params.n_select, chosen)
+        chosen[picks] = True
+        cols = np.flatnonzero(chosen)
+        sub = mat.entries[:, cols]
         try:
-            new_coef = least_squares(mat, support + picked, y)
+            coef = _solve_submatrix(sub, y)
         except RankDeficient as exc:
-            err = RankDeficient(f"iteration {k}: {exc}")
-            err.partial_trace = RecoveryTrace(
-                records, _placed(mat.n, support, coef), Termination.RANK_DEFICIENT
-            )
+            err = RankDeficient(f"iteration {len(records) + 1}: {exc}")
+            err.partial_trace = RecoveryTrace(records, estimate, Termination.RANK_DEFICIENT)
             raise err from exc
-        support.extend(picked)
-        coef = new_coef
-        sorted_support = sorted(support)
-        fitted = mat.entries[:, np.asarray(sorted_support) - 1] @ coef
-        residual = y - fitted
-        records.append(
-            IterationRecord(tuple(picked), float(np.linalg.norm(residual)), np.abs(correlations))
-        )
-
-    final_norm = float(np.linalg.norm(residual))
+        estimate[cols] = coef
+        residual = y - sub @ coef
+        norm = float(np.linalg.norm(residual))
+        records.append(IterationRecord(tuple((picks + 1).tolist()), norm, magnitudes))
     termination = (
         Termination.RESIDUAL_BELOW_EPSILON
-        if final_norm <= params.epsilon
+        if norm <= params.epsilon
         else Termination.MAX_ITERATIONS
     )
-    return RecoveryTrace(records, _placed(mat.n, support, coef), termination)
+    return RecoveryTrace(records, estimate, termination)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +230,7 @@ class StackedRun:
     residual_norms: np.ndarray  # (T,) final ||r||; NaN when no iteration ran, as in gomp_run
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in gomp_run
 def gomp_stacked(
     entries: np.ndarray, y: np.ndarray, eps: np.ndarray, sparsity: int, n_select: int
 ) -> StackedRun:
@@ -248,7 +242,8 @@ def gomp_stacked(
     the memory layout the scalar run gives its operands, so BLAS sums in
     the same order. A row freezes once its residual norm is <= its
     epsilon. A rank-deficient refit in any row raises RankDeficient for
-    the whole stack, with ``gomp_run``'s message for the first such row.
+    the whole stack, with ``gomp_run``'s message for the first such row;
+    a live row whose A^T r overflows raises ``gomp_run``'s ValueError.
     """
     entries = np.asarray(entries, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -280,6 +275,7 @@ def gomp_stacked(
             break
         # Frozen rows are correlated too: cheaper than copying the live slices.
         corr = (a_t @ residual[:, :, None])[live, :, 0]
+        _magnitudes(corr)  # refuses an overflowed row, as in gomp_run
         chosen[live[:, None], _top_n(corr, n_select, chosen[live])] = True
         cols = np.nonzero(chosen[live])[1].reshape(live.size, k * n_select)
         # Rows of A^T gathered C-ordered, so each A_S view is F-ordered
@@ -297,4 +293,3 @@ def gomp_stacked(
         iterations[live] = k
         estimates[live[:, None], cols] = coef
     return StackedRun(chosen, estimates, iterations, np.where(iterations > 0, norms, np.nan))
-

@@ -82,12 +82,13 @@ def snr_threshold(
     ``mar_value`` may be arrays, taken elementwise; a value out of range
     anywhere raises ValueError.
     """
-    if not np.all(delta >= 0.0):
+    deltas, mars = np.asarray(delta), np.asarray(mar_value)  # NaN survives min/max and fails
+    if not deltas.min(initial=0.0) >= 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if not np.all((0.0 < mar_value) & (mar_value < math.inf)):
+    if not (mars.min(initial=math.inf) > 0.0 and mars.max(initial=0.0) < math.inf):
         raise ValueError(f"MAR must be positive and finite, got {mar_value}")
     limit = condition_threshold(sparsity, n_select, Condition.SHARP)
-    if np.any(delta >= limit):
+    if deltas.max(initial=0.0) >= limit:
         raise ValueError(f"delta = {delta} >= 1/sqrt(K/N + 1) = {limit}; threshold undefined")
     ratio_root = math.sqrt(sparsity / n_select + 1.0)
     return (

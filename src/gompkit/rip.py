@@ -28,10 +28,7 @@ ENUMERATION_BUDGET = 1_000_000
 # calls per chunk over thousands of supports.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 4_096
-# Margin of the screen, times k^3 max(1, max|G|) at order k: a few hundred
-# times the worst-case backward error of the order-k LDL^T pivots (about
-# 8 k^3 eps max(1, max|G|)) and of eigvalsh. The trace bound carries its own
-# rounding allowance and needs none of this margin.
+# Margin of the screen and the column floor (see _screen_tolerance).
 _SCREEN_RTOL = 1e-12
 
 
@@ -254,8 +251,24 @@ def _gram(entries: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _screen_tolerance(gram: np.ndarray, order: int) -> float:
+    """tau = _SCREEN_RTOL k^3 max(1, max|G|) at order k, for G = ``_gram(A)``:
+    a few hundred times the worst-case backward error of the order-k LDL^T
+    pivots (about 8 k^3 eps max(1, max|G|)) and of ``eigvalsh``, so both
+    place every eigenvalue of a principal submatrix G_S within tau/2 of the
+    truth. The screen skips a support whose true eigenvalues lie inside
+    (1 - w + tau/2, 1 + w - tau/2). ``exact_ric(A, k).value`` is at least the
+    column floor max(0, max_i |G_ii - 1| - tau): an order-k support S
+    holding column i has lambda_min(G_S) <= G_ii <= lambda_max(G_S) (Cauchy
+    interlacing), so its computed deviation is at least |G_ii - 1| - tau/2,
+    and tau/2 > 1e-13 max(1, max|G|) covers both subtractions' rounding. The
+    trace bound carries its own rounding allowance and needs none of tau.
+    """
+    return _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
+
+
 def _enumerate(gram: np.ndarray, order: int, total: int) -> Iterator[float]:
-    tau = _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
+    tau = _screen_tolerance(gram, order)
     n = gram.shape[0]
     flat = gram.ravel()
     table = _cached_support_table(n, order)

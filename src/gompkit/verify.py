@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import RecoveryTrace, select_top_n
+from .greedy import RecoveryTrace, _top_n
 from .linops import (
     MatrixLike,
     SensingMatrix,
@@ -33,7 +33,7 @@ from .linops import (
     project_complement,
 )
 from .metrics import SparseSignal
-from .rip import _running_ric, exact_ric
+from .rip import _gram, _running_ric, _screen_tolerance, exact_ric
 
 # Absolute slack for inequality comparisons: both sides are O(1) at the
 # problem sizes enumeration allows, leaving ~1e-15 of true float noise.
@@ -156,13 +156,21 @@ def lemma4_holds(lhs: float, rhs: float) -> bool:
     return lhs >= rhs - LEMMA_SLACK
 
 
+def _column_floor(mat: SensingMatrix, order: int) -> Iterator[float]:
+    """Yield max(0, max_i |G_ii - 1| - tau) <= ``exact_ric(mat, order).value``
+    (see ``rip._screen_tolerance``), forming G = A^T A only when advanced."""
+    gram = _gram(mat.entries)
+    yield max(0.0, float(np.max(np.abs(gram.diagonal() - 1.0))) - _screen_tolerance(gram, order))
+
+
 def _settle_lemma4(inst: LemmaInstance, floor: float) -> tuple[float, float] | None:
-    """None once the instance passes at 0.0 or at a running value w of the
-    enumeration with slack lhs - rhs(w) >= ``floor``; otherwise both sides
-    at the exact constant, the last running value (see ``verify_lemma4``)."""
+    """None once the instance passes at 0.0, at the column floor or at a
+    running value w of the enumeration with slack lhs - rhs(w) >= ``floor``;
+    otherwise both sides at the exact constant, the last running value (see
+    ``verify_lemma4``)."""
     lhs, rhs = _lemma4_terms(inst)
     running = _running_ric(inst.matrix, inst.ric_order)  # raises before any pass
-    for delta in itertools.chain([0.0], running):
+    for delta in itertools.chain([0.0], _column_floor(inst.matrix, inst.ric_order), running):
         right = rhs(delta)
         if lemma4_holds(lhs, right) and lhs - right >= floor:
             return None
@@ -185,10 +193,12 @@ def verify_lemma4(inst: LemmaInstance) -> bool:
       the computed terms whose max is ``exact_ric``'s value, and that value
       is >= 0.0. So 0.0 <= w <= the exact constant, and a pass at w is a
       pass at the exact constant.
+    * The column floor, formed only after 0.0 fails, is at most the exact
+      constant too (see ``rip._screen_tolerance``).
 
-    The instance passes at the first of 0.0 and the running values that
-    passes it. It fails only when the last running value, which is the
-    exact constant, fails it too.
+    The instance passes at the first of 0.0, the column floor and the
+    running values that passes it. It fails only when the last running
+    value, which is the exact constant, fails it too.
     """
     return _settle_lemma4(inst, -math.inf) is None
 
@@ -199,12 +209,13 @@ def lemma4_min_slack(instances: Iterable[LemmaInstance]) -> tuple[int, float, in
     reached it (math.inf and -1 for no instances).
 
     Equal, bit for bit, to scanning ``lemma4_sides`` on every instance,
-    but an instance stops enumerating once it passes at a running value w
-    with lhs - rhs(w) >= the smallest slack so far. The computed slack is
-    non-decreasing in delta, because rhs is non-increasing (see
-    ``verify_lemma4``) and a correctly rounded subtraction is monotone. So
-    such an instance passes at its exact constant too, with a slack that
-    is not below the minimum so far, and changes neither output.
+    but an instance stops once it passes at a lower bound w of the exact
+    constant tried by ``verify_lemma4`` with lhs - rhs(w) >= the smallest
+    slack so far. The computed slack is non-decreasing in delta, because
+    rhs is non-increasing (see ``verify_lemma4``) and a correctly rounded
+    subtraction is monotone. So such an instance passes at its exact
+    constant too, with a slack that is not below the minimum so far, and
+    changes neither output.
     """
     failed, min_slack, argmin = 0, math.inf, -1
     for i, inst in enumerate(instances):
@@ -285,16 +296,15 @@ def verify_selection_condition(
     mat = as_sensing_matrix(a)
     _check_trace(trace, x.n)
     omega = x.support
-    on = np.asarray(sorted(omega)) - 1
+    on = np.flatnonzero(x.values)
+    if on.size and trace.iterations and n_select > x.n - on.size:  # some iteration is checked
+        raise ValueError(f"need {n_select} candidates, only {x.n - on.size} remain")
     prior: set[int] = set()
     for record in trace.iterations:
         if omega <= prior:
             break
         corr = record.correlations
-        best_on = float(np.max(corr[on]))
-        rivals = select_top_n(corr, n_select, excluded=omega)
-        rival_mean = float(np.mean(corr[np.asarray(rivals) - 1]))
-        if not best_on > rival_mean:
+        if not corr[on].max() > corr[_top_n(corr, n_select, on)].mean():
             return False
         prior.update(record.selected)
     return True
@@ -328,8 +338,8 @@ def random_lemma_instance(rng: np.random.Generator) -> LemmaInstance:
     mat = SensingMatrix(du_entries(*draw_du(rng, n, support_size / n_select)))
 
     perm = rng.permutation(n) + 1
-    omega = [int(i) for i in perm[:support_size]]
-    off = [int(i) for i in perm[support_size:]]
+    omega = perm[:support_size].tolist()
+    off = perm[support_size:].tolist()
     values = np.zeros(n)
     values[np.asarray(omega) - 1] = rng.standard_normal(support_size)
     signal = SparseSignal(values)

@@ -140,9 +140,11 @@ class TestSnrThreshold:
                     for d, m in zip(deltas.tolist(), mars.tolist())]
         assert values.tolist() == expected
         assert [snr_threshold(4, 1, d, m) for d, m in zip(deltas.tolist(), mars.tolist())] == expected
-        for bad_delta, bad_mar in [(0.9, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, math.inf)]:
+        for bad_delta, bad_mar in [(0.9, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, math.inf),
+                                   (math.nan, 0.5), (0.1, math.nan)]:
             with pytest.raises(ValueError):  # one bad element refuses the call
                 snr_threshold(4, 1, np.append(deltas, bad_delta), np.append(mars, bad_mar))
+        assert snr_threshold(4, 1, np.empty(0), np.empty(0)).shape == (0,)
 
     def test_monotone_in_delta_and_mar(self):
         deltas = np.linspace(0.0, 0.44, 20)

@@ -19,7 +19,7 @@ from gompkit import (
     project_complement,
     spectral_ric_bound,
 )
-from gompkit import rip
+from gompkit import SensingMatrix, rip, verify
 
 
 def brute_force_ric(a, order):
@@ -627,6 +627,56 @@ class TestTwoStageScreen:
         monkeypatch.setattr(rip, "_inside_band", lambda lower, shift: columns.append(lower.shape[1]) or inside_band(lower, shift))
         exact_ric(gen_instance(8, 3, False, 4100000).matrix, 6)
         assert 0 < sum(columns) < 2 * math.comb(25, 6) / 3
+
+
+def column_floor(a, order):
+    return next(verify._column_floor(SensingMatrix(a), order))
+
+
+class TestColumnFloor:
+    """The floor max(0, max_i |G_ii - 1| - tau) that ``verify_lemma4`` tries
+    before enumerating is at most the exact constant at every order."""
+
+    @pytest.mark.parametrize("a,orders", _screen_cases())
+    def test_below_the_exact_value_at_every_order(self, a, orders):
+        for order in range(1, a.shape[1] + 1):
+            assert column_floor(a, order) <= exact_ric(a, order).value, order
+
+    @pytest.mark.parametrize("d", [
+        [1.0, 0.9, 1.2, 0.7, 1.05],
+        [1.0, 1.0, 1.0 + 1e-13, 1.0, 1.0],  # |d^2 - 1| below tau: the floor is 0.0
+        [0.3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        [1.4, 0.999, 1.0, 1.001],
+    ])
+    def test_within_tau_of_the_value_on_diagonal_matrices(self, d):
+        # the constant of diag(d) is max_i |d_i^2 - 1| at every order
+        a = np.diag(d)
+        for order in range(1, len(d) + 1):
+            tau = rip._screen_tolerance(a.T @ a, order)
+            floor, value = column_floor(a, order), exact_ric(a, order).value
+            assert floor <= value <= floor + tau, order
+
+    def test_tau_covers_eigvalsh_rounding_on_scaled_orthogonal_columns(self):
+        # A = Q diag(d): G is diag(d^2) up to rounding, and eigvalsh may put an
+        # extreme an ulp inside G_ii, so max_i |G_ii - 1| alone can exceed the
+        # computed constant; the floor's tau keeps it below
+        rng = np.random.default_rng(5)
+        bare_above = 0
+        for _ in range(100):
+            n = int(rng.integers(3, 7))
+            a = orthogonal_factor(rng.standard_normal((n, n))) * rng.uniform(0.5, 1.5, n)
+            bare = float(np.max(np.abs(np.diag(a.T @ a) - 1.0)))
+            for order in range(1, n + 1):
+                value = exact_ric(a, order).value
+                assert column_floor(a, order) <= value, order
+                bare_above += bare > value
+        assert bare_above > 0
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_below_the_exact_value_on_scaled_matrices(self, scale):
+        a = scale * np.random.default_rng(59).standard_normal((7, 9))
+        for order in range(1, 10):
+            assert column_floor(a, order) <= exact_ric(a, order).value, order
 
 
 class TestDuBound:

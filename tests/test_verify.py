@@ -106,16 +106,21 @@ def lemma_draw(i):
 
 def spy_enumeration(monkeypatch):
     """Record, for each enumeration ``verify_lemma4`` or ``lemma4_min_slack``
-    starts, its support count, how many running values it handed out,
-    whether it ran to its end, and each support table it fetched through
-    ``rip._cached_support_table`` (a cold cache's build inside the fetch is
-    not counted again)."""
+    starts, its support count, whether the column floor was formed, how
+    many running values it handed out, whether it ran to its end, and each
+    support table it fetched through ``rip._cached_support_table`` (a cold
+    cache's build inside the fetch is not counted again)."""
     calls, tables = [], []
-    running_ric = verify._running_ric
+    running_ric, column_floor = verify._running_ric, verify._column_floor
+
+    def counting_floor(mat, order):
+        for value in column_floor(mat, order):
+            calls[-1]["floor"] = True
+            yield value
 
     def counting_ric(a, order, budget=rip.ENUMERATION_BUDGET):
         running = running_ric(a, order, budget)
-        call = {"supports": math.comb(a.n, order), "taken": 0, "exhausted": False}
+        call = {"supports": math.comb(a.n, order), "floor": False, "taken": 0, "exhausted": False}
         calls.append(call)
 
         def take():
@@ -129,7 +134,16 @@ def spy_enumeration(monkeypatch):
     fetch = rip._cached_support_table
     monkeypatch.setattr(rip, "_cached_support_table", lambda n, k: tables.append((n, k)) or fetch(n, k))
     monkeypatch.setattr(verify, "_running_ric", counting_ric)
+    monkeypatch.setattr(verify, "_column_floor", counting_floor)
     return calls, tables
+
+
+def settled_at(call):
+    """Where ``verify_lemma4`` settled an instance: at 0.0, at the column
+    floor or in the enumeration."""
+    if call["taken"]:
+        return "enumeration"
+    return "floor" if call["floor"] else "zero"
 
 
 class TestLazyLemma4:
@@ -148,6 +162,8 @@ class TestLazyLemma4:
             calls[-1]["tables"] = len(tables) - built
         at_zero = [c for c in calls if c["taken"] == 0]
         assert at_zero and all(c["tables"] == 0 for c in at_zero)
+        # settled by the column floor: no support table, no enumeration
+        assert any(settled_at(c) == "floor" for c in at_zero)
         first_chunk = [c for c in calls if c["taken"] == 1 and c["supports"] > rip._FIRST_CHUNK]
         assert first_chunk and all(c["tables"] == 1 for c in first_chunk)
 
@@ -182,6 +198,15 @@ class TestLazyLemma4:
             assert calls[-1]["taken"] == len(plan)
             long_plans += len(plan) >= 3
         assert long_plans > 0
+
+    def test_stage_counts_at_seed_7(self, monkeypatch):
+        calls, _ = spy_enumeration(monkeypatch)
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            assert verify_lemma4(random_lemma_instance(rng)) is True
+        stages = [settled_at(c) for c in calls]
+        counts = [stages.count(stage) for stage in ("zero", "floor", "enumeration")]
+        assert counts == [921, 992, 87]
 
     def test_budget_error_raised_before_a_pass_at_zero(self):
         # order 1 * 1 + 15 = 16: C(30, 16) ~ 1.45e8 supports, over the budget;
@@ -405,6 +430,19 @@ class TestSelectionCondition:
             verify_selection_condition(a, x, np.zeros(3), trace, 1)
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_stopping(a, x, trace)
+
+    def test_too_few_rivals_refused_only_when_an_iteration_is_checked(self):
+        a = np.eye(3)
+        x = SparseSignal(np.array([1.0, 1.0, 0.0]))
+        record = IterationRecord(selected=(1,), residual_norm=1.0,
+                                 correlations=np.array([1.0, 0.5, 0.0]))
+        trace = RecoveryTrace([record], np.zeros(3), Termination.MAX_ITERATIONS)
+        with pytest.raises(ValueError, match="^need 2 candidates, only 1 remain$"):
+            verify_selection_condition(a, x, np.zeros(3), trace, 2)
+        # no iteration checked: an empty trace, or an empty support
+        empty = RecoveryTrace([], np.zeros(3), Termination.MAX_ITERATIONS)
+        assert verify_selection_condition(a, x, np.zeros(3), empty, 2)
+        assert verify_selection_condition(a, SparseSignal(np.zeros(3)), np.zeros(3), trace, 4)
 
     def test_failing_later_iteration_rejected(self):
         # iteration 1 picks support index 1 and passes; iteration 2 is
