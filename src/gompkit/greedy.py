@@ -11,8 +11,8 @@ ties and keeps the support growing by exactly ``n_select`` per iteration.
 
 ``gomp_run`` is the traced reference. ``gomp_stacked`` runs many
 same-shape problems as one stacked computation without traces and gives
-the same bits per problem. Both select through ``_top_n`` and refit
-through linops' SVD solve, which holds the rank test.
+the same bits per problem. Both select through ``_top_n``, refit through
+linops' SVD solve, which holds the rank test, and norm with ``_norm``.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import numpy as np
 from .exceptions import RankDeficient
 from .linops import (
     MatrixLike,
+    _norm,
     _solve_submatrix,
     as_sensing_matrix,
     as_vector,
-    row_dot,
 )
 
 
@@ -194,7 +194,7 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
     chosen = np.zeros(mat.n, dtype=bool)
     estimate = np.zeros(mat.n)
     records: list[IterationRecord] = []
-    residual, norm = y, float(np.linalg.norm(y))
+    residual, norm = y, _norm(y)
     while len(records) < params.sparsity and norm > params.epsilon:
         correlations = mat.entries.T @ residual
         magnitudes = _magnitudes(correlations)
@@ -210,7 +210,7 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
             raise err from exc
         estimate[cols] = coef
         residual = y - sub @ coef
-        norm = float(np.linalg.norm(residual))
+        norm = _norm(residual)
         records.append(IterationRecord(tuple((picks + 1).tolist()), norm, magnitudes))
     termination = (
         Termination.RESIDUAL_BELOW_EPSILON
@@ -266,7 +266,7 @@ def gomp_stacked(
     estimates = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=int)
     residual = y.copy()
-    norms = np.sqrt(row_dot(residual, residual))
+    norms = _norm(residual)
     # A^T of a C-ordered slice is F-ordered, as mat.entries.T in gomp_run
     a_t = entries.transpose(0, 2, 1)
     for k in range(1, sparsity + 1):
@@ -289,7 +289,7 @@ def gomp_stacked(
         r_live = y_live - (sub @ coef[:, :, None])[:, :, 0]
         del sub  # free the (T, m, s) stack before the next gather
         residual[live] = r_live
-        norms[live] = np.sqrt(row_dot(r_live, r_live))
+        norms[live] = _norm(r_live)
         iterations[live] = k
         estimates[live[:, None], cols] = coef
     return StackedRun(chosen, estimates, iterations, np.where(iterations > 0, norms, np.nan))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .exceptions import GompkitError
 from .greedy import gomp_stacked
-from .linops import SensingMatrix, draw_du, du_entries, row_dot
+from .linops import SensingMatrix, _norm, draw_du, du_entries, row_dot
 from .metrics import SparseSignal, snr_threshold
 from .rip import RicEstimate, RicKind
 from .verify import NOISE_FLOOR_REL
@@ -77,7 +77,7 @@ class Instance:
 
     @property
     def noisy(self) -> bool:
-        return float(np.linalg.norm(self.noise)) > 0.0
+        return _norm(self.noise) > 0.0
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def _stacked_instances(
     values = np.zeros(d.shape)
     values[np.arange(len(values))[:, None], support - 1] = nonzeros
     clean = (entries @ values[:, :, None])[:, :, 0]
-    clean_norm = np.sqrt(row_dot(clean, clean))
+    clean_norm = _norm(clean)
     sq = d * d
     delta = np.maximum(1.0 - sq.min(axis=1), sq.max(axis=1) - 1.0)
     if noisy:
@@ -218,9 +218,9 @@ def _stacked_instances(
         cap = np.sqrt((1.0 - delta) * smallest) / (2.0 * (1.0 + SNR_MARGIN))
         direction = np.array(direction)
         noise = np.minimum(clean_norm / target_root_snr, cap)[:, None] * (
-            direction / np.sqrt(row_dot(direction, direction))[:, None]
+            direction / _norm(direction)[:, None]
         )
-        epsilon = np.sqrt(row_dot(noise, noise))
+        epsilon = _norm(noise)
     else:
         noise = np.zeros(values.shape)
         epsilon = NOISE_FLOOR_REL * clean_norm

@@ -40,6 +40,7 @@ _CERTIFICATE_SHIFT = 4 * np.finfo(float).eps
 # certificate's dozen small numpy calls cost more than the SVD it saves
 # (the two cost the same at about 100 entries, single matrices and stacks).
 _CERTIFICATE_MIN_ENTRIES = 128
+_TINY = np.finfo(float).tiny  # the smallest normal double; smaller ones lose bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +178,29 @@ def project_complement(a: MatrixLike, index_set: Iterable[int], u: np.ndarray) -
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a[t] @ b[t]`` for each row of two (T, m) stacks, with the bits of
-    the 1-d product: one BLAS dot per row, as ``np.linalg.norm`` also sums
-    a 1-d vector. ``einsum`` and ``norm(axis=1)`` sum in other orders and
-    can differ in the last bit."""
+    the 1-d product: one BLAS dot per row. ``einsum`` and a norm along
+    axis 1 sum in other orders and can differ in the last bit."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norm(x: np.ndarray) -> float | np.ndarray:
+    """The 2-norm over the last axis: a float for a vector, one per row of a
+    (T, m) stack. It is sqrt(``row_dot``), and for a vector sqrt(x.dot(x)),
+    the one BLAS dot that ``np.linalg.norm`` also takes. A nonzero finite
+    row whose square sum overflows or is below _TINY gets s sqrt(sum (x/s)^2),
+    s = max|x|; no other row changes. An overflow warns unless ignored, as
+    in numpy; the pursuits ignore it."""
+    if x.ndim == 1:
+        squares = float(x.dot(x))
+        return math.sqrt(squares) if _TINY <= squares < math.inf else float(_norm(x[None])[0])
+    squares = row_dot(x, x)
+    norms = np.sqrt(squares)
+    if not all(_TINY <= square < math.inf for square in squares.tolist()):
+        peaks = np.abs(x).max(axis=1)
+        odd = ~((squares >= _TINY) & (squares < math.inf)) & (0.0 < peaks) & (peaks < math.inf)
+        scaled = x[odd] / peaks[odd, None]
+        norms[odd] = peaks[odd] * np.sqrt(row_dot(scaled, scaled))
+    return norms
 
 
 def _certified_nonsingular(m: np.ndarray) -> bool:

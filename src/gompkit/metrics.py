@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import MatrixLike, as_sensing_matrix, as_vector
+from .linops import _TINY, MatrixLike, as_sensing_matrix, as_vector
 from .rip import Condition, condition_threshold
 
 
@@ -45,11 +45,13 @@ def snr(a: MatrixLike, x: SparseSignal, v: np.ndarray) -> float:
     if x.n != mat.n:
         raise ValueError(f"signal length {x.n} != matrix columns {mat.n}")
     v = as_vector(v, mat.m, "noise")
-    noise_energy = float(v @ v)
-    if noise_energy == 0.0:
-        return math.inf
     signal = mat.entries @ x.values
-    return float(signal @ signal) / noise_energy
+    if not v @ v >= _TINY:  # zero, or below the normal range: divide both by max|v|
+        peak = np.abs(v).max()
+        if peak == 0.0:
+            return math.inf
+        v, signal = v / peak, signal / peak
+    return float(np.vdot(signal, signal)) / float(v @ v)
 
 
 def mar(x: SparseSignal, sparsity: int) -> float:
@@ -64,10 +66,11 @@ def mar(x: SparseSignal, sparsity: int) -> float:
         raise ValueError(
             f"sparsity {sparsity} is below the support size {len(x.support)}"
         )
-    nonzero = x.values[x.values != 0.0]
-    smallest = float(np.min(nonzero * nonzero))
-    energy = float(x.values @ x.values)
-    return sparsity * smallest / energy
+    values = x.values
+    if not _TINY <= np.vdot(values, values) < math.inf:  # scale-free ratio: rescale
+        values = values / np.abs(values).max()
+    nonzero = values[values != 0.0]
+    return sparsity * float(np.min(nonzero * nonzero)) / float(values @ values)
 
 
 def snr_threshold(

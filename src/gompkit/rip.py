@@ -220,16 +220,19 @@ def _screen(lower: np.ndarray, cols: np.ndarray, low: float, high: float) -> np.
     return cols.take(np.concatenate((lows, highs))[~inside], axis=1)
 
 
-def _running_ric(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) -> Iterator[float]:
-    """The enumeration behind ``exact_ric``, one running value per chunk.
+def _lower_bounds(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) -> Iterator[float]:
+    """Lower bounds on ``exact_ric``'s value, ending at it.
 
     The order and budget checks run now, with ``exact_ric``'s exceptions,
-    and so does the Gram matrix, refused when it overflows; the returned
-    generator builds nothing else until it is first advanced. It
-    yields the running worst deviation w after each chunk: the constant over
-    every support enumerated so far, bit for bit what ``eigvalsh`` on all of
-    them would give, floored at 0.0. So the values never decrease, and the
-    last one is ``exact_ric``'s value.
+    and so does G = A^T A, refused when it overflows; the generator
+    computes nothing else until advanced. It yields 0.0, then the column
+    floor max(0, max_i |G_ii - 1| - tau) (``_screen_tolerance``), then the
+    running worst deviation after each chunk: the constant over every
+    support enumerated so far, bit for bit, floored at 0.0 and ending at
+    ``exact_ric``'s value. The floor is no larger: a support S with column i has
+    lambda_min(G_S) <= G_ii <= lambda_max(G_S) (Cauchy interlacing), so its
+    computed deviation is at least |G_ii - 1| - tau/2, and
+    tau/2 > 1e-13 max(1, max|G|) covers both subtractions' rounding.
     """
     mat = as_sensing_matrix(a)
     if order < 1 or order > mat.n:
@@ -257,18 +260,16 @@ def _screen_tolerance(gram: np.ndarray, order: int) -> float:
     pivots (about 8 k^3 eps max(1, max|G|)) and of ``eigvalsh``, so both
     place every eigenvalue of a principal submatrix G_S within tau/2 of the
     truth. The screen skips a support whose true eigenvalues lie inside
-    (1 - w + tau/2, 1 + w - tau/2). ``exact_ric(A, k).value`` is at least the
-    column floor max(0, max_i |G_ii - 1| - tau): an order-k support S
-    holding column i has lambda_min(G_S) <= G_ii <= lambda_max(G_S) (Cauchy
-    interlacing), so its computed deviation is at least |G_ii - 1| - tau/2,
-    and tau/2 > 1e-13 max(1, max|G|) covers both subtractions' rounding. The
-    trace bound carries its own rounding allowance and needs none of tau.
+    (1 - w + tau/2, 1 + w - tau/2). The trace bound carries its own
+    rounding allowance and needs none of tau.
     """
     return _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
 
 
 def _enumerate(gram: np.ndarray, order: int, total: int) -> Iterator[float]:
+    yield 0.0
     tau = _screen_tolerance(gram, order)
+    yield max(0.0, float(np.max(np.abs(gram.diagonal() - 1.0))) - tau)
     n = gram.shape[0]
     flat = gram.ravel()
     table = _cached_support_table(n, order)
@@ -323,7 +324,7 @@ def exact_ric(a: MatrixLike, order: int, *, budget: int = ENUMERATION_BUDGET) ->
     ``eigvalsh``. Support tables are kept between calls (see
     ``_cached_support_table``).
     """
-    *_, value = _running_ric(a, order, budget)
+    *_, value = _lower_bounds(a, order, budget)
     return RicEstimate(order=order, value=value, kind=RicKind.EXACT_ENUMERATION)
 
 

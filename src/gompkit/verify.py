@@ -15,9 +15,8 @@ certified by exhaustive enumeration:
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .greedy import RecoveryTrace, _top_n
 from .linops import (
     MatrixLike,
     SensingMatrix,
+    _norm,
     as_sensing_matrix,
     as_vector,
     draw_du,
@@ -33,7 +33,7 @@ from .linops import (
     project_complement,
 )
 from .metrics import SparseSignal
-from .rip import _gram, _running_ric, _screen_tolerance, exact_ric
+from .rip import _lower_bounds, exact_ric
 
 # Absolute slack for inequality comparisons: both sides are O(1) at the
 # problem sizes enumeration allows, leaving ~1e-15 of true float noise.
@@ -129,7 +129,7 @@ def _lemma4_terms(inst: LemmaInstance) -> tuple[float, Callable[[float], float]]
 
     missing = len(omega) - inst.overlap
     growth = math.sqrt(missing / inst.n_select + 1.0)
-    norm = float(np.linalg.norm(x_rem))
+    norm = _norm(x_rem)
 
     def rhs(delta: float) -> float:
         return (1.0 - growth * delta) * norm / math.sqrt(missing)
@@ -156,21 +156,12 @@ def lemma4_holds(lhs: float, rhs: float) -> bool:
     return lhs >= rhs - LEMMA_SLACK
 
 
-def _column_floor(mat: SensingMatrix, order: int) -> Iterator[float]:
-    """Yield max(0, max_i |G_ii - 1| - tau) <= ``exact_ric(mat, order).value``
-    (see ``rip._screen_tolerance``), forming G = A^T A only when advanced."""
-    gram = _gram(mat.entries)
-    yield max(0.0, float(np.max(np.abs(gram.diagonal() - 1.0))) - _screen_tolerance(gram, order))
-
-
 def _settle_lemma4(inst: LemmaInstance, floor: float) -> tuple[float, float] | None:
-    """None once the instance passes at 0.0, at the column floor or at a
-    running value w of the enumeration with slack lhs - rhs(w) >= ``floor``;
-    otherwise both sides at the exact constant, the last running value (see
-    ``verify_lemma4``)."""
+    """None once the instance passes at a value w of ``rip._lower_bounds``
+    with slack lhs - rhs(w) >= ``floor``; otherwise both sides at the exact
+    constant, its last value (see ``verify_lemma4``)."""
     lhs, rhs = _lemma4_terms(inst)
-    running = _running_ric(inst.matrix, inst.ric_order)  # raises before any pass
-    for delta in itertools.chain([0.0], _column_floor(inst.matrix, inst.ric_order), running):
+    for delta in _lower_bounds(inst.matrix, inst.ric_order):  # raises before any pass
         right = rhs(delta)
         if lemma4_holds(lhs, right) and lhs - right >= floor:
             return None
@@ -189,16 +180,13 @@ def verify_lemma4(inst: LemmaInstance) -> bool:
       multiplies by ||x_rem|| >= 0 and divides by sqrt(missing) > 0, and
       each of these correctly rounded operations is monotone, as is the
       subtraction of LEMMA_SLACK in ``lemma4_holds``.
-    * Every running value w of the enumeration is a max over a subset of
-      the computed terms whose max is ``exact_ric``'s value, and that value
-      is >= 0.0. So 0.0 <= w <= the exact constant, and a pass at w is a
-      pass at the exact constant.
-    * The column floor, formed only after 0.0 fails, is at most the exact
-      constant too (see ``rip._screen_tolerance``).
+    * Every value w of ``rip._lower_bounds``, namely 0.0, the column floor
+      and the running values of the enumeration, is at most the exact
+      constant, so a pass at w is a pass at the exact constant.
 
-    The instance passes at the first of 0.0, the column floor and the
-    running values that passes it. It fails only when the last running
-    value, which is the exact constant, fails it too.
+    The instance passes at the first of these values that passes it. It
+    fails only when the last one, which is the exact constant, fails it
+    too.
     """
     return _settle_lemma4(inst, -math.inf) is None
 
@@ -268,7 +256,7 @@ def verify_stopping(
     if k0 == 0:
         return True
     y = mat.entries @ x.values
-    floor = NOISE_FLOOR_REL * float(np.linalg.norm(y))
+    floor = NOISE_FLOOR_REL * _norm(y)
     if trace.iterations[-1].residual_norm > floor:
         return True
     if len(x.support & trace.final_support) < k0:

@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from gompkit import rip
+
+# pyproject.toml puts src/ on this process's path; the CLI tests' subprocesses
+# (python -m gompkit) get it through PYTHONPATH, so a checkout runs uninstalled.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(autouse=True)

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -12,7 +13,7 @@ from gompkit import (
     orthogonal_factor,
     project_complement,
 )
-from gompkit.linops import RANK_RTOL, _solve_submatrix
+from gompkit.linops import RANK_RTOL, _norm, _solve_submatrix, row_dot
 
 
 def normal_equations_oracle(a_s, y):
@@ -368,3 +369,43 @@ class TestSensingMatrix:
             least_squares(np.eye(3), {0, 1}, np.ones(3))
         with pytest.raises(IndexError):
             least_squares(np.eye(3), {4}, np.ones(3))
+
+
+def seeded_rows(seed, count):
+    """Rows of lengths 1-39 scaled by 10^[-5, 5], each on its own."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-5, 5) for _ in range(count)]
+
+
+class TestNorm:
+    def test_vector_has_the_bits_of_numpy_norm_and_row_dot(self):
+        for x in seeded_rows(61, 2000):
+            got = _norm(x)
+            assert type(got) is float
+            assert got == float(np.linalg.norm(x)) == float(np.sqrt(row_dot(x[None], x[None])[0]))
+
+    def test_stack_has_the_bits_of_each_row(self):
+        rng = np.random.default_rng(67)
+        for m in range(1, 40):
+            stack = rng.standard_normal((50, m)) * 10.0 ** rng.uniform(-5, 5, (50, 1))
+            got = _norm(stack)
+            assert got.shape == (50,)
+            assert got.tolist() == [_norm(row) for row in stack] == np.sqrt(row_dot(stack, stack)).tolist()
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e-155, 1e-170, 1e-310])
+    def test_out_of_range_square_sums_are_rescaled(self, scale):
+        # the square sum overflows, is subnormal or underflows; math.hypot is the oracle
+        row = np.array([3.0, 0.0, 4.0]) * scale
+        with np.errstate(over="ignore"):  # as the pursuits call it; nothing else may warn
+            got, alone = _norm(np.stack([row, -row, np.ones(3)])), _norm(row)
+        want = math.hypot(*row)
+        assert abs(alone - want) <= 4e-16 * want
+        assert got.tolist() == [alone, alone, _norm(np.ones(3))]
+
+    def test_zero_and_non_finite_rows_keep_their_values(self):
+        stack = np.array([[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0], [1e308, 1e308]])
+        with np.errstate(over="ignore"):
+            got, alone = _norm(stack), [_norm(row) for row in stack]
+        assert got[:2].tolist() == alone[:2] == [0.0, math.inf]
+        assert math.isnan(got[2]) and math.isnan(alone[2])
+        assert got[3] == alone[3] == 1e308 * math.sqrt(2.0)

@@ -55,6 +55,16 @@ class TestSnr:
         base = snr(a, x, v)
         assert abs(snr(a, x, 2.0 * v) - base / 4.0) <= 1e-12 * base
 
+    @pytest.mark.parametrize("signal,noise,want", [
+        ([1e-170, 0.0, 0.0], [1e-170, 0.0, 0.0], 1.0),  # both energies underflow to 0
+        ([1e-20, 0.0, 0.0], [1e-170, 0.0, 0.0], 1e300),  # ||v||^2 underflows to 0
+        ([1e-10, 0.0, 0.0], [1e-160, 0.0, 0.0], 1e300),  # ||v||^2 is subnormal
+    ])
+    def test_noise_energy_below_the_normal_range(self, signal, noise, want):
+        # real noise is not read as none, and keeps the ratio's precision
+        got = snr(np.eye(3), SparseSignal(np.array(signal)), np.array(noise))
+        assert abs(got - want) <= 4e-16 * want
+
     def test_calibrated_instance_hits_target(self):
         inst = gen_instance(3, 2, noisy=True, seed=808)
         target_root = 0.01 + snr_threshold(3, 2, inst.claimed_delta.value, mar(inst.signal, 3))
@@ -95,6 +105,12 @@ class TestMar:
             assert 0.0 < got <= 1.0
             mags = np.abs(nz)
             assert (got == 1.0) == bool(np.all(mags == mags[0]))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e200])
+    def test_energy_outside_the_normal_range(self, scale):
+        # ||x||^2 underflows to 0 or overflows to inf: once a ZeroDivisionError or NaN
+        got = mar(SparseSignal(np.array([1.0, 2.0, 0.0]) * scale), 2)
+        assert abs(got - 0.4) <= 1e-15
 
     def test_scale_invariant(self):
         x = SparseSignal(np.array([0.0, 2.0, -1.0]))

@@ -3,12 +3,15 @@
 ``reference_gomp_run`` and ``reference_selection_condition`` keep the
 earlier, plainer forms of ``gomp_run`` and ``verify_selection_condition``:
 a 1-based support list, ``select_top_n`` and ``least_squares`` on every
-iteration, and the rivals picked by ``select_top_n``. The library versions
-run on one boolean mask and must agree with them on generated instances
-and on seeded fuzz families (integer, duplicate-column, 1e+-150-scaled,
-tie-heavy and rank-deficient matrices): picks, correlations, residual
-norms, estimates and termination bit for bit, and the same exception type,
-message and partial trace.
+iteration, and the rivals picked by ``select_top_n``. Both sides take
+residual norms with ``linops._norm``, whose bits ``tests/test_linops.py``
+pins to ``np.linalg.norm`` wherever the square sum is a normal double.
+The library versions run on one boolean mask and must agree with the
+references on generated instances and on seeded fuzz families
+(integer, duplicate-column, 1e+-150-scaled, tie-heavy and rank-deficient
+matrices): picks, correlations, residual norms, estimates and
+termination bit for bit, and the same exception type, message and
+partial trace.
 """
 
 import math
@@ -30,7 +33,7 @@ from gompkit import (
 )
 from gompkit import greedy, verify
 from gompkit.greedy import IterationRecord, gomp_stacked
-from gompkit.linops import as_sensing_matrix, as_vector
+from gompkit.linops import _norm, as_sensing_matrix, as_vector
 
 
 def reference_gomp_run(a, y, params):
@@ -49,7 +52,7 @@ def reference_gomp_run(a, y, params):
 
     support, residual, coef, records = [], y.copy(), np.empty(0), []
     k = 0
-    while k < params.sparsity and float(np.linalg.norm(residual)) > params.epsilon:
+    while k < params.sparsity and _norm(residual) > params.epsilon:
         k += 1
         correlations = mat.entries.T @ residual
         picked = select_top_n(correlations, params.n_select, excluded=frozenset(support))
@@ -64,9 +67,9 @@ def reference_gomp_run(a, y, params):
         fitted = mat.entries[:, np.asarray(sorted(support)) - 1] @ coef
         residual = y - fitted
         records.append(
-            IterationRecord(tuple(picked), float(np.linalg.norm(residual)), np.abs(correlations))
+            IterationRecord(tuple(picked), _norm(residual), np.abs(correlations))
         )
-    final_norm = float(np.linalg.norm(residual))
+    final_norm = _norm(residual)
     termination = (
         Termination.RESIDUAL_BELOW_EPSILON if final_norm <= params.epsilon else Termination.MAX_ITERATIONS
     )
@@ -233,3 +236,24 @@ class TestOverflow:
         assert select_top_n(c, 2) == [2, 3]
         with pytest.raises(ValueError, match="^correlations must not be NaN$"):
             select_top_n(np.array([1e200, math.nan]), 1)
+
+
+class TestNormRange:
+    """Observations whose square sums leave the double range: both paths
+    give the norms and terminations of the exact values, not inf or 0."""
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-170])
+    def test_both_paths_stop_on_finite_correct_norms(self, scale):
+        a, y = np.eye(3), np.array([1.0, 1.0, 0.0]) * scale
+        for epsilon, iterations in ((0.0, 1), (1e300, 0), (2.0 * scale, 0)):
+            trace = gomp_run(a, y, GompParams(sparsity=1, n_select=1, epsilon=epsilon))
+            run = gomp_stacked(a[None], y[None], np.array([epsilon]), 1, 1)
+            assert trace.iterations_used == run.iterations[0] == iterations
+            if iterations:
+                # one pick of the tied pair leaves the other: ||r|| = scale
+                assert trace.termination is Termination.MAX_ITERATIONS
+                assert trace.final_residual_norm == run.residual_norms[0] == scale
+                assert trace.final_estimate.tolist() == run.estimates[0].tolist() == [scale, 0.0, 0.0]
+            else:  # ||y|| = sqrt(2) scale <= epsilon
+                assert trace.termination is Termination.RESIDUAL_BELOW_EPSILON
+                assert math.isnan(run.residual_norms[0])

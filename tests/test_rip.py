@@ -1,6 +1,6 @@
 import functools
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from gompkit import (
     project_complement,
     spectral_ric_bound,
 )
-from gompkit import SensingMatrix, rip, verify
+from gompkit import rip
 
 
 def brute_force_ric(a, order):
@@ -258,7 +258,7 @@ class TestScreenedEnumeration:
     def test_running_values_rise_to_the_constant(self, a, orders):
         for order in orders:
             ends = chunk_ends(math.comb(a.shape[1], order))
-            running = list(rip._running_ric(a, order))
+            running = list(rip._lower_bounds(a, order))[2:]  # after 0.0 and the column floor
             # value i is the unscreened constant over the supports of chunks 0..i
             assert running == unscreened_prefix_rics(a, order, ends)
             assert running[-1] == exact_ric(a, order).value
@@ -297,7 +297,7 @@ class TestScreenedEnumeration:
         assert sizes.count(rip._MAX_CHUNK) >= 2 and max(sizes) == rip._MAX_CHUNK
         events = spy_screen(monkeypatch)
         running = []
-        for value in rip._running_ric(a, 5):
+        for value in islice(rip._lower_bounds(a, 5), 2, None):  # after 0.0 and the column floor
             events.append(("yield", value))
             running.append(value)
         assert running[-1] == expected
@@ -630,12 +630,15 @@ class TestTwoStageScreen:
 
 
 def column_floor(a, order):
-    return next(verify._column_floor(SensingMatrix(a), order))
+    """The second value of ``rip._lower_bounds``, after 0.0."""
+    zero, floor = islice(rip._lower_bounds(a, order), 2)
+    assert zero == 0.0
+    return floor
 
 
 class TestColumnFloor:
-    """The floor max(0, max_i |G_ii - 1| - tau) that ``verify_lemma4`` tries
-    before enumerating is at most the exact constant at every order."""
+    """The floor max(0, max_i |G_ii - 1| - tau) that ``rip._lower_bounds``
+    yields before enumerating is at most the exact constant at every order."""
 
     @pytest.mark.parametrize("a,orders", _screen_cases())
     def test_below_the_exact_value_at_every_order(self, a, orders):
@@ -735,7 +738,7 @@ class TestSpectralBound:
             with pytest.raises(ValueError, match=r"^A\^T A is not finite"):
                 estimate(a)
         with pytest.raises(ValueError, match=r"^A\^T A is not finite"):
-            rip._running_ric(a, 4)  # eagerly, with the order and budget checks
+            rip._lower_bounds(a, 4)  # eagerly, with the order and budget checks
 
 
 class TestConditionThresholds:

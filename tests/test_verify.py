@@ -105,26 +105,22 @@ def lemma_draw(i):
 
 
 def spy_enumeration(monkeypatch):
-    """Record, for each enumeration ``verify_lemma4`` or ``lemma4_min_slack``
-    starts, its support count, whether the column floor was formed, how
-    many running values it handed out, whether it ran to its end, and each
-    support table it fetched through ``rip._cached_support_table`` (a cold
-    cache's build inside the fetch is not counted again)."""
+    """Record, for each ``rip._lower_bounds`` sequence ``verify_lemma4`` or
+    ``lemma4_min_slack`` starts, its support count, how many values it
+    handed out (0.0, the column floor, then one per chunk), whether it ran
+    to its end, and each support table it fetched through
+    ``rip._cached_support_table`` (a cold cache's build inside the fetch is
+    not counted again)."""
     calls, tables = [], []
-    running_ric, column_floor = verify._running_ric, verify._column_floor
+    lower_bounds = verify._lower_bounds
 
-    def counting_floor(mat, order):
-        for value in column_floor(mat, order):
-            calls[-1]["floor"] = True
-            yield value
-
-    def counting_ric(a, order, budget=rip.ENUMERATION_BUDGET):
-        running = running_ric(a, order, budget)
-        call = {"supports": math.comb(a.n, order), "floor": False, "taken": 0, "exhausted": False}
+    def counting_bounds(a, order, budget=rip.ENUMERATION_BUDGET):
+        bounds = lower_bounds(a, order, budget)
+        call = {"supports": math.comb(a.n, order), "taken": 0, "exhausted": False}
         calls.append(call)
 
         def take():
-            for value in running:
+            for value in bounds:
                 call["taken"] += 1
                 yield value
             call["exhausted"] = True
@@ -133,17 +129,14 @@ def spy_enumeration(monkeypatch):
 
     fetch = rip._cached_support_table
     monkeypatch.setattr(rip, "_cached_support_table", lambda n, k: tables.append((n, k)) or fetch(n, k))
-    monkeypatch.setattr(verify, "_running_ric", counting_ric)
-    monkeypatch.setattr(verify, "_column_floor", counting_floor)
+    monkeypatch.setattr(verify, "_lower_bounds", counting_bounds)
     return calls, tables
 
 
 def settled_at(call):
-    """Where ``verify_lemma4`` settled an instance: at 0.0, at the column
-    floor or in the enumeration."""
-    if call["taken"]:
-        return "enumeration"
-    return "floor" if call["floor"] else "zero"
+    """Where ``verify_lemma4`` settled an instance, by the values it took:
+    1 at 0.0, 2 at the column floor, 3 or more in the enumeration."""
+    return {1: "zero", 2: "floor"}.get(call["taken"], "enumeration")
 
 
 class TestLazyLemma4:
@@ -160,11 +153,11 @@ class TestLazyLemma4:
             built = len(tables)
             assert verify_lemma4(lemma_draw(i)) is True
             calls[-1]["tables"] = len(tables) - built
-        at_zero = [c for c in calls if c["taken"] == 0]
-        assert at_zero and all(c["tables"] == 0 for c in at_zero)
+        before_chunks = [c for c in calls if c["taken"] <= 2]
+        assert before_chunks and all(c["tables"] == 0 for c in before_chunks)
         # settled by the column floor: no support table, no enumeration
-        assert any(settled_at(c) == "floor" for c in at_zero)
-        first_chunk = [c for c in calls if c["taken"] == 1 and c["supports"] > rip._FIRST_CHUNK]
+        assert any(settled_at(c) == "floor" for c in before_chunks)
+        first_chunk = [c for c in calls if c["taken"] == 3 and c["supports"] > rip._FIRST_CHUNK]
         assert first_chunk and all(c["tables"] == 1 for c in first_chunk)
 
     def test_pass_settled_only_by_the_last_chunk(self, monkeypatch):
@@ -179,13 +172,13 @@ class TestLazyLemma4:
         a = np.eye(12)
         a[9:, 9:] = np.linalg.cholesky(gram).T
         inst = make_instance(a, [0.0] * 10 + [1.0, 1.0], set(), {10})
-        running = list(rip._running_ric(a, inst.ric_order))
-        assert len(running) == 3
+        bounds = list(rip._lower_bounds(a, inst.ric_order))  # 0.0, the column floor, 3 chunks
+        assert len(bounds) == 5
         lhs, rhs = verify._lemma4_terms(inst)
-        assert [lemma4_holds(lhs, rhs(w)) for w in [0.0] + running] == [False] * 3 + [True]
+        assert [lemma4_holds(lhs, rhs(w)) for w in bounds] == [False] * 4 + [True]
         calls, _ = spy_enumeration(monkeypatch)
         assert verify_lemma4(inst) is True
-        assert calls[-1]["taken"] == 3
+        assert calls[-1]["taken"] == 5
 
     def test_failing_verdict_takes_the_whole_chunk_plan(self, monkeypatch):
         calls, _ = spy_enumeration(monkeypatch)
@@ -194,8 +187,8 @@ class TestLazyLemma4:
         for i in range(40):
             inst = lemma_draw(i)
             assert verify_lemma4(inst) is False
-            plan = list(rip._running_ric(inst.matrix, inst.ric_order))
-            assert calls[-1]["taken"] == len(plan)
+            plan = list(rip._lower_bounds(inst.matrix, inst.ric_order))[2:]  # one value per chunk
+            assert calls[-1]["taken"] == 2 + len(plan)
             long_plans += len(plan) >= 3
         assert long_plans > 0
 
@@ -207,6 +200,16 @@ class TestLazyLemma4:
         stages = [settled_at(c) for c in calls]
         counts = [stages.count(stage) for stage in ("zero", "floor", "enumeration")]
         assert counts == [921, 992, 87]
+
+    def test_gram_is_formed_once_per_instance(self, monkeypatch):
+        grams = []
+        gram = rip._gram
+        monkeypatch.setattr(rip, "_gram", lambda entries: grams.append(entries.shape) or gram(entries))
+        calls, _ = spy_enumeration(monkeypatch)
+        for i in range(200):
+            assert verify_lemma4(lemma_draw(i)) is True
+            assert len(grams) == i + 1
+        assert {settled_at(c) for c in calls} == {"zero", "floor", "enumeration"}
 
     def test_budget_error_raised_before_a_pass_at_zero(self):
         # order 1 * 1 + 15 = 16: C(30, 16) ~ 1.45e8 supports, over the budget;
@@ -259,8 +262,8 @@ class TestLazyMinSlack:
         assert calls[0]["exhausted"] and calls[argmin]["exhausted"]
         stopped = [c for c in calls if not c["exhausted"]]
         assert len(stopped) > 150
-        assert any(c["taken"] == 0 for c in stopped)
-        assert any(c["taken"] > 0 for c in stopped)
+        assert any(c["taken"] <= 2 for c in stopped)
+        assert any(c["taken"] > 2 for c in stopped)
 
     def test_no_instances(self):
         assert lemma4_min_slack([]) == (0, math.inf, -1)
