@@ -131,6 +131,8 @@ def select_top_n(
     and reproducible across implementations. Returns 1-based indices in
     selection (descending-magnitude) order; NaN correlations raise ValueError.
     """
+    if n_select < 1:
+        raise ValueError(f"n_select must be >= 1, got {n_select}")
     c = np.asarray(correlations, dtype=float)
     n = c.size
     excluded0 = {int(i) - 1 for i in excluded}

@@ -17,6 +17,15 @@ normal, row-major), support permutation, nonzero values, then the noise
 direction. Identical seeds give bit-identical instances. The noise cap
 changed the noisy instances it shrinks, and only those.
 
+``_generators`` seeds a whole pass at once. Each seed's
+``SeedSequence(seed).pool`` is numpy's own entropy mixing; the 8-word hash
+of ``SeedSequence.generate_state(4, uint64)`` then runs for every seed in
+a few uint32 array operations, and each row seeds ``PCG64`` through
+numpy's ``ISeedSequence`` interface, so PCG64's own seeding still runs.
+Each generator is ``np.random.default_rng(seed)`` bit for bit, and
+``_check_seeding`` refuses at import, with RuntimeError, a numpy whose
+hash differs.
+
 There is one generator, ``_stacked_instances``, which builds the
 instances of many seeds as stacked rows; a row's bits do not depend on
 the other seeds. ``gen_instance`` is its call on one seed. Every trial
@@ -36,11 +45,12 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .exceptions import GompkitError
 from .greedy import gomp_stacked
-from .linops import SensingMatrix, _norm, draw_du, du_entries, row_dot
-from .metrics import SparseSignal, snr_threshold
+from .linops import SensingMatrix, _norm, draw_du, du_entries
+from .metrics import SparseSignal, _row_mar, snr_threshold
 from .rip import RicEstimate, RicKind
 from .verify import NOISE_FLOOR_REL
 
@@ -77,7 +87,7 @@ class Instance:
 
     @property
     def noisy(self) -> bool:
-        return _norm(self.noise) > 0.0
+        return bool(self.noise.any())
 
 
 @dataclass(frozen=True)
@@ -128,21 +138,67 @@ class CellResult:
             object.__setattr__(self, name, value)
 
 
-def _draw(sparsity: int, n_select: int, noisy: bool, seed: int, flat_signal: bool) -> tuple:
-    """Every random draw of one instance, in the contract order: (d, source
-    of the orthogonal factor, 1-based support, nonzeros, noise direction or
-    None when noise-free)."""
-    if sparsity < 1 or n_select < 1:
-        raise ValueError("sparsity and n_select must be >= 1")
+# SeedSequence.generate_state's hash (numpy/random/bit_generator.pyx): output
+# word i mixes pool word i % 4 with h_i and h_(i+1), where h_0 = INIT_B and
+# h_(i+1) = h_i MULT_B mod 2**32. _HASH_CONSTANTS holds h_0 .. h_8.
+_HASH_CONSTANTS = np.array(
+    [0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(9)], dtype=np.uint32
+)
+_POOL_WORDS = np.arange(8) % 4
+
+
+class _SeedWords(ISeedSequence):
+    """The precomputed ``generate_state(4, uint64)`` of one seed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each seed, bit for bit, with
+    ``generate_state``'s hash run once over the whole pass: word i of a
+    seed's state is w ^ (w >> 16) for w = (pool[i % 4] ^ h_i) h_(i+1).
+    A seed that ``SeedSequence`` refuses raises its exception."""
+    pools = np.array([np.random.SeedSequence(seed).pool for seed in seeds], dtype=np.uint32)
+    words = pools.take(_POOL_WORDS, axis=1)
+    words ^= _HASH_CONSTANTS[:8]
+    words *= _HASH_CONSTANTS[1:]
+    words ^= words >> 16
+    # numpy's little-endian pairing of the uint32 words into uint64 ones
+    states = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(state))) for state in states]
+
+
+def _check_seeding() -> None:
+    """Raise RuntimeError unless ``_generators`` gives ``default_rng``'s
+    states, on one seed below 2**32 and one above 2**64."""
+    seeds = (2**32 - 7, 2**64 + 13)
+    for seed, rng in zip(seeds, _generators(seeds)):
+        if rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state:
+            raise RuntimeError(
+                f"numpy {np.__version__} seeds PCG64 differently from harness._generators "
+                f"(seed {seed}); instances would not be reproducible"
+            )
+
+
+_check_seeding()
+
+
+def _draw(sparsity: int, n_select: int, noisy: bool, rng: np.random.Generator, flat_signal: bool) -> tuple:
+    """Every random draw of one instance from its seeded generator, in the
+    contract order: (d, source of the orthogonal factor, 0-based support,
+    nonzeros, noise direction or None when noise-free)."""
     n = n_select * sparsity + 1
-    rng = np.random.default_rng(seed)
     d, source = draw_du(rng, n, sparsity / n_select)
-    support = rng.permutation(n)[:sparsity] + 1
+    support = rng.permutation(n)[:sparsity]
     if flat_signal:
         nonzeros = rng.integers(0, 2, size=sparsity) * 2.0 - 1.0
     else:
         nonzeros = rng.standard_normal(sparsity)
-        while (nonzeros == 0.0).any():  # measure-zero, but a zero leaves fewer than K nonzeros
+        while not nonzeros.all():  # measure-zero, but a zero leaves fewer than K nonzeros
             nonzeros[nonzeros == 0.0] = rng.standard_normal(np.count_nonzero(nonzeros == 0.0))
     direction = rng.standard_normal(n) if noisy else None
     return d, source, support, nonzeros, direction
@@ -184,36 +240,40 @@ def _stacked_instances(
     values, noise, observation, epsilon and the claimed isometry constant
     delta.
 
-    The draws are ``_draw``'s and the orthogonal factor is one stacked
-    call. delta is ``du_ric_bound(d).value``, max(1 - min d^2, max d^2 - 1),
-    exact at order n = N K + 1. In the noisy mode the MAR is ``mar``'s
-    K min x_i^2 / ||x||^2, and the noise is scaled so sqrt(SNR) =
-    SNR_MARGIN + ``snr_threshold``, unless that puts ||v|| above the cap
-    sqrt(1 - delta) min|x_i| / (2 (1 + SNR_MARGIN)). While a support index
-    is missing, ||r|| >= sqrt(1 - delta) ||x off the support found|| - ||v||,
-    which the cap keeps above epsilon = ||v||. Each
-    product and norm has the operand layout and BLAS call of the 1-d form,
-    so a row's bits do not depend on the other seeds of the call.
+    The draws are ``_draw``'s from the generators of ``_generators``, and
+    the orthogonal factor is one stacked call. delta is
+    ``du_ric_bound(d).value``, max(1 - min d^2, max d^2 - 1), exact at
+    order n = N K + 1. In the noisy mode the MAR is ``mar``'s
+    K min x_i^2 / ||x||^2, taken row by row by ``metrics._row_mar``, and
+    the noise is scaled so sqrt(SNR) = SNR_MARGIN + ``snr_threshold``,
+    unless that puts ||v|| above the cap sqrt(1 - delta) min|x_i| /
+    (2 (1 + SNR_MARGIN)). While a support index is missing,
+    ||r|| >= sqrt(1 - delta) ||x off the support found|| - ||v||, which the
+    cap keeps above epsilon = ||v||. Each product and norm has the operand
+    layout and BLAS call of the 1-d form, so a row's bits do not depend on
+    the other seeds of the call.
     ``test_matrix_follows_documented_draw_order`` and
     ``test_noisy_calibration`` in tests/test_harness.py pin these
     expressions against ``du_ric_bound`` and ``mar``.
     """
+    if sparsity < 1 or n_select < 1:
+        raise ValueError("sparsity and n_select must be >= 1")
     d, source, support, nonzeros, direction = zip(
-        *(_draw(sparsity, n_select, noisy, seed, flat_signal) for seed in seeds)
+        *(_draw(sparsity, n_select, noisy, rng, flat_signal) for rng in _generators(seeds))
     )
     d, support, nonzeros = np.array(d), np.array(support), np.array(nonzeros)
     source = np.array(source)  # drops the per-seed copies before the QR
     entries = du_entries(d, source)
     del source
     values = np.zeros(d.shape)
-    values[np.arange(len(values))[:, None], support - 1] = nonzeros
+    values[np.arange(len(values))[:, None], support] = nonzeros
     clean = (entries @ values[:, :, None])[:, :, 0]
     clean_norm = _norm(clean)
     sq = d * d
     delta = np.maximum(1.0 - sq.min(axis=1), sq.max(axis=1) - 1.0)
     if noisy:
-        smallest = (nonzeros * nonzeros).min(axis=1)
-        mar_values = sparsity * smallest / row_dot(values, values)
+        smallest = np.minimum.reduce(nonzeros * nonzeros, axis=1)
+        mar_values = _row_mar(values, sparsity, smallest)
         target_root_snr = SNR_MARGIN + snr_threshold(sparsity, n_select, delta, mar_values)
         cap = np.sqrt((1.0 - delta) * smallest) / (2.0 * (1.0 + SNR_MARGIN))
         direction = np.array(direction)

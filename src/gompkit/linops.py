@@ -188,8 +188,8 @@ def _norm(x: np.ndarray) -> float | np.ndarray:
     (T, m) stack. It is sqrt(``row_dot``), and for a vector sqrt(x.dot(x)),
     the one BLAS dot that ``np.linalg.norm`` also takes. A nonzero finite
     row whose square sum overflows or is below _TINY gets s sqrt(sum (x/s)^2),
-    s = max|x|; no other row changes. An overflow warns unless ignored, as
-    in numpy; the pursuits ignore it."""
+    s = max|x|; no other row changes. An overflowing square sum warns, as in
+    numpy, unless ignored; its callers in greedy and verify ignore it."""
     if x.ndim == 1:
         squares = float(x.dot(x))
         return math.sqrt(squares) if _TINY <= squares < math.inf else float(_norm(x[None])[0])

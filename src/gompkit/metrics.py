@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import _TINY, MatrixLike, as_sensing_matrix, as_vector
+from .linops import _TINY, MatrixLike, as_sensing_matrix, as_vector, row_dot
 from .rip import Condition, condition_threshold
 
 
@@ -66,11 +66,29 @@ def mar(x: SparseSignal, sparsity: int) -> float:
         raise ValueError(
             f"sparsity {sparsity} is below the support size {len(x.support)}"
         )
-    values = x.values
-    if not _TINY <= np.vdot(values, values) < math.inf:  # scale-free ratio: rescale
-        values = values / np.abs(values).max()
-    nonzero = values[values != 0.0]
-    return sparsity * float(np.min(nonzero * nonzero)) / float(values @ values)
+    with np.errstate(over="ignore"):  # _row_mar rescales an overflowing energy
+        return float(_row_mar(x.values[None], sparsity)[0])
+
+
+def _row_mar(values: np.ndarray, sparsity: int, smallest: np.ndarray | None = None) -> np.ndarray:
+    """``mar`` of each row of a (T, n) stack, each row with a nonzero:
+    K min x_i^2 over the nonzeros, over ||x||^2, with the bits of the 1-d
+    products; ``smallest``, when given, is each row's min x_i^2 over its
+    nonzeros. The ratio is scale-free, so when some row's energy is below
+    the normal range, or so large that K times it overflows, that row is
+    first divided by its max |x_i|. An overflowing energy warns, as in
+    numpy, unless ignored; ``mar`` ignores it."""
+    energy = row_dot(values, values)
+    energies = energy.tolist()
+    if not (_TINY <= min(energies) and sparsity * max(energies) < math.inf):
+        odd = [not _TINY <= e or sparsity * e == math.inf for e in energies]
+        values = values.copy()
+        values[odd] /= np.abs(values[odd]).max(axis=1)[:, None]
+        energy[odd] = row_dot(values[odd], values[odd])
+        smallest = None
+    if smallest is None:
+        smallest = np.minimum.reduce(np.where(values != 0.0, values * values, math.inf), axis=1)
+    return sparsity * smallest / energy
 
 
 def snr_threshold(

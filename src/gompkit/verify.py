@@ -129,7 +129,8 @@ def _lemma4_terms(inst: LemmaInstance) -> tuple[float, Callable[[float], float]]
 
     missing = len(omega) - inst.overlap
     growth = math.sqrt(missing / inst.n_select + 1.0)
-    norm = _norm(x_rem)
+    with np.errstate(over="ignore"):  # _norm rescales an overflowing square sum
+        norm = _norm(x_rem)
 
     def rhs(delta: float) -> float:
         return (1.0 - growth * delta) * norm / math.sqrt(missing)
@@ -256,7 +257,8 @@ def verify_stopping(
     if k0 == 0:
         return True
     y = mat.entries @ x.values
-    floor = NOISE_FLOOR_REL * _norm(y)
+    with np.errstate(over="ignore"):  # _norm rescales an overflowing square sum
+        floor = NOISE_FLOOR_REL * _norm(y)
     if trace.iterations[-1].residual_norm > floor:
         return True
     if len(x.support & trace.final_support) < k0:
@@ -281,6 +283,8 @@ def verify_selection_condition(
     itself reads only the recorded correlations). A trace that does not fit
     ``x`` raises ValueError.
     """
+    if n_select < 1:
+        raise ValueError(f"n_select must be >= 1, got {n_select}")
     mat = as_sensing_matrix(a)
     _check_trace(trace, x.n)
     omega = x.support

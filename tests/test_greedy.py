@@ -39,6 +39,14 @@ class TestSelectTopN:
             n_select = int(rng.integers(1, n - len(excluded) + 1))
             assert select_top_n(c, n_select, excluded) == lexsort_top_n(c, n_select, excluded)
 
+    @pytest.mark.parametrize("n_select", [0, -1])
+    def test_n_select_below_one_rejected(self, n_select):
+        # once -1 picked n - 1 indices and 0 picked none
+        with pytest.raises(ValueError, match=f"^n_select must be >= 1, got {n_select}$"):
+            select_top_n(np.array([0.3, 0.1, 0.2]), n_select)
+        with pytest.raises(ValueError, match=f"^n_select must be >= 1, got {n_select}$"):
+            select_top_n(np.array([np.nan]), n_select, excluded={5})  # before any other check
+
     def test_nan_rejected(self):
         # a NaN would sort after the excluded entries and let one be picked
         with pytest.raises(ValueError, match="NaN"):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -141,6 +142,60 @@ class TestGenInstance:
         nz = inst.signal.values[np.array(sorted(inst.signal.support)) - 1]
         assert set(np.abs(nz)) == {1.0}
         assert mar(inst.signal, 4) == 1.0
+
+
+class TestSeeding:
+    """A pass's generators are ``np.random.default_rng(seed)``'s, bit for bit."""
+
+    @staticmethod
+    def assert_default_states(seeds):
+        got = [rng.bit_generator.state for rng in harness._generators(seeds)]
+        assert got == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+    def test_edge_seeds(self):
+        self.assert_default_states([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**100])
+
+    def test_numpy_integer_seeds(self):
+        self.assert_default_states([np.int64(5), np.uint64(2**64 - 1), np.int64(2**62), 9])
+
+    def test_random_seeds(self):
+        draw = random.Random(24)
+        self.assert_default_states([draw.getrandbits(draw.randint(8, 100)) for _ in range(2000)])
+
+    @pytest.mark.parametrize("noisy,flat", [(True, False), (False, True)])
+    def test_row_does_not_depend_on_its_position(self, noisy, flat):
+        seed = 9_000_000
+        alone = harness._stacked_instances(3, 2, noisy, [seed], flat)
+        for position in (0, 63, 127):
+            seeds = list(range(seed - position, seed - position + 128))
+            stacked = harness._stacked_instances(3, 2, noisy, seeds, flat)
+            for one, many in zip(alone, stacked):
+                assert one[0].tobytes() == many[position].tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, -(2**70)])
+    def test_bad_seeds_raise_as_default_rng_does(self, seed):
+        with pytest.raises(Exception) as expected:
+            np.random.default_rng(seed)
+        with pytest.raises(type(expected.value)) as raised:
+            harness._generators([3, seed])
+        assert str(raised.value) == str(expected.value)
+
+    def test_check_refuses_another_hash(self, monkeypatch):
+        harness._check_seeding()
+        constants = harness._HASH_CONSTANTS.copy()
+        constants[5] ^= 1
+        monkeypatch.setattr(harness, "_HASH_CONSTANTS", constants)
+        with pytest.raises(RuntimeError, match="seeds PCG64 differently"):
+            harness._check_seeding()
+
+
+@pytest.mark.filterwarnings("error")
+def test_noisy_reads_noise_whose_square_sum_overflows():
+    # the noise-free test once took a 2-norm, which warned on this noise
+    inst = gen_instance(2, 1, True, 5)
+    for noise, noisy in [(np.array([3e155, 0.0, 4e155]), True), (np.zeros(3), False)]:
+        assert Instance(inst.matrix, inst.signal, noise, inst.observation, inst.epsilon,
+                        inst.seed, inst.claimed_delta).noisy is noisy
 
 
 def scalar_trial(k, nsel, noisy, seed, flat=False):

@@ -11,6 +11,7 @@ from gompkit import (
     snr,
     snr_threshold,
 )
+from gompkit.metrics import _row_mar
 
 
 class TestSparseSignal:
@@ -111,6 +112,25 @@ class TestMar:
         # ||x||^2 underflows to 0 or overflows to inf: once a ZeroDivisionError or NaN
         got = mar(SparseSignal(np.array([1.0, 2.0, 0.0]) * scale), 2)
         assert abs(got - 0.4) <= 1e-15
+
+    def test_energy_whose_k_multiple_overflows(self):
+        # ||x||^2 = 7e307 is finite, but K min x_i^2 = 4.2e308 once overflowed to inf
+        assert mar(SparseSignal(np.array([0.0, 8.37e153, 0.0])), 6) == 6.0
+        assert mar(SparseSignal(np.array([1e153, 8e153])), 3) == pytest.approx(3 / 65, rel=1e-15)
+
+    def test_rows_have_the_bits_of_mar(self):
+        rng = np.random.default_rng(61)
+        values = np.zeros((40, 9))
+        for row in values:
+            k = int(rng.integers(1, 6))
+            row[rng.permutation(9)[:k]] = rng.standard_normal(k) * 10.0 ** rng.integers(-200, 200)
+        values[0] = [0.0, 8.37e153] + [0.0] * 7  # ||x||^2 is finite, K ||x||^2 is not
+        with np.errstate(over="ignore"):
+            got = _row_mar(values, 6)
+        assert got.tolist() == [mar(SparseSignal(row), 6) for row in values]
+        normal = values[np.abs(values).max(axis=1) < 1e100]
+        smallest = np.where(normal != 0.0, normal * normal, math.inf).min(axis=1)
+        assert _row_mar(normal, 6, smallest).tolist() == _row_mar(normal, 6).tolist()
 
     def test_scale_invariant(self):
         x = SparseSignal(np.array([0.0, 2.0, -1.0]))

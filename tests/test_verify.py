@@ -447,6 +447,17 @@ class TestSelectionCondition:
         assert verify_selection_condition(a, x, np.zeros(3), empty, 2)
         assert verify_selection_condition(a, SparseSignal(np.zeros(3)), np.zeros(3), trace, 4)
 
+    @pytest.mark.parametrize("n_select", [0, -1])
+    def test_n_select_below_one_refused(self, n_select):
+        # once -1 judged this trace passing, and 0 warned "Mean of empty slice" and failed it
+        inst, trace = run_generated(2, 1, True, 5)
+        with pytest.raises(ValueError, match=f"^n_select must be >= 1, got {n_select}$"):
+            verify_selection_condition(inst.matrix, inst.signal, inst.noise, trace, n_select)
+        bad = RecoveryTrace([IterationRecord((9,), 1.0, np.zeros(9))], np.zeros(3),
+                            Termination.MAX_ITERATIONS)
+        with pytest.raises(ValueError, match=f"^n_select must be >= 1, got {n_select}$"):
+            verify_selection_condition(np.eye(3), SparseSignal(np.ones(3)), np.zeros(3), bad, n_select)
+
     def test_failing_later_iteration_rejected(self):
         # iteration 1 picks support index 1 and passes; iteration 2 is
         # taken with index 2 still missing and its best on-support
@@ -488,3 +499,19 @@ class TestSelectionCondition:
         )
         assert trace.final_support == {1, 2}
         assert verify_selection_condition(a, x, np.zeros(3), trace, 1)
+
+
+@pytest.mark.filterwarnings("error")
+class TestNormsThatOverflow:
+    """Signals whose square sums overflow: the verifiers take their 2-norms
+    by rescaling, with no overflow warning."""
+
+    def test_verify_stopping(self):
+        a, x = np.eye(3), SparseSignal(np.array([3e155, 0.0, 4e155]))
+        trace = gomp_run(a, a @ x.values, GompParams(sparsity=2, n_select=1, epsilon=0.0))
+        assert verify_stopping(a, x, trace)
+
+    def test_lemma4_sides(self):
+        lhs, rhs = lemma4_sides(make_instance(np.eye(3), [3e155, 0.0, 4e155], set(), {2}))
+        assert lhs == 4e155
+        assert rhs == 5e155 / math.sqrt(2.0)
