@@ -20,11 +20,14 @@ changed the noisy instances it shrinks, and only those.
 ``_generators`` seeds a whole pass at once. Each seed's
 ``SeedSequence(seed).pool`` is numpy's own entropy mixing; the 8-word hash
 of ``SeedSequence.generate_state(4, uint64)`` then runs for every seed in
-a few uint32 array operations, and each row seeds ``PCG64`` through
-numpy's ``ISeedSequence`` interface, so PCG64's own seeding still runs.
-Each generator is ``np.random.default_rng(seed)`` bit for bit, and
+a few uint32 array operations, and each row seeds a fresh ``PCG64``
+through numpy's ``ISeedSequence`` interface, so PCG64's own seeding still
+runs. Each generator is ``np.random.default_rng(seed)`` bit for bit, and
 ``_check_seeding`` refuses at import, with RuntimeError, a numpy whose
-hash differs.
+hash differs. ``run_trials`` runs each seed range over every cell before
+it moves to the next range, so the states of the last range seeded are
+kept, read-only, and built once per range. Each generator then draws
+straight into its row of the pass's stacks, in the contract order.
 
 There is one generator, ``_stacked_instances``, which builds the
 instances of many seeds as stacked rows; a row's bits do not depend on
@@ -41,6 +44,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -157,9 +161,9 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
-    """``np.random.default_rng(seed)`` for each seed, bit for bit, with
-    ``generate_state``'s hash run once over the whole pass: word i of a
+def _seed_states(seeds: Sequence[int]) -> np.ndarray:
+    """The (T, 4) uint64 ``SeedSequence(seed).generate_state(4, uint64)`` of
+    each seed, with the hash run once over the whole pass: word i of a
     seed's state is w ^ (w >> 16) for w = (pool[i % 4] ^ h_i) h_(i+1).
     A seed that ``SeedSequence`` refuses raises its exception."""
     pools = np.array([np.random.SeedSequence(seed).pool for seed in seeds], dtype=np.uint32)
@@ -168,15 +172,36 @@ def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
     words *= _HASH_CONSTANTS[1:]
     words ^= words >> 16
     # numpy's little-endian pairing of the uint32 words into uint64 ones
-    states = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@lru_cache(maxsize=1)
+def _range_states(seeds: range) -> np.ndarray:
+    """``_seed_states`` of a seed range, kept read-only for the next cell
+    that seeds the same range."""
+    states = _seed_states(seeds)
+    states.flags.writeable = False
+    return states
+
+
+def _seeded(states: np.ndarray) -> list[np.random.Generator]:
+    """A fresh generator per row of seed states; PCG64's own seeding runs."""
     return [np.random.Generator(np.random.PCG64(_SeedWords(state))) for state in states]
 
 
+def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each seed, bit for bit. The states
+    of a ``range`` (``run_trials``' passes) come from ``_range_states``;
+    those of any other sequence are built afresh, so a seed that
+    ``default_rng`` refuses, such as 5.0, never meets a cached 5."""
+    return _seeded(_range_states(seeds) if type(seeds) is range else _seed_states(seeds))
+
+
 def _check_seeding() -> None:
-    """Raise RuntimeError unless ``_generators`` gives ``default_rng``'s
-    states, on one seed below 2**32 and one above 2**64."""
+    """Raise RuntimeError unless ``_seed_states`` gives ``default_rng``'s
+    states, on one seed below 2**32 and one above 2**64; never cached."""
     seeds = (2**32 - 7, 2**64 + 13)
-    for seed, rng in zip(seeds, _generators(seeds)):
+    for seed, rng in zip(seeds, _seeded(_seed_states(seeds))):
         if rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state:
             raise RuntimeError(
                 f"numpy {np.__version__} seeds PCG64 differently from harness._generators "
@@ -185,23 +210,6 @@ def _check_seeding() -> None:
 
 
 _check_seeding()
-
-
-def _draw(sparsity: int, n_select: int, noisy: bool, rng: np.random.Generator, flat_signal: bool) -> tuple:
-    """Every random draw of one instance from its seeded generator, in the
-    contract order: (d, source of the orthogonal factor, 0-based support,
-    nonzeros, noise direction or None when noise-free)."""
-    n = n_select * sparsity + 1
-    d, source = draw_du(rng, n, sparsity / n_select)
-    support = rng.permutation(n)[:sparsity]
-    if flat_signal:
-        nonzeros = rng.integers(0, 2, size=sparsity) * 2.0 - 1.0
-    else:
-        nonzeros = rng.standard_normal(sparsity)
-        while not nonzeros.all():  # measure-zero, but a zero leaves fewer than K nonzeros
-            nonzeros[nonzeros == 0.0] = rng.standard_normal(np.count_nonzero(nonzeros == 0.0))
-    direction = rng.standard_normal(n) if noisy else None
-    return d, source, support, nonzeros, direction
 
 
 def gen_instance(
@@ -240,8 +248,9 @@ def _stacked_instances(
     values, noise, observation, epsilon and the claimed isometry constant
     delta.
 
-    The draws are ``_draw``'s from the generators of ``_generators``, and
-    the orthogonal factor is one stacked call. delta is
+    Each seed's generator from ``_generators`` fills its own row of the
+    pass's stacks in the contract order; the orthogonal factor is one
+    stacked call. delta is
     ``du_ric_bound(d).value``, max(1 - min d^2, max d^2 - 1), exact at
     order n = N K + 1. In the noisy mode the MAR is ``mar``'s
     K min x_i^2 / ||x||^2, taken row by row by ``metrics._row_mar``, and
@@ -258,15 +267,30 @@ def _stacked_instances(
     """
     if sparsity < 1 or n_select < 1:
         raise ValueError("sparsity and n_select must be >= 1")
-    d, source, support, nonzeros, direction = zip(
-        *(_draw(sparsity, n_select, noisy, rng, flat_signal) for rng in _generators(seeds))
-    )
-    d, support, nonzeros = np.array(d), np.array(support), np.array(nonzeros)
-    source = np.array(source)  # drops the per-seed copies before the QR
+    rngs, n = _generators(seeds), n_select * sparsity + 1
+    rows = len(rngs)
+    d, source = np.empty((rows, n)), np.empty((rows, n, n))
+    support = np.arange(n)[None].repeat(rows, axis=0)  # rows shuffled as permutation(n)
+    nonzeros = np.empty((rows, sparsity), dtype=np.int64 if flat_signal else float)
+    for t, rng in enumerate(rngs):
+        d[t] = draw_du(rng, n, sparsity / n_select, source[t])[0]
+        rng.shuffle(support[t])
+        if flat_signal:
+            nonzeros[t] = rng.integers(0, 2, size=sparsity)
+        else:
+            rng.standard_normal(out=nonzeros[t])
+    if flat_signal:
+        nonzeros = nonzeros * 2.0 - 1.0
+    # measure-zero, but a zero leaves fewer than K nonzeros; a row's redraws
+    # come from its generator, after its first K draws and before its direction
+    while not nonzeros.all():
+        t = int(np.argmin(nonzeros.all(axis=1)))
+        zero = nonzeros[t] == 0.0
+        nonzeros[t, zero] = rngs[t].standard_normal(np.count_nonzero(zero))
     entries = du_entries(d, source)
     del source
     values = np.zeros(d.shape)
-    values[np.arange(len(values))[:, None], support] = nonzeros
+    values[np.arange(rows)[:, None], support[:, :sparsity]] = nonzeros
     clean = (entries @ values[:, :, None])[:, :, 0]
     clean_norm = _norm(clean)
     sq = d * d
@@ -276,7 +300,9 @@ def _stacked_instances(
         mar_values = _row_mar(values, sparsity, smallest)
         target_root_snr = SNR_MARGIN + snr_threshold(sparsity, n_select, delta, mar_values)
         cap = np.sqrt((1.0 - delta) * smallest) / (2.0 * (1.0 + SNR_MARGIN))
-        direction = np.array(direction)
+        direction = np.empty(d.shape)
+        for t, rng in enumerate(rngs):
+            rng.standard_normal(out=direction[t])
         noise = np.minimum(clean_norm / target_root_snr, cap)[:, None] * (
             direction / _norm(direction)[:, None]
         )
@@ -334,25 +360,25 @@ def run_trials(
 
     Trial t of every cell uses seed base_seed + t, so cells are
     independent of each other and of execution order. Each cell runs as
-    stacked passes of up to STACK_ROWS seeds; a pass that raises is redone
-    with ``run_trial`` per seed, which records each failing trial's error.
+    stacked passes of up to STACK_ROWS seeds, every cell's pass of one seed
+    range before the next range, so that range's states are built once; a
+    pass that raises is redone with ``run_trial`` per seed, which records
+    each failing trial's error.
     """
     if trials_per_cell < 0:
         raise ValueError("trials_per_cell must be >= 0")
     if trials_per_cell == 0:
         return []
     cells = sorted((int(k), int(nsel)) for k in sparsities for nsel in n_selects)
-    results = []
-    for k, nsel in cells:
-        reports = []
-        for start in range(0, trials_per_cell, STACK_ROWS):
-            seeds = range(base_seed + start, base_seed + min(start + STACK_ROWS, trials_per_cell))
+    reports = [[] for _ in cells]
+    for start in range(0, trials_per_cell, STACK_ROWS):
+        seeds = range(base_seed + start, base_seed + min(start + STACK_ROWS, trials_per_cell))
+        for (k, nsel), cell_reports in zip(cells, reports):
             try:
-                reports += _run_stacked(k, nsel, noisy, seeds, flat_signal)
+                cell_reports += _run_stacked(k, nsel, noisy, seeds, flat_signal)
             except (GompkitError, np.linalg.LinAlgError):
-                reports += [run_trial(k, nsel, noisy, s, flat_signal=flat_signal) for s in seeds]
-        results.append(CellResult(k, nsel, noisy, tuple(reports)))
-    return results
+                cell_reports += [run_trial(k, nsel, noisy, s, flat_signal=flat_signal) for s in seeds]
+    return [CellResult(k, nsel, noisy, tuple(r)) for (k, nsel), r in zip(cells, reports)]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ _CERTIFICATE_SHIFT = 4 * np.finfo(float).eps
 # certificate's dozen small numpy calls cost more than the SVD it saves
 # (the two cost the same at about 100 entries, single matrices and stacks).
 _CERTIFICATE_MIN_ENTRIES = 128
-_TINY = np.finfo(float).tiny  # the smallest normal double; smaller ones lose bits
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double; smaller ones lose bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +183,12 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _normal(square: float, scale: float = 1.0) -> bool:
+    """Whether a square sum keeps its bits: at least _TINY, and finite once
+    multiplied by ``scale``; False for NaN."""
+    return _TINY <= square and scale * square < math.inf
+
+
 def _norm(x: np.ndarray) -> float | np.ndarray:
     """The 2-norm over the last axis: a float for a vector, one per row of a
     (T, m) stack. It is sqrt(``row_dot``), and for a vector sqrt(x.dot(x)),
@@ -192,12 +198,13 @@ def _norm(x: np.ndarray) -> float | np.ndarray:
     numpy, unless ignored; its callers in greedy and verify ignore it."""
     if x.ndim == 1:
         squares = float(x.dot(x))
-        return math.sqrt(squares) if _TINY <= squares < math.inf else float(_norm(x[None])[0])
+        return math.sqrt(squares) if _normal(squares) else float(_norm(x[None])[0])
     squares = row_dot(x, x)
     norms = np.sqrt(squares)
-    if not all(_TINY <= square < math.inf for square in squares.tolist()):
+    normal = [_normal(square) for square in squares.tolist()]
+    if not all(normal):
         peaks = np.abs(x).max(axis=1)
-        odd = ~((squares >= _TINY) & (squares < math.inf)) & (0.0 < peaks) & (peaks < math.inf)
+        odd = ~np.array(normal) & (0.0 < peaks) & (peaks < math.inf)
         scaled = x[odd] / peaks[odd, None]
         norms[odd] = peaks[odd] * np.sqrt(row_dot(scaled, scaled))
     return norms
@@ -269,15 +276,21 @@ def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def draw_du(rng: np.random.Generator, n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+def draw_du(
+    rng: np.random.Generator, n: int, ratio: float, source: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw d and the source of U for a D*U matrix; ``ratio`` is K/N.
 
     d is uniform on [sqrt(1 - b), sqrt(1 + b)] with b = 0.99 / sqrt(ratio + 1),
     drawn before U's n-by-n standard-normal source (part of the seeded contract).
+    ``source``, when given, is a C-contiguous (n, n) float array that the
+    source is drawn into, with the same bits.
     """
     bound = 0.99 / math.sqrt(ratio + 1.0)
     d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
-    return d, rng.standard_normal((n, n))
+    if source is None:
+        return d, rng.standard_normal((n, n))
+    return d, rng.standard_normal(out=source)
 
 
 def du_entries(d: np.ndarray, source: np.ndarray) -> np.ndarray:

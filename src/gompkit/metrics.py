@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import _TINY, MatrixLike, as_sensing_matrix, as_vector, row_dot
+from .linops import _TINY, MatrixLike, _normal, as_sensing_matrix, as_vector, row_dot
 from .rip import Condition, condition_threshold
 
 
@@ -58,7 +58,9 @@ def mar(x: SparseSignal, sparsity: int) -> float:
     """Minimum-to-average ratio: K * min_{i in support} x_i^2 / ||x||^2.
 
     Equals 1 exactly when all K nonzeros share one magnitude; always in
-    (0, 1] when the support has exactly ``sparsity`` entries.
+    (0, 1] when the support has exactly ``sparsity`` entries, except that
+    a MAR below the smallest double reads 0.0 (which ``snr_threshold``
+    refuses).
     """
     if not x.support:
         raise ValueError("MAR is undefined for an all-zero signal")
@@ -76,18 +78,19 @@ def _row_mar(values: np.ndarray, sparsity: int, smallest: np.ndarray | None = No
     products; ``smallest``, when given, is each row's min x_i^2 over its
     nonzeros. The ratio is scale-free, so when some row's energy is below
     the normal range, or so large that K times it overflows, that row is
-    first divided by its max |x_i|. An overflowing energy warns, as in
-    numpy, unless ignored; ``mar`` ignores it."""
-    energy = row_dot(values, values)
-    energies = energy.tolist()
-    if not (_TINY <= min(energies) and sparsity * max(energies) < math.inf):
-        odd = [not _TINY <= e or sparsity * e == math.inf for e in energies]
+    first divided by its max |x_i|. The min runs over the nonzeros of the
+    row as given, so an entry that the division sends to 0 gives a MAR
+    of 0.0. An overflowing energy warns, as in numpy, unless ignored;
+    ``mar`` ignores it."""
+    given, energy = values, row_dot(values, values)
+    odd = [not _normal(e, sparsity) for e in energy.tolist()]
+    if any(odd):
         values = values.copy()
         values[odd] /= np.abs(values[odd]).max(axis=1)[:, None]
         energy[odd] = row_dot(values[odd], values[odd])
         smallest = None
     if smallest is None:
-        smallest = np.minimum.reduce(np.where(values != 0.0, values * values, math.inf), axis=1)
+        smallest = np.minimum.reduce(np.where(given != 0.0, values * values, math.inf), axis=1)
     return sparsity * smallest / energy
 
 

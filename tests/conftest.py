@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gompkit import rip
+from gompkit import harness, rip
 
 # pyproject.toml puts src/ on this process's path; the CLI tests' subprocesses
 # (python -m gompkit) get it through PYTHONPATH, so a checkout runs uninstalled.
@@ -13,8 +13,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 @pytest.fixture(autouse=True)
-def cold_enumeration_caches():
-    """Start every test with empty support-table and index caches, so no test
-    passes only because an earlier one warmed them."""
-    for cache in (rip._small_support_tables, rip._large_support_tables, rip._layout):
+def cold_caches():
+    """Start every test with empty support-table, index and seed-state caches,
+    so no test passes only because an earlier one warmed them."""
+    caches = (rip._small_support_tables, rip._large_support_tables, rip._layout,
+              harness._range_states)
+    for cache in caches:
         cache.cache_clear()

@@ -180,6 +180,87 @@ class TestSeeding:
             harness._generators([3, seed])
         assert str(raised.value) == str(expected.value)
 
+    def test_range_states_are_default_states(self):
+        for seeds in (range(0, 3), range(2**64 - 2, 2**64 + 2), range(5, 40, 7)):
+            self.assert_default_states(seeds)
+            self.assert_default_states(seeds)  # warm
+
+    @pytest.mark.parametrize("seed", [5.0, np.float64(5.0)], ids=["float", "float64"])
+    def test_float_seed_never_matches_a_cached_int(self, seed):
+        harness._generators([5])
+        harness._generators(range(5, 6))
+        with pytest.raises(TypeError) as expected:
+            np.random.default_rng(seed)
+        with pytest.raises(TypeError) as raised:
+            harness._generators([seed])
+        assert str(raised.value) == str(expected.value)
+
+    def test_cached_states_are_read_only(self):
+        harness._generators(range(3, 8))
+        states = harness._range_states(range(3, 8))
+        assert harness._range_states.cache_info().hits == 1
+        with pytest.raises(ValueError, match="read-only"):
+            states[0, 0] = 1
+
+    def test_cached_generators_share_no_state(self):
+        first = harness._generators(range(10, 13))
+        for rng in first:
+            rng.standard_normal(7)
+        assert first[0].bit_generator.state != np.random.default_rng(10).bit_generator.state
+        self.assert_default_states(range(10, 13))
+        assert harness._range_states.cache_info().hits >= 1
+
+    def test_check_ignores_a_warm_cache(self, monkeypatch):
+        seeds = (2**32 - 7, 2**64 + 13)
+        for seed in seeds:
+            harness._generators(range(seed, seed + 1))
+        constants = harness._HASH_CONSTANTS.copy()
+        constants[2] ^= 1
+        monkeypatch.setattr(harness, "_HASH_CONSTANTS", constants)
+        with pytest.raises(RuntimeError, match="seeds PCG64 differently"):
+            harness._check_seeding()
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_zero_nonzero_is_redrawn_before_the_direction(self, noisy, monkeypatch):
+        # no known seed draws an exact 0.0, so each generator's first K-draw gets one
+        class ZeroInFirstKDraw:
+            def __init__(self, rng):
+                self.rng, self.normal_calls = rng, 0
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, *args, **kwargs):
+                drawn = self.rng.standard_normal(*args, **kwargs)
+                self.normal_calls += 1
+                if self.normal_calls == 2:  # after the source: the K nonzeros
+                    drawn[1] = 0.0
+                return drawn
+
+        generators = harness._generators
+        monkeypatch.setattr(harness, "_generators",
+                            lambda seeds: [ZeroInFirstKDraw(rng) for rng in generators(seeds)])
+        k, nsel, seeds = 3, 2, [41, 42]
+        n = k * nsel + 1
+        entries, values, noise, *_ = harness._stacked_instances(k, nsel, noisy, seeds, False)
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            d, source = linops.draw_du(rng, n, k / nsel)
+            support = rng.permutation(n)[:k]
+            nonzeros = rng.standard_normal(k)
+            nonzeros[1] = 0.0
+            nonzeros[1] = rng.standard_normal(1)[0]
+            direction = rng.standard_normal(n)
+            want = np.zeros(n)
+            want[support] = nonzeros
+            assert values[row].tobytes() == want.tobytes()
+            assert entries[row].tobytes() == linops.du_entries(d, source).tobytes()
+            if noisy:
+                unit = direction / np.linalg.norm(direction)
+                assert np.allclose(noise[row] / np.linalg.norm(noise[row]), unit, rtol=0, atol=1e-14)
+            else:
+                assert not noise[row].any()
+
     def test_check_refuses_another_hash(self, monkeypatch):
         harness._check_seeding()
         constants = harness._HASH_CONSTANTS.copy()
@@ -279,6 +360,15 @@ class TestRunTrials:
         monkeypatch.setattr(harness, "STACK_ROWS", 3)
         [cell] = run_trials([4], [3], 7, True, 12)
         assert cell.reports == tuple(scalar_trial(4, 3, True, 12 + t) for t in range(7))
+
+    def test_each_seed_range_is_seeded_once_over_the_cells(self, monkeypatch):
+        monkeypatch.setattr(harness, "STACK_ROWS", 3)
+        cells = run_trials([3, 2], [2, 1], 7, True, 12)
+        # 3 seed ranges, each looked up by 4 cells and built on the first
+        assert harness._range_states.cache_info()[:2] == (9, 3)
+        assert [(c.sparsity, c.n_select) for c in cells] == [(2, 1), (2, 2), (3, 1), (3, 2)]
+        for c in cells:
+            assert c.reports == tuple(scalar_trial(c.sparsity, c.n_select, True, 12 + t) for t in range(7))
 
     @pytest.mark.parametrize("k,nsel,noisy,flat", [(1, 1, True, False), (2, 1, False, True),
                                                    (5, 2, True, True), (8, 4, True, False),

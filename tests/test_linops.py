@@ -409,3 +409,9 @@ class TestNorm:
         assert got[:2].tolist() == alone[:2] == [0.0, math.inf]
         assert math.isnan(got[2]) and math.isnan(alone[2])
         assert got[3] == alone[3] == 1e308 * math.sqrt(2.0)
+        with np.errstate(over="ignore"):  # a NaN first leaves the overflowing row rescaled
+            got = _norm(stack[[2, 3, 0]])
+        assert math.isnan(got[0]) and got[1:].tolist() == [1e308 * math.sqrt(2.0), 0.0]
+
+    def test_empty_stack_has_no_norms(self):
+        assert _norm(np.empty((0, 3))).shape == (0,)

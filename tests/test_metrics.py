@@ -118,6 +118,14 @@ class TestMar:
         assert mar(SparseSignal(np.array([0.0, 8.37e153, 0.0])), 6) == 6.0
         assert mar(SparseSignal(np.array([1e153, 8e153])), 3) == pytest.approx(3 / 65, rel=1e-15)
 
+    def test_entry_that_underflows_in_the_rescale_reads_zero(self):
+        # the energy overflows, and dividing by max|x| sends 1e-300 to 0; the true
+        # MAR, about 2e-600, is below the smallest double, as for [1e-200, 1e120]
+        for values in ([1e-300, 0.0, 1e300], [1e-200, 1e120]):
+            assert mar(SparseSignal(np.array(values)), 2) == 0.0
+        with pytest.raises(ValueError, match="MAR must be positive"):
+            snr_threshold(2, 1, 0.1, mar(SparseSignal(np.array([1e-300, 0.0, 1e300])), 2))
+
     def test_rows_have_the_bits_of_mar(self):
         rng = np.random.default_rng(61)
         values = np.zeros((40, 9))
