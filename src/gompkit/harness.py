@@ -17,17 +17,13 @@ normal, row-major), support permutation, nonzero values, then the noise
 direction. Identical seeds give bit-identical instances. The noise cap
 changed the noisy instances it shrinks, and only those.
 
-``_generators`` seeds a whole pass at once. Each seed's
-``SeedSequence(seed).pool`` is numpy's own entropy mixing; the 8-word hash
-of ``SeedSequence.generate_state(4, uint64)`` then runs for every seed in
-a few uint32 array operations, and each row seeds a fresh ``PCG64``
-through numpy's ``ISeedSequence`` interface, so PCG64's own seeding still
-runs. Each generator is ``np.random.default_rng(seed)`` bit for bit, and
-``_check_seeding`` refuses at import, with RuntimeError, a numpy whose
-hash differs. ``run_trials`` runs each seed range over every cell before
-it moves to the next range, so the states of the last range seeded are
-kept, read-only, and built once per range. Each generator then draws
-straight into its row of the pass's stacks, in the contract order.
+``run_trials`` runs each seed range over every cell before it moves to
+the next range, so ``_generators`` keeps each seed's
+``SeedSequence(seed).generate_state(4, uint64)``, the state PCG64 is
+seeded from, for the last range seeded, and builds it once per range.
+Every pass still gets fresh generators, each ``default_rng(seed)`` bit for
+bit, and each draws straight into its row of the pass's stacks, in the
+contract order.
 
 There is one generator, ``_stacked_instances``, which builds the
 instances of many seeds as stacked rows; a row's bits do not depend on
@@ -55,7 +51,7 @@ from .exceptions import GompkitError
 from .greedy import gomp_stacked
 from .linops import SensingMatrix, _norm, draw_du, du_entries
 from .metrics import SparseSignal, _row_mar, snr_threshold
-from .rip import RicEstimate, RicKind
+from .rip import RicEstimate, RicKind, _du_delta
 from .verify import NOISE_FLOOR_REL
 
 SNR_MARGIN = 0.01
@@ -142,74 +138,37 @@ class CellResult:
             object.__setattr__(self, name, value)
 
 
-# SeedSequence.generate_state's hash (numpy/random/bit_generator.pyx): output
-# word i mixes pool word i % 4 with h_i and h_(i+1), where h_0 = INIT_B and
-# h_(i+1) = h_i MULT_B mod 2**32. _HASH_CONSTANTS holds h_0 .. h_8.
-_HASH_CONSTANTS = np.array(
-    [0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(9)], dtype=np.uint32
-)
-_POOL_WORDS = np.arange(8) % 4
-
-
 class _SeedWords(ISeedSequence):
-    """The precomputed ``generate_state(4, uint64)`` of one seed."""
+    """One seed's ``SeedSequence`` for ``PCG64``: the ``generate_state(4,
+    uint64)`` that PCG64 asks for is computed once and kept read-only, and
+    any other request goes to the ``SeedSequence``."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    def __init__(self, seed: int):
+        self.sequence = np.random.SeedSequence(seed)
+        self.words = self.sequence.generate_state(4, np.uint64)
+        self.words.flags.writeable = False
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _seed_states(seeds: Sequence[int]) -> np.ndarray:
-    """The (T, 4) uint64 ``SeedSequence(seed).generate_state(4, uint64)`` of
-    each seed, with the hash run once over the whole pass: word i of a
-    seed's state is w ^ (w >> 16) for w = (pool[i % 4] ^ h_i) h_(i+1).
-    A seed that ``SeedSequence`` refuses raises its exception."""
-    pools = np.array([np.random.SeedSequence(seed).pool for seed in seeds], dtype=np.uint32)
-    words = pools.take(_POOL_WORDS, axis=1)
-    words ^= _HASH_CONSTANTS[:8]
-    words *= _HASH_CONSTANTS[1:]
-    words ^= words >> 16
-    # numpy's little-endian pairing of the uint32 words into uint64 ones
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+        if n_words == 4 and dtype is np.uint64:
+            return self.words
+        return self.sequence.generate_state(n_words, dtype)
 
 
 @lru_cache(maxsize=1)
-def _range_states(seeds: range) -> np.ndarray:
-    """``_seed_states`` of a seed range, kept read-only for the next cell
+def _range_seed_words(seeds: range) -> tuple[_SeedWords, ...]:
+    """The ``_SeedWords`` of each seed of a range, kept for the next cell
     that seeds the same range."""
-    states = _seed_states(seeds)
-    states.flags.writeable = False
-    return states
-
-
-def _seeded(states: np.ndarray) -> list[np.random.Generator]:
-    """A fresh generator per row of seed states; PCG64's own seeding runs."""
-    return [np.random.Generator(np.random.PCG64(_SeedWords(state))) for state in states]
+    return tuple(map(_SeedWords, seeds))
 
 
 def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
-    """``np.random.default_rng(seed)`` for each seed, bit for bit. The states
-    of a ``range`` (``run_trials``' passes) come from ``_range_states``;
-    those of any other sequence are built afresh, so a seed that
-    ``default_rng`` refuses, such as 5.0, never meets a cached 5."""
-    return _seeded(_range_states(seeds) if type(seeds) is range else _seed_states(seeds))
-
-
-def _check_seeding() -> None:
-    """Raise RuntimeError unless ``_seed_states`` gives ``default_rng``'s
-    states, on one seed below 2**32 and one above 2**64; never cached."""
-    seeds = (2**32 - 7, 2**64 + 13)
-    for seed, rng in zip(seeds, _seeded(_seed_states(seeds))):
-        if rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state:
-            raise RuntimeError(
-                f"numpy {np.__version__} seeds PCG64 differently from harness._generators "
-                f"(seed {seed}); instances would not be reproducible"
-            )
-
-
-_check_seeding()
+    """``np.random.default_rng(seed)`` for each seed, bit for bit. A ``range``
+    (``run_trials``' passes) seeds a fresh ``PCG64`` per seed from
+    ``_range_seed_words``; any other sequence calls ``default_rng``, so a
+    seed that it refuses, such as 5.0, never meets a cached 5."""
+    if type(seeds) is not range:
+        return [np.random.default_rng(seed) for seed in seeds]
+    return [np.random.Generator(np.random.PCG64(words)) for words in _range_seed_words(seeds)]
 
 
 def gen_instance(
@@ -250,9 +209,8 @@ def _stacked_instances(
 
     Each seed's generator from ``_generators`` fills its own row of the
     pass's stacks in the contract order; the orthogonal factor is one
-    stacked call. delta is
-    ``du_ric_bound(d).value``, max(1 - min d^2, max d^2 - 1), exact at
-    order n = N K + 1. In the noisy mode the MAR is ``mar``'s
+    stacked call. delta is ``du_ric_bound(d).value``, taken row by row
+    by ``rip._du_delta``, exact at order n = N K + 1. In the noisy mode the MAR is ``mar``'s
     K min x_i^2 / ||x||^2, taken row by row by ``metrics._row_mar``, and
     the noise is scaled so sqrt(SNR) = SNR_MARGIN + ``snr_threshold``,
     unless that puts ||v|| above the cap sqrt(1 - delta) min|x_i| /
@@ -293,8 +251,7 @@ def _stacked_instances(
     values[np.arange(rows)[:, None], support[:, :sparsity]] = nonzeros
     clean = (entries @ values[:, :, None])[:, :, 0]
     clean_norm = _norm(clean)
-    sq = d * d
-    delta = np.maximum(1.0 - sq.min(axis=1), sq.max(axis=1) - 1.0)
+    delta = _du_delta(d)
     if noisy:
         smallest = np.minimum.reduce(nonzeros * nonzeros, axis=1)
         mar_values = _row_mar(values, sparsity, smallest)

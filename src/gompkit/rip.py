@@ -343,9 +343,14 @@ def du_ric_bound(d: np.ndarray) -> RicEstimate:
         raise ValueError("diagonal entries must be finite")
     if np.any(d <= 0.0):
         raise ValueError("diagonal entries must be strictly positive")
+    return RicEstimate(order=d.size, value=float(_du_delta(d)), kind=RicKind.ANALYTIC_DU)
+
+
+def _du_delta(d: np.ndarray) -> np.ndarray:
+    """max(1 - min d^2, max d^2 - 1) over the last axis of d: the constant
+    of ``du_ric_bound``, for one diagonal or a stack of them, unchecked."""
     sq = d * d
-    value = max(float(1.0 - sq.min()), float(sq.max() - 1.0))
-    return RicEstimate(order=d.size, value=value, kind=RicKind.ANALYTIC_DU)
+    return np.maximum(1.0 - sq.min(axis=-1), sq.max(axis=-1) - 1.0)
 
 
 def spectral_ric_bound(a: MatrixLike) -> RicEstimate:

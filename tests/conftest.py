@@ -12,11 +12,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
+# every functools.lru_cache of the package; test_caches.py checks that none is missing
+CACHES = (rip._small_support_tables, rip._large_support_tables, rip._layout,
+          harness._range_seed_words)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Start every test with empty support-table, index and seed-state caches,
+    """Start every test with empty support-table, index and seed-word caches,
     so no test passes only because an earlier one warmed them."""
-    caches = (rip._small_support_tables, rip._large_support_tables, rip._layout,
-              harness._range_states)
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
