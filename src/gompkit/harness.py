@@ -17,10 +17,10 @@ normal, row-major), support permutation, nonzero values, then the noise
 direction. Identical seeds give bit-identical instances. The noise cap
 changed the noisy instances it shrinks, and only those.
 
-``run_trials`` runs each seed range over every cell before it moves to
-the next range, so ``_generators`` keeps each seed's
+``_generators`` keeps one per-seed cache of the last STACK_ROWS seeds'
 ``SeedSequence(seed).generate_state(4, uint64)``, the state PCG64 is
-seeded from, for the last range seeded, and builds it once per range.
+seeded from; ``run_trials`` runs each seed range over every cell before
+it moves to the next range, so each seed's state is built once per grid.
 Every pass still gets fresh generators, each ``default_rng(seed)`` bit for
 bit, and each draws straight into its row of the pass's stacks, in the
 contract order.
@@ -154,21 +154,16 @@ class _SeedWords(ISeedSequence):
         return self.sequence.generate_state(n_words, dtype)
 
 
-@lru_cache(maxsize=1)
-def _range_seed_words(seeds: range) -> tuple[_SeedWords, ...]:
-    """The ``_SeedWords`` of each seed of a range, kept for the next cell
-    that seeds the same range."""
-    return tuple(map(_SeedWords, seeds))
+# the words of the last STACK_ROWS seeds: run_trials takes each seed range
+# through every cell, so a seed's words are built once per grid; typed, so
+# a float 5.0 never meets a cached 5 and raises as default_rng(5.0) does
+_seed_words = lru_cache(maxsize=STACK_ROWS, typed=True)(_SeedWords)
 
 
 def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
-    """``np.random.default_rng(seed)`` for each seed, bit for bit. A ``range``
-    (``run_trials``' passes) seeds a fresh ``PCG64`` per seed from
-    ``_range_seed_words``; any other sequence calls ``default_rng``, so a
-    seed that it refuses, such as 5.0, never meets a cached 5."""
-    if type(seeds) is not range:
-        return [np.random.default_rng(seed) for seed in seeds]
-    return [np.random.Generator(np.random.PCG64(words)) for words in _range_seed_words(seeds)]
+    """``np.random.default_rng(seed)`` for each seed, bit for bit: a fresh
+    ``PCG64`` per seed from its cached ``_seed_words``."""
+    return [np.random.Generator(np.random.PCG64(_seed_words(seed))) for seed in seeds]
 
 
 def gen_instance(
@@ -438,9 +433,13 @@ def write_instance(inst: Instance, destination: str | Path | IO[str] | None = No
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
-    """Read a matrix from an instance file or a bare JSON 2-d array."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a matrix from an instance file or a bare JSON 2-d array; each
+    refusal is a ValueError that starts with the path."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"{path}: {exc}") from exc
     if isinstance(doc, dict):
         if "matrix" not in doc:
             raise ValueError(f"{path}: no 'matrix' field in JSON document")

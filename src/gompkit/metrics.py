@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import _TINY, MatrixLike, _normal, as_sensing_matrix, as_vector, row_dot
+from .linops import MatrixLike, _norm, _normal, as_sensing_matrix, as_vector, row_dot
 from .rip import Condition, condition_threshold
 
 
@@ -39,19 +39,19 @@ class SparseSignal:
 
 
 def snr(a: MatrixLike, x: SparseSignal, v: np.ndarray) -> float:
-    """Signal-to-noise ratio ||A x||^2 / ||v||^2; +inf for zero noise.
-    Non-finite noise raises ValueError."""
+    """Signal-to-noise ratio ||A x||^2 / ||v||^2, taken as (||A x|| / ||v||)^2
+    with ``linops._norm``, so it stays right when either energy leaves the
+    double range; +inf for zero noise. Non-finite noise raises ValueError."""
     mat = as_sensing_matrix(a)
     if x.n != mat.n:
         raise ValueError(f"signal length {x.n} != matrix columns {mat.n}")
     v = as_vector(v, mat.m, "noise")
-    signal = mat.entries @ x.values
-    if not v @ v >= _TINY:  # zero, or below the normal range: divide both by max|v|
-        peak = np.abs(v).max()
-        if peak == 0.0:
-            return math.inf
-        v, signal = v / peak, signal / peak
-    return float(np.vdot(signal, signal)) / float(v @ v)
+    with np.errstate(over="ignore"):  # _norm rescales an overflowing energy
+        noise, signal = _norm(v), _norm(mat.entries @ x.values)
+    if noise == 0.0:
+        return math.inf
+    ratio = signal / noise
+    return ratio * ratio
 
 
 def mar(x: SparseSignal, sparsity: int) -> float:

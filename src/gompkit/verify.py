@@ -147,8 +147,9 @@ def lemma4_sides(inst: LemmaInstance) -> tuple[float, float]:
     sqrt(|support| - overlap), with delta the exact constant at the order
     this configuration touches.
     """
+    delta = exact_ric(inst.matrix, inst.ric_order).value  # refuses before any work
     lhs, rhs = _lemma4_terms(inst)
-    return lhs, rhs(exact_ric(inst.matrix, inst.ric_order).value)
+    return lhs, rhs(delta)
 
 
 def lemma4_holds(lhs: float, rhs: float) -> bool:
@@ -161,8 +162,9 @@ def _settle_lemma4(inst: LemmaInstance, floor: float) -> tuple[float, float] | N
     """None once the instance passes at a value w of ``rip._lower_bounds``
     with slack lhs - rhs(w) >= ``floor``; otherwise both sides at the exact
     constant, its last value (see ``verify_lemma4``)."""
+    bounds = _lower_bounds(inst.matrix, inst.ric_order)  # refuses before any work
     lhs, rhs = _lemma4_terms(inst)
-    for delta in _lower_bounds(inst.matrix, inst.ric_order):  # raises before any pass
+    for delta in bounds:
         right = rhs(delta)
         if lemma4_holds(lhs, right) and lhs - right >= floor:
             return None
@@ -317,11 +319,8 @@ def random_lemma_instance(rng: np.random.Generator) -> LemmaInstance:
         n_select = int(rng.integers(1, 4))
         support_size = int(rng.integers(1, n))
         iteration = int(rng.integers(0, support_size))
-        lo = iteration
-        hi = min(support_size - 1, iteration * n_select)
-        if hi < lo:
-            continue
-        overlap = int(rng.integers(lo, hi + 1))
+        # iteration < support_size and n_select >= 1, so the range is nonempty
+        overlap = int(rng.integers(iteration, min(support_size - 1, iteration * n_select) + 1))
         # overlap >= iteration, so this also leaves the off-support columns used below
         if n_select * (iteration + 1) + support_size - iteration > n:
             continue

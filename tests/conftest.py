@@ -14,7 +14,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 # every functools.lru_cache of the package; test_caches.py checks that none is missing
 CACHES = (rip._small_support_tables, rip._large_support_tables, rip._layout,
-          harness._range_seed_words)
+          harness._seed_words)
 
 
 def clear_caches():

@@ -25,7 +25,7 @@ def package_caches() -> dict:
 
 def test_cold_caches_lists_every_package_cache():
     found = package_caches()
-    assert {"gompkit.rip._layout", "gompkit.harness._range_seed_words"} <= found.keys()
+    assert {"gompkit.rip._layout", "gompkit.harness._seed_words"} <= found.keys()
     assert [name for name, cache in found.items() if not any(cache is c for c in CACHES)] == []
 
 
@@ -34,6 +34,6 @@ def test_cold_caches_empties_them():
     rip._layout(2)
     harness._generators(range(4))
     assert all(cache.cache_info().currsize for cache in
-               (rip._small_support_tables, rip._layout, harness._range_seed_words))
+               (rip._small_support_tables, rip._layout, harness._seed_words))
     clear_caches()
     assert [name for name, cache in package_caches().items() if cache.cache_info().currsize] == []

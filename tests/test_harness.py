@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -197,8 +198,8 @@ class TestSeeding:
 
     def test_cached_states_are_read_only(self):
         harness._generators(range(3, 8))
-        cached = harness._range_seed_words(range(3, 8))
-        assert harness._range_seed_words.cache_info().hits == 1
+        cached = [harness._seed_words(seed) for seed in range(3, 8)]
+        assert harness._seed_words.cache_info()[:2] == (5, 5)
         for words in cached:
             with pytest.raises(ValueError, match="read-only"):
                 words.generate_state(4, np.uint64)[0] = 1
@@ -217,7 +218,7 @@ class TestSeeding:
         harness._generators(seeds)
         gen_instance(3, 2, True, 22)
         self.assert_default_states(seeds)
-        assert harness._range_seed_words.cache_info()[:2] == (1, 1)
+        assert harness._seed_words.cache_info()[:2] == (7, 6)
 
     def test_cached_generators_share_no_state(self):
         first = harness._generators(range(10, 13))
@@ -225,7 +226,7 @@ class TestSeeding:
             rng.standard_normal(7)
         assert first[0].bit_generator.state != np.random.default_rng(10).bit_generator.state
         self.assert_default_states(range(10, 13))
-        assert harness._range_seed_words.cache_info().hits >= 1
+        assert harness._seed_words.cache_info()[:2] == (3, 3)
 
     @pytest.mark.parametrize("noisy", [True, False])
     def test_zero_nonzero_is_redrawn_before_the_direction(self, noisy, monkeypatch):
@@ -363,8 +364,8 @@ class TestRunTrials:
     def test_each_seed_range_is_seeded_once_over_the_cells(self, monkeypatch):
         monkeypatch.setattr(harness, "STACK_ROWS", 3)
         cells = run_trials([3, 2], [2, 1], 7, True, 12)
-        # 3 seed ranges, each looked up by 4 cells and built on the first
-        assert harness._range_seed_words.cache_info()[:2] == (9, 3)
+        # 7 seeds, each looked up by 4 cells and built on the first
+        assert harness._seed_words.cache_info()[:2] == (21, 7)
         assert [(c.sparsity, c.n_select) for c in cells] == [(2, 1), (2, 2), (3, 1), (3, 2)]
         for c in cells:
             assert c.reports == tuple(scalar_trial(c.sparsity, c.n_select, True, 12 + t) for t in range(7))
@@ -518,6 +519,12 @@ class TestInstanceFiles:
         bad.write_text(json.dumps({"rows": []}))
         with pytest.raises(ValueError):
             load_matrix(bad)
+        # each refusal names the file, the decoders' ones too
+        for name, content in [("empty.json", b""), ("latin1.json", b"[[1.0, \xe9]]")]:
+            path = tmp_path / name
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_matrix(path)
 
     def test_payload_schema_keys(self):
         payload = instance_payload(gen_instance(2, 1, noisy=False, seed=1))

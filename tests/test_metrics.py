@@ -66,6 +66,18 @@ class TestSnr:
         got = snr(np.eye(3), SparseSignal(np.array(signal)), np.array(noise))
         assert abs(got - want) <= 4e-16 * want
 
+    @pytest.mark.parametrize("signal,noise,want", [
+        ([1e200, 0.0, 0.0], [1e200, 0.0, 0.0], 1.0),  # both energies overflow
+        ([3e200, 4e200, 0.0], [0.0, 0.0, 5e100], 1e200),  # ||A x||^2 overflows
+        ([1e160, 0.0, 0.0], [0.0, 1e200, 0.0], 1e-80),  # ||v||^2 overflows
+        ([1e300, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf),  # the ratio's square overflows
+        ([1e300, 0.0, 0.0], [1e-10, 0.0, 0.0], math.inf),  # the ratio itself overflows
+    ])
+    def test_energy_above_the_normal_range(self, signal, noise, want):
+        # squaring each norm first would overflow: NaN and two warnings
+        got = snr(np.eye(3), SparseSignal(np.array(signal)), np.array(noise))
+        assert got == want or abs(got - want) <= 4e-16 * want
+
     def test_calibrated_instance_hits_target(self):
         inst = gen_instance(3, 2, noisy=True, seed=808)
         target_root = 0.01 + snr_threshold(3, 2, inst.claimed_delta.value, mar(inst.signal, 3))

@@ -84,6 +84,34 @@ class TestLemma4:
             seen_excess_overlap |= inst.overlap > inst.iteration
         assert seen_late_iteration and seen_excess_overlap
 
+    def test_sampler_follows_documented_draw_order(self):
+        # n; (N, K, iteration, overlap) until the sizes fit; d; U's source;
+        # the permutation; the K nonzeros
+        rejected = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, verify.LEMMA_N_MAX + 1))
+            while True:
+                nsel, k = int(rng.integers(1, 4)), int(rng.integers(1, n))
+                iteration = int(rng.integers(0, k))
+                overlap = int(rng.integers(iteration, min(k - 1, iteration * nsel) + 1))
+                if nsel * (iteration + 1) + k - iteration <= n:
+                    break
+                rejected += 1
+            bound = 0.99 / math.sqrt(k / nsel + 1.0)
+            d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
+            a = d[:, None] * orthogonal_factor(rng.standard_normal((n, n)))
+            perm = (rng.permutation(n) + 1).tolist()
+            values = np.zeros(n)
+            values[np.array(perm[:k]) - 1] = rng.standard_normal(k)
+            off, decoys = perm[k:], iteration * nsel - overlap
+            inst = random_lemma_instance(np.random.default_rng(seed))
+            assert inst.matrix.entries.tobytes() == a.tobytes()
+            assert inst.signal.values.tobytes() == values.tobytes()
+            assert inst.selected == set(perm[:overlap] + off[:decoys])
+            assert inst.competitors == set(off[decoys:decoys + nsel])
+        assert rejected
+
     def test_rejects_inadmissible_overlap(self):
         # selected set covering the whole support is outside the hypothesis
         with pytest.raises(ValueError):
@@ -515,3 +543,13 @@ class TestNormsThatOverflow:
         lhs, rhs = lemma4_sides(make_instance(np.eye(3), [3e155, 0.0, 4e155], set(), {2}))
         assert lhs == 4e155
         assert rhs == 5e155 / math.sqrt(2.0)
+
+    def test_gram_overflow_refused_before_the_sides(self):
+        # forming the sides first would warn twice on this matrix, and under
+        # -W error the warning would surface in place of the refusal
+        inst = lemma_draw(0)
+        big = LemmaInstance(SensingMatrix(inst.matrix.entries * 1e200), inst.signal,
+                            inst.selected, inst.competitors)
+        for verifier in (verify_lemma4, lemma4_sides):
+            with pytest.raises(ValueError, match="not finite"):
+                verifier(big)

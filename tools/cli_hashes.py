@@ -1,0 +1,45 @@
+"""Print the sha256 prefix of each reference CLI command's output.
+
+Usage: python3 tools/cli_hashes.py
+
+Runs each command through ``python -m gompkit`` with this checkout's
+``src`` first on PYTHONPATH and prints ``<12-hex prefix>  <command>``.
+Run it on two checkouts and compare the lines to check that a change
+keeps every output bit for bit. No expected values are stored: the bits
+depend on the LAPACK build.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GRID = "run --k-min 1 --k-max 8 --nsel-min 1 --nsel-max 4 --trials 40"
+COMMANDS = (
+    f"{GRID} --seed 11",
+    f"{GRID} --noisy --format json --per-trial --seed 11",
+    f"{GRID} --noisy --flat-signal --seed 4294967290",
+    "gen --k 3 --n-select 2 --noisy --seed 18446744073709551615",
+    "verify --lemma selection --instances 2000 --seed 7",
+    "verify --lemma 4 --instances 2000 --seed 7",
+    "verify --lemma 4 --instances 2000 --seed 11",
+    "verify --lemma 5 --instances 2000 --seed 7",
+    "verify --lemma 5 --instances 2000 --seed 11",
+    "run --k-min 1 --k-max 4 --nsel-min 1 --nsel-max 3 --trials 300 --seed 5 --noisy",
+)
+
+
+def main() -> int:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    for command in COMMANDS:
+        out = subprocess.run([sys.executable, "-m", "gompkit", *command.split()],
+                             env=env, capture_output=True, check=True).stdout
+        print(f"{hashlib.sha256(out).hexdigest()[:12]}  {command}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
