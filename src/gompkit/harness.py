@@ -17,13 +17,15 @@ normal, row-major), support permutation, nonzero values, then the noise
 direction. Identical seeds give bit-identical instances. The noise cap
 changed the noisy instances it shrinks, and only those.
 
-``_generators`` keeps one per-seed cache of the last STACK_ROWS seeds'
+``_generators`` keeps one per-seed cache of the last 2 STACK_ROWS seeds'
 ``SeedSequence(seed).generate_state(4, uint64)``, the state PCG64 is
 seeded from; ``run_trials`` runs each seed range over every cell before
-it moves to the next range, so each seed's state is built once per grid.
+it moves to the next range, so each seed's state is built once per grid,
+and a range keeps its states while one-seed calls come in between.
 Every pass still gets fresh generators, each ``default_rng(seed)`` bit for
 bit, and each draws straight into its row of the pass's stacks, in the
-contract order.
+contract order. The orthogonal factor of a drawn source is taken straight
+from QR (``linops.du_entries``), so no seed is refused as singular.
 
 There is one generator, ``_stacked_instances``, which builds the
 instances of many seeds as stacked rows; a row's bits do not depend on
@@ -49,7 +51,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .exceptions import GompkitError
 from .greedy import gomp_stacked
-from .linops import SensingMatrix, _norm, draw_du, du_entries
+from .linops import SensingMatrix, _du_interval, _norm, du_entries
 from .metrics import SparseSignal, _row_mar, snr_threshold
 from .rip import RicEstimate, RicKind, _du_delta
 from .verify import NOISE_FLOOR_REL
@@ -154,10 +156,12 @@ class _SeedWords(ISeedSequence):
         return self.sequence.generate_state(n_words, dtype)
 
 
-# the words of the last STACK_ROWS seeds: run_trials takes each seed range
-# through every cell, so a seed's words are built once per grid; typed, so
-# a float 5.0 never meets a cached 5 and raises as default_rng(5.0) does
-_seed_words = lru_cache(maxsize=STACK_ROWS, typed=True)(_SeedWords)
+# the words of the last 2 STACK_ROWS seeds: run_trials takes each seed range
+# through every cell, so a seed's words are built once per grid, and the
+# spare half keeps a full range cached across one-seed calls between its
+# cells; typed, so a float 5.0 never meets a cached 5 and raises as
+# default_rng(5.0) does
+_seed_words = lru_cache(maxsize=2 * STACK_ROWS, typed=True)(_SeedWords)
 
 
 def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
@@ -203,9 +207,11 @@ def _stacked_instances(
     delta.
 
     Each seed's generator from ``_generators`` fills its own row of the
-    pass's stacks in the contract order; the orthogonal factor is one
-    stacked call. delta is ``du_ric_bound(d).value``, taken row by row
-    by ``rip._du_delta``, exact at order n = N K + 1. In the noisy mode the MAR is ``mar``'s
+    pass's stacks in the contract order; d is drawn by ``random`` and put
+    on ``_du_interval`` once per pass as low + (high - low) u, the bits of
+    ``uniform``. The orthogonal factor is one stacked ``du_entries`` call.
+    delta is ``du_ric_bound(d).value``, taken row by row by
+    ``rip._du_delta``, exact at order n = N K + 1. In the noisy mode the MAR is ``mar``'s
     K min x_i^2 / ||x||^2, taken row by row by ``metrics._row_mar``, and
     the noise is scaled so sqrt(SNR) = SNR_MARGIN + ``snr_threshold``,
     unless that puts ||v|| above the cap sqrt(1 - delta) min|x_i| /
@@ -225,13 +231,16 @@ def _stacked_instances(
     d, source = np.empty((rows, n)), np.empty((rows, n, n))
     support = np.arange(n)[None].repeat(rows, axis=0)  # rows shuffled as permutation(n)
     nonzeros = np.empty((rows, sparsity), dtype=np.int64 if flat_signal else float)
-    for t, rng in enumerate(rngs):
-        d[t] = draw_du(rng, n, sparsity / n_select, source[t])[0]
-        rng.shuffle(support[t])
+    for rng, d_row, source_row, support_row, nonzeros_row in zip(rngs, d, source, support, nonzeros):
+        rng.random(out=d_row)
+        rng.standard_normal(out=source_row)
+        rng.shuffle(support_row)
         if flat_signal:
-            nonzeros[t] = rng.integers(0, 2, size=sparsity)
+            nonzeros_row[:] = rng.integers(0, 2, size=sparsity)
         else:
-            rng.standard_normal(out=nonzeros[t])
+            rng.standard_normal(out=nonzeros_row)
+    low, high = _du_interval(sparsity / n_select)
+    d = low + (high - low) * d
     if flat_signal:
         nonzeros = nonzeros * 2.0 - 1.0
     # measure-zero, but a zero leaves fewer than K nonzeros; a row's redraws
@@ -253,8 +262,8 @@ def _stacked_instances(
         target_root_snr = SNR_MARGIN + snr_threshold(sparsity, n_select, delta, mar_values)
         cap = np.sqrt((1.0 - delta) * smallest) / (2.0 * (1.0 + SNR_MARGIN))
         direction = np.empty(d.shape)
-        for t, rng in enumerate(rngs):
-            rng.standard_normal(out=direction[t])
+        for rng, direction_row in zip(rngs, direction):
+            rng.standard_normal(out=direction_row)
         noise = np.minimum(clean_norm / target_root_snr, cap)[:, None] * (
             direction / _norm(direction)[:, None]
         )

@@ -9,13 +9,10 @@ only isometry-good, not perfectly conditioned. The submatrix solve and
 the orthogonal factor also take stacks of same-shape matrices, giving
 each slice the bits of the 2-d call, and both refuse by one rank test.
 
-The orthogonal factor refuses a source whose computed singular values
-have s_min < RANK_RTOL s_max, but on all but the smallest inputs it runs
-that SVD only when a Cholesky certificate cannot clear the stack. A
-successful Cholesky factorization of M^T M - 4 (n + 1) eps tr(M^T M) I,
-on M scaled by a power of two, proves sigma_min / sigma_max >= 3e-8
-despite every rounding error, so the SVD would pass M. The certificate
-decides nothing else; the argument is in ``orthogonal_factor``.
+A generated D*U matrix (``du_entries``) takes its factor straight from
+QR, with no rank test: Householder QR returns a factor orthogonal to
+working precision for any finite source, singular or not, so a drawn
+source is never refused.
 """
 
 from __future__ import annotations
@@ -32,14 +29,6 @@ from .exceptions import RankDeficient, Singular
 # as rank-deficient. Matches the double-precision noise floor at the dense
 # desk-scale sizes (<= 1e3) this package targets.
 RANK_RTOL = 1e-10
-# The orthogonal factor's certificate shifts M^T M by this times (n + 1)
-# tr(M^T M) at order n: four times the combined backward error of forming
-# M^T M, its trace and its Cholesky factor (about (n + 1) eps tr(M^T M)).
-_CERTIFICATE_SHIFT = 4 * np.finfo(float).eps
-# Stacks of fewer entries go straight to the SVD guard: on them the
-# certificate's dozen small numpy calls cost more than the SVD it saves
-# (the two cost the same at about 100 entries, single matrices and stacks).
-_CERTIFICATE_MIN_ENTRIES = 128
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double; smaller ones lose bits
 
 
@@ -201,30 +190,25 @@ def _norm(x: np.ndarray) -> float | np.ndarray:
         return math.sqrt(squares) if _normal(squares) else float(_norm(x[None])[0])
     squares = row_dot(x, x)
     norms = np.sqrt(squares)
-    normal = [_normal(square) for square in squares.tolist()]
-    if not all(normal):
+    # min and max may pass over a NaN row, whose norm stays NaN either way
+    listed = squares.tolist()
+    if listed and not (_normal(min(listed)) and _normal(max(listed))):
+        normal = (_TINY <= squares) & (squares < math.inf)  # _normal on every row
         peaks = np.abs(x).max(axis=1)
-        odd = ~np.array(normal) & (0.0 < peaks) & (peaks < math.inf)
+        odd = ~normal & (0.0 < peaks) & (peaks < math.inf)
         scaled = x[odd] / peaks[odd, None]
         norms[odd] = peaks[odd] * np.sqrt(row_dot(scaled, scaled))
     return norms
 
 
-def _certified_nonsingular(m: np.ndarray) -> bool:
-    """Whether one Cholesky factorization certifies that every slice of the
-    finite stack ``m`` passes the SVD guard of ``orthogonal_factor``
-    (argument there)."""
-    n = m.shape[-1]
-    peak = np.abs(m).max(axis=(-2, -1))
-    scaled = np.ldexp(m, -np.frexp(peak)[1][..., None, None])
-    gram = np.swapaxes(scaled, -1, -2) @ scaled
-    diagonal = gram.reshape(*gram.shape[:-2], n * n)[..., :: n + 1]
-    diagonal -= (_CERTIFICATE_SHIFT * (n + 1)) * diagonal.sum(axis=-1)[..., None]
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _signed_q(m: np.ndarray) -> np.ndarray:
+    """The orthogonal factor of QR on a square matrix or a stack of them,
+    with the signs that make R's diagonal nonnegative, so the factor is a
+    deterministic function of ``m``."""
+    q, r = np.linalg.qr(m)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[..., None, :]
 
 
 def orthogonal_factor(m: np.ndarray) -> np.ndarray:
@@ -235,65 +219,40 @@ def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     and is refused whole when any slice is singular. Non-finite entries
     raise ValueError. The triangular factor's diagonal is forced
     nonnegative so the result is a deterministic function of the input
-    (needed for seeded reproducibility).
-
-    A slice is singular when its computed singular values have
-    s_max <= 0 or s_min < RANK_RTOL s_max. On stacks of at least
-    _CERTIFICATE_MIN_ENTRIES entries that SVD runs only when a Cholesky
-    certificate cannot clear the stack. Each slice M is scaled by the
-    power of two that puts its largest |entry| in [1/2, 1), so that
-    ||M||_F^2 >= 1/4, no entry of G = M^T M exceeds n, and the scaling
-    changes no singular-value ratio (it is exact, except that entries
-    pushed below 2^-1022 move by at most 2^-1075). One Cholesky
-    factorization then runs on G - c tr(G) I for the whole stack, with
-    c = 4 (n + 1) eps. If it succeeds, the errors of forming G
-    (gamma_n ||M||_F^2 in norm), of subtracting the shift (eps/2 max G_ii)
-    and of the Cholesky factor (gamma_{n+1} tr G; Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, Thm 10.3) add up to about
-    (n + 1) eps ||M||_F^2, a quarter of the shift, and the rounded trace
-    and shift are within gamma_{n+1} of their exact values. So the exact
-    sigma_min^2 >= 2 (n + 1) eps ||M||_F^2 >= 2 (n + 1) eps sigma_max^2,
-    and sigma_min / sigma_max >= sqrt(4 eps) = 3e-8, 300 times RANK_RTOL.
-    Gradual underflow adds absolute errors below n^2 2^-1074, nothing
-    against ||M||_F^2 >= 1/4. The SVD is backward stable and would compute
-    each singular value within p(n) eps sigma_max of the truth, for a
-    modest p(n), so it would pass the slice. If the Cholesky fails on any
-    slice, the SVD decides for the whole stack. The QR and the sign fix
-    are the same calls either way, so the factor's bits and the set of
-    inputs refused as Singular are those of the SVD guard alone.
+    (needed for seeded reproducibility). A slice is singular, and raises
+    Singular, when its computed singular values have s_max <= 0 or
+    s_min < RANK_RTOL s_max.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] == 0:
         raise ValueError(f"expected nonempty square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if m.size < _CERTIFICATE_MIN_ENTRIES or not _certified_nonsingular(m):
-        if any(_rank_deficient(np.linalg.svd(m, compute_uv=False)).flat):
-            raise Singular("matrix is numerically singular; no orthogonal factor")
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
+    if any(_rank_deficient(np.linalg.svd(m, compute_uv=False)).flat):
+        raise Singular("matrix is numerically singular; no orthogonal factor")
+    return _signed_q(m)
 
 
-def draw_du(
-    rng: np.random.Generator, n: int, ratio: float, source: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _du_interval(ratio: float) -> tuple[float, float]:
+    """The interval [sqrt(1 - b), sqrt(1 + b)], b = 0.99 / sqrt(ratio + 1),
+    that a D*U matrix's d is uniform on; ``ratio`` is K/N."""
+    bound = 0.99 / math.sqrt(ratio + 1.0)
+    return math.sqrt(1.0 - bound), math.sqrt(1.0 + bound)
+
+
+def draw_du(rng: np.random.Generator, n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Draw d and the source of U for a D*U matrix; ``ratio`` is K/N.
 
-    d is uniform on [sqrt(1 - b), sqrt(1 + b)] with b = 0.99 / sqrt(ratio + 1),
-    drawn before U's n-by-n standard-normal source (part of the seeded contract).
-    ``source``, when given, is a C-contiguous (n, n) float array that the
-    source is drawn into, with the same bits.
+    d is uniform on ``_du_interval(ratio)``, drawn before U's n-by-n
+    standard-normal source (part of the seeded contract).
     """
-    bound = 0.99 / math.sqrt(ratio + 1.0)
-    d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
-    if source is None:
-        return d, rng.standard_normal((n, n))
-    return d, rng.standard_normal(out=source)
+    d = rng.uniform(*_du_interval(ratio), size=n)
+    return d, rng.standard_normal((n, n))
 
 
 def du_entries(d: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """diag(d) times the orthogonal factor of ``source``; also on stacks
-    (d of shape (..., n), source of shape (..., n, n))."""
-    return d[..., :, None] * orthogonal_factor(source)
+    """diag(d) times the orthogonal factor of a drawn ``source``; also on
+    stacks (d of shape (..., n), source of shape (..., n, n)). The factor
+    has the bits of ``orthogonal_factor``, without its checks: a drawn
+    source is finite, and QR's factor is orthogonal for any source."""
+    return d[..., :, None] * _signed_q(source)

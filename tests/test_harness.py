@@ -220,6 +220,14 @@ class TestSeeding:
         self.assert_default_states(seeds)
         assert harness._seed_words.cache_info()[:2] == (7, 6)
 
+    def test_outside_seed_leaves_a_full_range_cached(self):
+        # a seed from outside a full pass's range, between two of its cells
+        seeds = range(harness.STACK_ROWS)
+        harness._generators(seeds)
+        gen_instance(3, 2, True, 500)
+        harness._generators(seeds)
+        assert harness._seed_words.cache_info()[:2] == (harness.STACK_ROWS, harness.STACK_ROWS + 1)
+
     def test_cached_generators_share_no_state(self):
         first = harness._generators(range(10, 13))
         for rng in first:

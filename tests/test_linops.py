@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -13,7 +14,7 @@ from gompkit import (
     orthogonal_factor,
     project_complement,
 )
-from gompkit.linops import RANK_RTOL, _norm, _solve_submatrix, row_dot
+from gompkit.linops import RANK_RTOL, _norm, _solve_submatrix, du_entries, row_dot
 
 
 def normal_equations_oracle(a_s, y):
@@ -228,31 +229,22 @@ class TestOrthogonalFactor:
 
 
 def svd_guard_raises(m):
-    """The singularity guard by itself, as ``orthogonal_factor`` ran it on
-    every input before the Cholesky certificate: the reference for which
-    inputs are refused as Singular."""
+    """The singularity guard by itself, written out apart from
+    ``orthogonal_factor``: the reference for which inputs are refused as
+    Singular."""
     s = np.linalg.svd(m, compute_uv=False)
     return bool(((s[..., 0] <= 0.0) | (s[..., -1] < RANK_RTOL * s[..., 0])).any())
 
 
-def unscreened_factor(m):
-    """``orthogonal_factor`` decided by ``svd_guard_raises`` alone; None
-    stands for a Singular refusal."""
+def guard_factor(m):
+    """``orthogonal_factor`` decided by ``svd_guard_raises``; None stands
+    for a Singular refusal."""
     if svd_guard_raises(m):
         return None
     q, r = np.linalg.qr(m)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return q * signs[..., None, :]
-
-
-def spy_svd(monkeypatch):
-    """Count the calls of ``np.linalg.svd``; ``orthogonal_factor`` calls it
-    only for its guard."""
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    return calls
 
 
 def with_spread(n, ratio, seed):
@@ -265,39 +257,46 @@ def with_spread(n, ratio, seed):
 
 def mixed_stack():
     """Well-conditioned Gaussian slices and one slice at cond ~ 1e8, which
-    the certificate cannot clear but the SVD guard passes."""
+    the SVD guard passes."""
     m = np.random.default_rng(21).standard_normal((6, 8, 8))
     m[3] = with_spread(8, 1e-8, 22)
     return m
 
 
-# case: (input, guard SVDs run). Inputs of at least 128 entries meet the
-# certificate first; smaller ones go straight to the SVD guard.
+def random_stacks():
+    """150 seeded stacks: random orders, batch sizes, power-of-two scales
+    and condition numbers from 1 to 1e12."""
+    rng = np.random.default_rng(36)
+    for _ in range(150):
+        n, batch = int(rng.integers(1, 17)), int(rng.integers(1, 5))
+        m = np.stack([with_spread(n, 10.0 ** -rng.uniform(0, 12), int(rng.integers(1 << 30)))
+                      for _ in range(batch)])
+        yield m * 2.0 ** rng.integers(-900, 900, size=(batch, 1, 1))
+
+
 GUARD_CASES = {
-    **{f"spread_{name}": (lambda r=r: with_spread(12, r, 31), 1) for name, r in (
+    **{f"spread_{name}": lambda r=r: with_spread(12, r, 31) for name, r in (
         ("1e-10_low", 1e-10 * (1 - 1e-6)), ("1e-10_high", 1e-10 * (1 + 1e-6)),
-        ("1e-9", 1e-9), ("1e-8", 1e-8))},
-    "spread_1e-4": (lambda: with_spread(12, 1e-4, 31), 0),
-    "small_spread_1e-4": (lambda: with_spread(6, 1e-4, 31), 1),
-    "scale_2^600": (lambda: 2.0**600 * np.random.default_rng(32).standard_normal((12, 12)), 0),
-    "scale_2^-600": (lambda: 2.0**-600 * np.random.default_rng(32).standard_normal((12, 12)), 0),
-    "ones_1e-160": (lambda: 1e-160 * np.ones((3, 3)), 1),
-    "ones_stack_1e-160": (lambda: 1e-160 * np.ones((16, 3, 3)), 1),
-    "gaussian_1e-310": (lambda: 1e-310 * np.random.default_rng(33).standard_normal((12, 12)), 0),
-    "zero": (lambda: np.zeros((12, 12)), 1),
-    "empty_stack": (lambda: np.zeros((0, 3, 3)), 1),
-    "stack_2x3x33": (lambda: np.random.default_rng(34).standard_normal((2, 3, 33, 33)), 0),
-    "mixed_stack": (mixed_stack, 1),
+        ("1e-9", 1e-9), ("1e-8", 1e-8), ("1e-4", 1e-4))},
+    "small_spread_1e-4": lambda: with_spread(6, 1e-4, 31),
+    "scale_2^600": lambda: 2.0**600 * np.random.default_rng(32).standard_normal((12, 12)),
+    "scale_2^-600": lambda: 2.0**-600 * np.random.default_rng(32).standard_normal((12, 12)),
+    "ones_1e-160": lambda: 1e-160 * np.ones((3, 3)),
+    "ones_stack_1e-160": lambda: 1e-160 * np.ones((16, 3, 3)),
+    "gaussian_1e-310": lambda: 1e-310 * np.random.default_rng(33).standard_normal((12, 12)),
+    "zero": lambda: np.zeros((12, 12)),
+    "empty_stack": lambda: np.zeros((0, 3, 3)),
+    "stack_2x3x33": lambda: np.random.default_rng(34).standard_normal((2, 3, 33, 33)),
+    "mixed_stack": mixed_stack,
 }
+REFUSED = {"spread_1e-10_low", "ones_1e-160", "ones_stack_1e-160", "zero"}
 
 
 class TestSingularityGuard:
     @pytest.mark.parametrize("case", GUARD_CASES)
-    def test_agrees_with_svd_guard(self, case, monkeypatch):
-        build, guard_svds = GUARD_CASES[case]
-        m = build()
-        want = unscreened_factor(m)
-        calls = spy_svd(monkeypatch)
+    def test_agrees_with_svd_guard(self, case):
+        m = GUARD_CASES[case]()
+        want = guard_factor(m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if want is None:
@@ -305,33 +304,16 @@ class TestSingularityGuard:
                     orthogonal_factor(m)
             else:
                 assert orthogonal_factor(m).tobytes() == want.tobytes()
-        assert len(calls) == guard_svds
 
     def test_expected_refusals(self):
         # the cases straddle the guard: the SVD refuses below 1e-10 and the
         # rank-one and zero matrices, and passes everything else
-        refused = {case for case, (build, _) in GUARD_CASES.items()
-                   if unscreened_factor(build()) is None}
-        assert refused == {"spread_1e-10_low", "ones_1e-160", "ones_stack_1e-160", "zero"}
-
-    def test_gaussian_stack_needs_no_svd(self, monkeypatch):
-        m = np.random.default_rng(35).standard_normal((128, 33, 33))
-        want = unscreened_factor(m)
-        calls = spy_svd(monkeypatch)
-        assert orthogonal_factor(m).tobytes() == want.tobytes()
-        assert calls == []
+        assert {case for case, build in GUARD_CASES.items() if guard_factor(build()) is None} == REFUSED
 
     def test_random_stacks_agree(self):
-        # random orders, batch sizes, power-of-two scales and condition
-        # numbers from 1 to 1e12, on both sides of the 128-entry gate
-        rng = np.random.default_rng(36)
         decisions = set()
-        for _ in range(150):
-            n, batch = int(rng.integers(1, 17)), int(rng.integers(1, 5))
-            m = np.stack([with_spread(n, 10.0 ** -rng.uniform(0, 12), int(rng.integers(1 << 30)))
-                          for _ in range(batch)])
-            m *= 2.0 ** rng.integers(-900, 900, size=(batch, 1, 1))
-            want = unscreened_factor(m)
+        for m in random_stacks():
+            want = guard_factor(m)
             decisions.add(want is None)
             if want is None:
                 with pytest.raises(Singular):
@@ -347,6 +329,41 @@ class TestSingularityGuard:
         m.reshape(-1, 3, 3)[-1, 1, 2] = bad
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             orthogonal_factor(m)
+
+
+def diagonal_for(m, seed):
+    """A seeded d in [0.5, 1.5) for each row of each slice of ``m``."""
+    return np.random.default_rng(seed).uniform(0.5, 1.5, m.shape[:-1])
+
+
+class TestDuEntries:
+    """``du_entries`` takes the factor straight from QR: the bits of
+    ``orthogonal_factor`` wherever the guard passes, and an orthogonal
+    factor wherever it refuses."""
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES.keys() - REFUSED))
+    def test_has_the_bits_of_orthogonal_factor(self, case):
+        m = GUARD_CASES[case]()
+        d = diagonal_for(m, 38)
+        assert du_entries(d, m).tobytes() == (d[..., :, None] * orthogonal_factor(m)).tobytes()
+
+    def test_random_stacks_have_the_bits_of_orthogonal_factor(self):
+        passed = 0
+        for seed, m in enumerate(random_stacks()):
+            if svd_guard_raises(m):
+                continue
+            d = diagonal_for(m, seed)
+            assert du_entries(d, m).tobytes() == (d[..., :, None] * orthogonal_factor(m)).tobytes()
+            passed += 1
+        assert passed > 50
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_sources_get_an_orthogonal_factor(self, case):
+        m = GUARD_CASES[case]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = du_entries(np.ones(m.shape[:-1]), m)
+        assert np.abs(q.swapaxes(-1, -2) @ q - np.eye(m.shape[-1])).max() <= 1e-14
 
 
 class TestSensingMatrix:
@@ -412,6 +429,14 @@ class TestNorm:
         with np.errstate(over="ignore"):  # a NaN first leaves the overflowing row rescaled
             got = _norm(stack[[2, 3, 0]])
         assert math.isnan(got[0]) and got[1:].tolist() == [1e308 * math.sqrt(2.0), 0.0]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_a_nan_row_hides_no_other_row(self, order):
+        # min and max over the square sums may pass over the NaN, in any position
+        rows = np.array([[1.0, 1.0], [math.nan, 1.0], [3e-170, 4e-170], [3e160, 4e160]])[list(order)]
+        with np.errstate(over="ignore"):
+            got, alone = _norm(rows), [_norm(row) for row in rows]
+        assert np.array_equal(got, alone, equal_nan=True)
 
     def test_empty_stack_has_no_norms(self):
         assert _norm(np.empty((0, 3))).shape == (0,)

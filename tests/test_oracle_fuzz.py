@@ -1,12 +1,10 @@
-"""Seeded differential fuzz of the two oracles' fast paths (numpy only).
+"""Seeded differential fuzz of the isometry oracle's fast path (numpy only).
 
 ``exact_ric`` sends most supports through a screen instead of
 ``eigvalsh``; it must return the constant that ``eigvalsh`` on every
-support gives, bit for bit, and refuse the same inputs. ``orthogonal_factor``
-clears most inputs with a Cholesky certificate instead of its SVD guard; it
-must refuse as Singular exactly the inputs the guard refuses and return the
-guard path's factor bit for bit otherwise. The matrices come from four
-families: integer, duplicate-column, tie-heavy and 1e+-150-scaled.
+support gives, bit for bit, and refuse the same inputs. The matrices come
+from four families: integer, duplicate-column, tie-heavy and
+1e+-150-scaled.
 """
 
 from itertools import combinations
@@ -14,15 +12,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gompkit import Singular, exact_ric, orthogonal_factor
-from gompkit import linops, rip
-from gompkit.linops import RANK_RTOL
+from gompkit import exact_ric, rip
 
 FAMILIES = ("integer", "duplicate-column", "tie-heavy", "scaled")
 
 
 def draw(rng, family, shape):
-    """One seeded matrix (or stack) of ``family``."""
+    """One seeded matrix of ``family``."""
     if family == "integer":
         return rng.integers(-3, 4, size=shape).astype(float)
     if family == "tie-heavy":
@@ -47,30 +43,11 @@ def unscreened_ric(a, order):
     return max(0.0, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
 
 
-def guard_factor(m):
-    """The orthogonal factor decided by the SVD guard alone; None stands
-    for a Singular refusal."""
-    s = np.linalg.svd(m, compute_uv=False)
-    if ((s[..., 0] <= 0.0) | (s[..., -1] < RANK_RTOL * s[..., 0])).any():
-        return None
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
-
-
 def ric_outcome(a, order):
     try:
         return exact_ric(a, order).value
     except ValueError as exc:
         assert str(exc).startswith("A^T A is not finite"), exc
-        return None
-
-
-def factor_outcome(m):
-    try:
-        return orthogonal_factor(m)
-    except Singular:
         return None
 
 
@@ -86,24 +63,3 @@ def test_exact_ric_equals_eigvalsh_on_every_support(family, monkeypatch):
         for order in {1, int(rng.integers(2, 7)), n - 1}:
             assert ric_outcome(a, order) == unscreened_ric(a, order), (case, order)
     assert screened  # not only unscreened first chunks
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_orthogonal_factor_certificate_equals_the_svd_guard(family, monkeypatch):
-    rng = np.random.default_rng([2302, FAMILIES.index(family)])
-    certified, refused = [], []
-    certify = linops._certified_nonsingular
-    monkeypatch.setattr(linops, "_certified_nonsingular", lambda m: certified.append(certify(m)) or certified[-1])
-    for case in range(200):
-        n = int(rng.integers(2, 14))
-        count = 128 // (n * n) + int(rng.integers(1, 9))  # a stack always meets the certificate
-        m = draw(rng, family, (count, n, n) if case % 2 else (n, n))
-        got, want = factor_outcome(m), guard_factor(m)
-        if want is None:
-            assert got is None, case
-        else:
-            assert got is not None and got.tobytes() == want.tobytes(), case
-        refused.append(want is None)
-    assert True in certified
-    if family != "scaled":  # scaled Gaussian draws are nonsingular
-        assert False in certified and any(refused) and not all(refused)

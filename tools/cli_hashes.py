@@ -21,6 +21,7 @@ COMMANDS = (
     f"{GRID} --noisy --format json --per-trial --seed 11",
     f"{GRID} --noisy --flat-signal --seed 4294967290",
     "gen --k 3 --n-select 2 --noisy --seed 18446744073709551615",
+    "gen --k 8 --n-select 4 --seed 0",
     "verify --lemma selection --instances 2000 --seed 7",
     "verify --lemma 4 --instances 2000 --seed 7",
     "verify --lemma 4 --instances 2000 --seed 11",
