@@ -23,7 +23,6 @@ from .harness import (
     TrialReport,
     emit_report,
     gen_instance,
-    run_trial,
     run_trials,
     write_instance,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "orthogonal_factor",
     "project_complement",
     "random_lemma_instance",
-    "run_trial",
     "run_trials",
     "select_top_n",
     "snr",

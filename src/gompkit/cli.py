@@ -21,14 +21,14 @@ from .verify import (
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    inst = gen_instance(args.k, args.n_select, args.noisy, args.seed)
+    inst = gen_instance(args.k, args.n_select, args.noisy, _at_least("--seed", args.seed, 0))
     write_instance(inst, args.out)
     return 0
 
 
-def _at_least_one(flag: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1, got {value}")
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
     return value
 
 
@@ -44,9 +44,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = run_trials(
         _closed_range("--k-min", args.k_min, "--k-max", args.k_max),
         _closed_range("--nsel-min", args.nsel_min, "--nsel-max", args.nsel_max),
-        _at_least_one("--trials", args.trials),
+        _at_least("--trials", args.trials, 1),
         args.noisy,
-        args.seed,
+        _at_least("--seed", args.seed, 0),
         flat_signal=args.flat_signal,
     )
     emit_report(results, args.format, args.out, include_trials=args.per_trial)
@@ -58,12 +58,6 @@ def _cmd_ric(args: argparse.Namespace) -> int:
     est = exact_ric(matrix, args.order, budget=args.budget)
     print(json.dumps({"order": est.order, "value": est.value, "kind": est.kind.value}))
     return 0
-
-
-def _verify_lemma4(count: int, seed: int) -> tuple[int, float, int]:
-    """``lemma4_min_slack`` over ``count`` seeded lemma-4 instances."""
-    rng = np.random.default_rng(seed)
-    return lemma4_min_slack(random_lemma_instance(rng) for _ in range(count))
 
 
 def _verify_traces(count: int, seed: int, noisy: bool, holds) -> int:
@@ -85,10 +79,14 @@ def _verify_traces(count: int, seed: int, noisy: bool, holds) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _at_least_one("--instances", args.instances)
+    _at_least("--instances", args.instances, 1)
+    _at_least("--seed", args.seed, 0)
     detail = None
     if args.lemma == "4":
-        failed, min_slack, argmin = _verify_lemma4(args.instances, args.seed)
+        rng = np.random.default_rng(args.seed)
+        failed, min_slack, argmin = lemma4_min_slack(
+            random_lemma_instance(rng) for _ in range(args.instances)
+        )
         if argmin >= 0:
             detail = f"min slack (lhs - rhs) {min_slack!r} at instance {argmin}"
     elif args.lemma == "5":

@@ -14,8 +14,7 @@ Reproducibility contract: all randomness comes from numpy's PCG64
 generator seeded with the instance seed, drawn in this fixed order:
 diagonal entries (uniform), orthogonal-factor source matrix (standard
 normal, row-major), support permutation, nonzero values, then the noise
-direction. Identical seeds give bit-identical instances. The noise cap
-changed the noisy instances it shrinks, and only those.
+direction. Identical seeds give bit-identical instances.
 
 ``_generators`` keeps one per-seed cache of the last 2 STACK_ROWS seeds'
 ``SeedSequence(seed).generate_state(4, uint64)``, the state PCG64 is
@@ -31,8 +30,9 @@ There is one generator, ``_stacked_instances``, which builds the
 instances of many seeds as stacked rows; a row's bits do not depend on
 the other seeds. ``gen_instance`` is its call on one seed. Every trial
 runs through ``_run_stacked`` (the generator, ``greedy.gomp_stacked``,
-scoring): ``run_trials`` in passes of many seeds, ``run_trial`` on one.
-The traced ``gomp_run`` on ``gen_instance`` is the reference for its bits.
+scoring), in passes of up to STACK_ROWS seeds; a pass that raises replays
+its seeds one by one. The traced ``gomp_run`` on ``gen_instance`` is the
+reference for its bits.
 """
 
 from __future__ import annotations
@@ -277,11 +277,20 @@ def _stacked_instances(
 def _run_stacked(
     sparsity: int, n_select: int, noisy: bool, seeds: Sequence[int], flat_signal: bool
 ) -> list[TrialReport]:
-    """The trials of ``seeds``, generated, pursued and scored as one stacked pass."""
-    entries, x, _, observation, epsilon, _ = _stacked_instances(
-        sparsity, n_select, noisy, seeds, flat_signal
-    )
-    run = gomp_stacked(entries, observation, epsilon, sparsity, n_select)
+    """The trials of ``seeds``, generated, pursued and scored as one stacked
+    pass. A numerical refusal (a GompkitError or LinAlgError) reruns a pass
+    of several seeds as one-seed passes, and is the error of a one-seed
+    pass's trial; bad input raises."""
+    try:
+        entries, x, _, observation, epsilon, _ = _stacked_instances(
+            sparsity, n_select, noisy, seeds, flat_signal
+        )
+        run = gomp_stacked(entries, observation, epsilon, sparsity, n_select)
+    except (GompkitError, np.linalg.LinAlgError) as exc:
+        if len(seeds) > 1:
+            return [report for seed in seeds
+                    for report in _run_stacked(sparsity, n_select, noisy, [seed], flat_signal)]
+        return [TrialReport(seeds[0], False, False, 0, math.nan, f"{type(exc).__name__}: {exc}")]
     err = np.max(np.abs(run.estimates - x), axis=1)
     exact = err <= EXACT_RECOVERY_RTOL * np.max(np.abs(x), axis=1)
     support_ok = ~np.any((x != 0.0) & ~run.supports, axis=1)
@@ -290,22 +299,6 @@ def _run_stacked(
         TrialReport(seed, *fields)
         for seed, *fields in zip(seeds, *(column.tolist() for column in columns))
     ]
-
-
-def run_trial(sparsity: int, n_select: int, noisy: bool, seed: int, *, flat_signal: bool = False) -> TrialReport:
-    """One seeded trial: the one-seed stacked pass, or a report of the numerical
-    refusal (a GompkitError or LinAlgError) it raised; bad input raises."""
-    try:
-        return _run_stacked(sparsity, n_select, noisy, [seed], flat_signal)[0]
-    except (GompkitError, np.linalg.LinAlgError) as exc:
-        return TrialReport(
-            instance_seed=seed,
-            exact_recovery=False,
-            support_recovery=False,
-            iterations_used=0,
-            residual_final=float("nan"),
-            error=f"{type(exc).__name__}: {exc}",
-        )
 
 
 def run_trials(
@@ -321,10 +314,10 @@ def run_trials(
 
     Trial t of every cell uses seed base_seed + t, so cells are
     independent of each other and of execution order. Each cell runs as
-    stacked passes of up to STACK_ROWS seeds, every cell's pass of one seed
-    range before the next range, so that range's states are built once; a
-    pass that raises is redone with ``run_trial`` per seed, which records
-    each failing trial's error.
+    ``_run_stacked`` passes of up to STACK_ROWS seeds, every cell's pass of
+    one seed range before the next range, so that range's states are built
+    once; a pass that raises replays its own seeds one by one, and a trial
+    whose one-seed pass raises reports the error.
     """
     if trials_per_cell < 0:
         raise ValueError("trials_per_cell must be >= 0")
@@ -335,10 +328,7 @@ def run_trials(
     for start in range(0, trials_per_cell, STACK_ROWS):
         seeds = range(base_seed + start, base_seed + min(start + STACK_ROWS, trials_per_cell))
         for (k, nsel), cell_reports in zip(cells, reports):
-            try:
-                cell_reports += _run_stacked(k, nsel, noisy, seeds, flat_signal)
-            except (GompkitError, np.linalg.LinAlgError):
-                cell_reports += [run_trial(k, nsel, noisy, s, flat_signal=flat_signal) for s in seeds]
+            cell_reports += _run_stacked(k, nsel, noisy, seeds, flat_signal)
     return [CellResult(k, nsel, noisy, tuple(r)) for (k, nsel), r in zip(cells, reports)]
 
 
@@ -454,9 +444,6 @@ def load_matrix(path: str | Path) -> np.ndarray:
             raise ValueError(f"{path}: no 'matrix' field in JSON document")
         doc = doc["matrix"]
     try:
-        arr = np.asarray(doc, dtype=float)
-    except TypeError as exc:  # a non-numeric entry such as {}
+        return SensingMatrix(doc).entries
+    except (TypeError, ValueError) as exc:  # a ragged or non-numeric entry, or a refused matrix
         raise ValueError(f"{path}: {exc}") from exc
-    if arr.ndim != 2:
-        raise ValueError(f"{path}: expected a 2-d array, got ndim={arr.ndim}")
-    return arr

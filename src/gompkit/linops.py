@@ -240,16 +240,6 @@ def _du_interval(ratio: float) -> tuple[float, float]:
     return math.sqrt(1.0 - bound), math.sqrt(1.0 + bound)
 
 
-def draw_du(rng: np.random.Generator, n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Draw d and the source of U for a D*U matrix; ``ratio`` is K/N.
-
-    d is uniform on ``_du_interval(ratio)``, drawn before U's n-by-n
-    standard-normal source (part of the seeded contract).
-    """
-    d = rng.uniform(*_du_interval(ratio), size=n)
-    return d, rng.standard_normal((n, n))
-
-
 def du_entries(d: np.ndarray, source: np.ndarray) -> np.ndarray:
     """diag(d) times the orthogonal factor of a drawn ``source``; also on
     stacks (d of shape (..., n), source of shape (..., n, n)). The factor

@@ -25,10 +25,10 @@ from .greedy import RecoveryTrace, _top_n
 from .linops import (
     MatrixLike,
     SensingMatrix,
+    _du_interval,
     _norm,
     as_sensing_matrix,
     as_vector,
-    draw_du,
     du_entries,
     project_complement,
 )
@@ -326,7 +326,8 @@ def random_lemma_instance(rng: np.random.Generator) -> LemmaInstance:
             continue
         break
 
-    mat = SensingMatrix(du_entries(*draw_du(rng, n, support_size / n_select)))
+    d = rng.uniform(*_du_interval(support_size / n_select), size=n)
+    mat = SensingMatrix(du_entries(d, rng.standard_normal((n, n))))
 
     perm = rng.permutation(n) + 1
     omega = perm[:support_size].tolist()

@@ -25,7 +25,6 @@ from gompkit import (
     gomp_run,
     mar,
     orthogonal_factor,
-    run_trial,
     run_trials,
     snr,
     snr_threshold,
@@ -259,9 +258,11 @@ class TestSeeding:
         k, nsel, seeds = 3, 2, [41, 42]
         n = k * nsel + 1
         entries, values, noise, *_ = harness._stacked_instances(k, nsel, noisy, seeds, False)
+        bound = 0.99 / math.sqrt(k / nsel + 1.0)
         for row, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            d, source = linops.draw_du(rng, n, k / nsel)
+            d = rng.uniform(math.sqrt(1.0 - bound), math.sqrt(1.0 + bound), size=n)
+            source = rng.standard_normal((n, n))
             support = rng.permutation(n)[:k]
             nonzeros = rng.standard_normal(k)
             nonzeros[1] = 0.0
@@ -290,7 +291,7 @@ def test_noisy_reads_noise_whose_square_sum_overflows():
 def scalar_trial(k, nsel, noisy, seed, flat=False):
     """The trial of one seed through the traced scalar path: ``gen_instance``
     and ``gomp_run``, scored as acceptance criteria 1 and 2 score, with a
-    raised error reported as ``run_trial`` reports it."""
+    raised error reported as a one-seed ``run_trials`` pass reports it."""
     try:
         inst = gen_instance(k, nsel, noisy, seed, flat_signal=flat)
         trace = gomp_run(inst.matrix, inst.observation, GompParams(k, nsel, inst.epsilon))
@@ -349,7 +350,8 @@ class TestRunTrials:
         for cell in results:
             expected = tuple(scalar_trial(cell.sparsity, cell.n_select, True, 90 + t) for t in range(4))
             assert cell.reports == expected
-            assert tuple(run_trial(cell.sparsity, cell.n_select, True, 90 + t) for t in range(4)) == expected
+            assert tuple(run_trials([cell.sparsity], [cell.n_select], 1, True, 90 + t)[0].reports[0]
+                         for t in range(4)) == expected
 
     @pytest.mark.parametrize("k,nsel,noisy,flat", [
         (8, 4, True, False), (8, 4, False, False), (2, 1, True, False), (2, 1, False, False),
@@ -423,6 +425,23 @@ class TestRunTrials:
         assert cell.reports == tuple(scalar_trial(3, 2, True, 44 + t) for t in range(5))
         assert all(r.error is None for r in cell.reports)
 
+    @pytest.mark.parametrize("trials,stack_rows,rows", [(1, 128, [1]), (5, 4, [4, 1, 1, 1, 1, 1])])
+    def test_failing_pass_runs_each_seed_once(self, trials, stack_rows, rows, monkeypatch):
+        # a pass of several seeds is replayed one seed at a time; a one-seed
+        # pass is not run a second time to record its error
+        calls = []
+
+        def broken(entries, *args):
+            calls.append(len(entries))
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(harness, "STACK_ROWS", stack_rows)
+        monkeypatch.setattr(harness, "gomp_stacked", broken)
+        [cell] = run_trials([2], [1], trials, True, 5)
+        assert calls == rows
+        assert [r.instance_seed for r in cell.reports] == list(range(5, 5 + trials))
+        assert all(r.error == "LinAlgError: SVD did not converge" for r in cell.reports)
+
     def test_failed_refits_report_the_scalar_error(self, monkeypatch):
         # every refit of more than one column fails once the instances exist
         generate = harness._stacked_instances
@@ -445,7 +464,7 @@ class TestRunTrials:
 def test_noisy_trial_does_not_stop_early(seed):
     # K = 2, N = 1: without the noise cap, both stop after one iteration at
     # ||r|| <= ||v||, missing one index
-    report = run_trial(2, 1, True, seed)
+    report = run_trials([2], [1], 1, True, seed)[0].reports[0]
     assert report.error is None
     assert report.support_recovery
 
@@ -522,7 +541,7 @@ class TestInstanceFiles:
         bare.write_text(json.dumps([[1.0, 0.5], [0.0, 1.0]]))
         assert np.array_equal(load_matrix(bare), [[1.0, 0.5], [0.0, 1.0]])
 
-    def test_load_matrix_rejects_bad_documents(self, tmp_path):
+    def test_load_matrix_rejects_bad_documents(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": []}))
         with pytest.raises(ValueError):
@@ -533,6 +552,23 @@ class TestInstanceFiles:
             path.write_bytes(content)
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_matrix(path)
+        # and SensingMatrix's refusals and numpy's, through the CLI too
+        for name, content, message in [
+            ("ragged.json", "[[1, 2], [3]]", "setting an array element with a sequence"),
+            ("string.json", '{"matrix": [[1, "a"]]}', "could not convert string to float"),
+            ("infinite.json", "[[Infinity, 0], [0, 1]]", "matrix entries must be finite"),
+            ("nan.json", "[[1, 0], [NaN, 1]]", "matrix entries must be finite"),
+            ("empty_row.json", "[[]]", "matrix must be at least 1x1"),
+        ]:
+            path = tmp_path / name
+            path.write_text(content)
+            prefix = f"{path}: {message}"
+            with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
+                load_matrix(path)
+            assert cli.main(["ric", "--matrix", str(path), "--order", "1"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {prefix}")
 
     def test_payload_schema_keys(self):
         payload = instance_payload(gen_instance(2, 1, noisy=False, seed=1))
@@ -574,13 +610,15 @@ class TestCli:
 
     @pytest.mark.parametrize("k,nsel,seed", [("0", "1", "1"), ("1", "0", "1"), ("1", "1", "-1")])
     def test_gen_rejects_bad_parameters(self, k, nsel, seed, capsys):
-        # the library raises ValueError and the CLI reports it with status 2
+        # the library raises ValueError and the CLI reports it with status 2;
+        # a negative seed the CLI refuses itself, naming the flag
         with pytest.raises(ValueError) as raised:
             gen_instance(int(k), int(nsel), False, int(seed))
+        message = f"--seed must be at least 0, got {seed}" if int(seed) < 0 else raised.value
         assert cli.main(["gen", "--k", k, "--n-select", nsel, "--seed", seed]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == [f"error: {raised.value}"]
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_ric_on_generated_file(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
@@ -661,6 +699,15 @@ class TestCli:
         (("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
           "--trials", "3", "--seed", "1", "--per-trial"),
          "error: --per-trial needs --format json"),
+        (("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
+          "--trials", "3", "--seed", "-5"),
+         "error: --seed must be at least 0, got -5"),
+        (("verify", "--lemma", "4", "--instances", "3", "--seed", "-1"),
+         "error: --seed must be at least 0, got -1"),
+        (("verify", "--lemma", "5", "--instances", "3", "--seed", "-2"),
+         "error: --seed must be at least 0, got -2"),
+        (("verify", "--lemma", "selection", "--instances", "3", "--seed", "-3"),
+         "error: --seed must be at least 0, got -3"),
     ])
     def test_bad_counts_and_empty_ranges_are_rejected(self, args, message, capsys):
         assert cli.main(list(args)) == 2

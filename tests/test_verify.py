@@ -252,19 +252,24 @@ class TestLazyLemma4:
             verify_lemma4(inst)
 
 
-def exact_lemma4_scan(count, seed):
+def exact_min_slack(instances):
     """The lemma-4 scan of ``gompkit verify`` before it was made lazy:
     ``lemma4_sides`` on every instance. The reference for
     ``lemma4_min_slack``."""
-    rng = np.random.default_rng(seed)
     failed, min_slack, argmin = 0, math.inf, -1
-    for i in range(count):
-        lhs, rhs = lemma4_sides(random_lemma_instance(rng))
+    for i, inst in enumerate(instances):
+        lhs, rhs = lemma4_sides(inst)
         if not verify.lemma4_holds(lhs, rhs):
             failed += 1
         if lhs - rhs < min_slack:
             min_slack, argmin = lhs - rhs, i
     return failed, min_slack, argmin
+
+
+def exact_lemma4_scan(count, seed):
+    """``exact_min_slack`` over ``count`` seeded lemma-4 instances."""
+    rng = np.random.default_rng(seed)
+    return exact_min_slack(random_lemma_instance(rng) for _ in range(count))
 
 
 class TestLazyMinSlack:
@@ -276,7 +281,7 @@ class TestLazyMinSlack:
             monkeypatch.setattr(verify, "lemma4_holds", lambda lhs, rhs: holds(lhs, rhs + margin))
         args = ["verify", "--lemma", "4", "--instances", str(count), "--seed", str(seed)]
         lazy = cli.main(args), capsys.readouterr()
-        monkeypatch.setattr(cli, "_verify_lemma4", exact_lemma4_scan)
+        monkeypatch.setattr(cli, "lemma4_min_slack", exact_min_slack)
         exact = cli.main(args), capsys.readouterr()
         assert lazy == exact
         assert lazy[0] == (1 if margin and count >= 60 else 0)

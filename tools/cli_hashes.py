@@ -28,6 +28,9 @@ COMMANDS = (
     "verify --lemma 5 --instances 2000 --seed 7",
     "verify --lemma 5 --instances 2000 --seed 11",
     "run --k-min 1 --k-max 4 --nsel-min 1 --nsel-max 3 --trials 300 --seed 5 --noisy",
+    # one-seed passes: a one-trial grid, and a last pass of one seed after 128
+    "run --k-min 1 --k-max 8 --nsel-min 1 --nsel-max 4 --trials 1 --noisy --format json --per-trial --seed 700158",
+    "run --k-min 1 --k-max 4 --nsel-min 1 --nsel-max 3 --trials 129 --seed 3",
 )
 
 
