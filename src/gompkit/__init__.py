@@ -8,7 +8,7 @@ numerically, and reproduces noise-free and noisy recovery experiments from
 seeded instances.
 """
 
-from .exceptions import BudgetExceeded, GompkitError, RankDeficient, Singular
+from .exceptions import BudgetExceeded, GompkitError, RankDeficient
 from .greedy import (
     GompParams,
     IterationRecord,
@@ -66,7 +66,6 @@ __all__ = [
     "RicEstimate",
     "RicKind",
     "SensingMatrix",
-    "Singular",
     "SparseSignal",
     "Termination",
     "TrialReport",

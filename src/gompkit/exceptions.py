@@ -2,8 +2,8 @@
 
 Bad input raises the built-in ValueError (IndexError for an out-of-range
 1-based index). The types here are the refusals a caller handles on
-their own: a numerically rank-deficient or singular matrix, and an
-enumeration past its budget.
+their own: a numerically rank-deficient matrix, and an enumeration past
+its budget.
 """
 
 
@@ -12,17 +12,14 @@ class GompkitError(Exception):
 
 
 class RankDeficient(GompkitError):
-    """A column submatrix is numerically rank-deficient.
+    """A matrix is numerically rank-deficient: a column submatrix in a
+    refit, or a square matrix handed to ``orthogonal_factor``.
 
     Raised from inside a pursuit, ``partial_trace`` carries the
     RecoveryTrace of the iterations completed before the failing refit.
     """
 
     partial_trace = None
-
-
-class Singular(GompkitError):
-    """A square matrix is numerically singular."""
 
 
 class BudgetExceeded(GompkitError):

@@ -11,8 +11,9 @@ ties and keeps the support growing by exactly ``n_select`` per iteration.
 
 ``gomp_run`` is the traced reference. ``gomp_stacked`` runs many
 same-shape problems as one stacked computation without traces and gives
-the same bits per problem. Both select through ``_top_n``, refit through
-linops' SVD solve, which holds the rank test, and norm with ``_norm``.
+the same bits per problem. Both rank with ``_top_n`` the magnitudes that
+``_magnitudes`` checked, refit through linops' SVD solve, which holds the
+rank test, and norm with ``_norm``.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def select_top_n(
     """
     if n_select < 1:
         raise ValueError(f"n_select must be >= 1, got {n_select}")
-    c = np.asarray(correlations, dtype=float)
+    c = np.abs(np.asarray(correlations, dtype=float))
     n = c.size
     excluded0 = {int(i) - 1 for i in excluded}
     for i in excluded0:
@@ -148,11 +149,13 @@ def select_top_n(
     return [i + 1 for i in picks.tolist()]
 
 
-def _top_n(correlations: np.ndarray, n_select: int, excluded: np.ndarray) -> np.ndarray:
-    """Zero-based positions of the ``n_select`` largest |c| on the last axis,
-    largest first and the smaller position winning ties, by a stable sort on
-    -|c| with ``excluded`` (an index array or a boolean mask) pushed to +inf."""
-    key = -np.abs(correlations)
+def _top_n(magnitudes: np.ndarray, n_select: int, excluded: np.ndarray) -> np.ndarray:
+    """Zero-based positions of the ``n_select`` largest of the nonnegative
+    ``magnitudes`` (in both pursuits, what ``_magnitudes`` checked) on the
+    last axis, largest first and the smaller position winning ties, by a
+    stable sort on their negation with ``excluded`` (an index array or a
+    boolean mask) pushed to +inf. The input is never written."""
+    key = -magnitudes
     key[excluded] = np.inf
     return np.argsort(key, axis=-1, kind="stable")[..., :n_select]
 
@@ -200,7 +203,7 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
     while len(records) < params.sparsity and norm > params.epsilon:
         correlations = mat.entries.T @ residual
         magnitudes = _magnitudes(correlations)
-        picks = _top_n(correlations, params.n_select, chosen)
+        picks = _top_n(magnitudes, params.n_select, chosen)
         chosen[picks] = True
         cols = np.flatnonzero(chosen)
         sub = mat.entries[:, cols]
@@ -276,9 +279,8 @@ def gomp_stacked(
         if live.size == 0:
             break
         # Frozen rows are correlated too: cheaper than copying the live slices.
-        corr = (a_t @ residual[:, :, None])[live, :, 0]
-        _magnitudes(corr)  # refuses an overflowed row, as in gomp_run
-        chosen[live[:, None], _top_n(corr, n_select, chosen[live])] = True
+        magnitudes = _magnitudes((a_t @ residual[:, :, None])[live, :, 0])
+        chosen[live[:, None], _top_n(magnitudes, n_select, chosen[live])] = True
         cols = np.nonzero(chosen[live])[1].reshape(live.size, k * n_select)
         # Rows of A^T gathered C-ordered, so each A_S view is F-ordered
         # like the scalar entries[:, cols].

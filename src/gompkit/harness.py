@@ -434,16 +434,13 @@ def write_instance(inst: Instance, destination: str | Path | IO[str] | None = No
 def load_matrix(path: str | Path) -> np.ndarray:
     """Read a matrix from an instance file or a bare JSON 2-d array; each
     refusal is a ValueError that starts with the path."""
-    try:
+    try:  # an OSError propagates as it is
         with open(path) as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # not JSON, or not text
-        raise ValueError(f"{path}: {exc}") from exc
-    if isinstance(doc, dict):
-        if "matrix" not in doc:
-            raise ValueError(f"{path}: no 'matrix' field in JSON document")
-        doc = doc["matrix"]
-    try:
+        if isinstance(doc, dict):
+            if "matrix" not in doc:
+                raise ValueError("no 'matrix' field in JSON document")
+            doc = doc["matrix"]
         return SensingMatrix(doc).entries
-    except (TypeError, ValueError) as exc:  # a ragged or non-numeric entry, or a refused matrix
+    except (TypeError, ValueError) as exc:  # not JSON or text, ragged, non-numeric or refused
         raise ValueError(f"{path}: {exc}") from exc

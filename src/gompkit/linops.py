@@ -23,7 +23,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .exceptions import RankDeficient, Singular
+from .exceptions import RankDeficient
 
 # Smallest/largest singular value ratio below which a submatrix is treated
 # as rank-deficient. Matches the double-precision noise floor at the dense
@@ -220,7 +220,7 @@ def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     raise ValueError. The triangular factor's diagonal is forced
     nonnegative so the result is a deterministic function of the input
     (needed for seeded reproducibility). A slice is singular, and raises
-    Singular, when its computed singular values have s_max <= 0 or
+    RankDeficient, when its computed singular values have s_max <= 0 or
     s_min < RANK_RTOL s_max.
     """
     m = np.asarray(m, dtype=float)
@@ -229,7 +229,7 @@ def orthogonal_factor(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if any(_rank_deficient(np.linalg.svd(m, compute_uv=False)).flat):
-        raise Singular("matrix is numerically singular; no orthogonal factor")
+        raise RankDeficient("matrix is numerically singular; no orthogonal factor")
     return _signed_q(m)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,12 +53,21 @@ class LemmaInstance:
     the selection could confuse with the true support; ``selected`` plays
     the role of the set already picked after ``iteration`` rounds of
     ``n_select`` picks each. All index sets are 1-based.
+
+    The counts are stored once the sets are validated: ``n_select`` is
+    |competitors|, ``iteration`` is |selected| / n_select, ``overlap`` is
+    |support & selected|, and ``ric_order`` is n_select * (iteration + 1)
+    + |support| - overlap, the order of the constant the inequality uses.
     """
 
     matrix: SensingMatrix
     signal: SparseSignal
     selected: frozenset[int]
     competitors: frozenset[int]
+    n_select: int = field(init=False)
+    iteration: int = field(init=False)
+    overlap: int = field(init=False)
+    ric_order: int = field(init=False)
 
     def __post_init__(self):
         mat = self.matrix
@@ -91,25 +100,10 @@ class LemmaInstance:
             )
         if n_select * (iteration + 1) + len(omega) - iteration > mat.m:
             raise ValueError("instance too large for the row count")
-
-    @property
-    def n_select(self) -> int:
-        """Indices picked per iteration: the size of the competitor set."""
-        return len(self.competitors)
-
-    @property
-    def iteration(self) -> int:
-        """Rounds of ``n_select`` picks that produced the selected set."""
-        return len(self.selected) // self.n_select
-
-    @property
-    def overlap(self) -> int:
-        """Number of support indices already selected."""
-        return len(self.signal.support & self.selected)
-
-    @property
-    def ric_order(self) -> int:
-        return self.n_select * (self.iteration + 1) + len(self.signal.support) - self.overlap
+        object.__setattr__(self, "n_select", n_select)
+        object.__setattr__(self, "iteration", iteration)
+        object.__setattr__(self, "overlap", overlap)
+        object.__setattr__(self, "ric_order", n_select * (iteration + 1) + len(omega) - overlap)
 
 
 def _lemma4_terms(inst: LemmaInstance) -> tuple[float, Callable[[float], float]]:
@@ -117,13 +111,13 @@ def _lemma4_terms(inst: LemmaInstance) -> tuple[float, Callable[[float], float]]
     as a function of delta."""
     mat, x = inst.matrix, inst.signal
     omega = x.support
-    remaining = sorted(omega - inst.selected)
-    x_rem = x.values[np.asarray(remaining) - 1]
-    signal_part = mat.entries[:, np.asarray(remaining) - 1] @ x_rem
+    remaining = np.asarray(sorted(omega - inst.selected)) - 1
+    x_rem = x.values[remaining]
+    signal_part = mat.entries[:, remaining] @ x_rem
     projected = project_complement(mat, inst.selected, signal_part)
 
     corr = mat.entries.T @ projected
-    lhs = float(np.max(np.abs(corr[np.asarray(remaining) - 1])))
+    lhs = float(np.max(np.abs(corr[remaining])))
     comp = np.asarray(sorted(inst.competitors)) - 1
     lhs -= float(np.mean(np.abs(corr[comp])))
 

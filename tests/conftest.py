@@ -1,9 +1,12 @@
+import functools
+import importlib
 import os
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-from gompkit import harness, rip
+import gompkit
 
 # pyproject.toml puts src/ on this process's path; the CLI tests' subprocesses
 # (python -m gompkit) get it through PYTHONPATH, so a checkout runs uninstalled.
@@ -12,9 +15,21 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
-# every functools.lru_cache of the package; test_caches.py checks that none is missing
-CACHES = (rip._small_support_tables, rip._large_support_tables, rip._layout,
-          harness._seed_words)
+def package_caches() -> dict:
+    """Each ``functools.lru_cache`` defined at the top level of a gompkit
+    module, by qualified name (``__main__`` would run the CLI)."""
+    found = {}
+    for info in pkgutil.iter_modules(gompkit.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"gompkit.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, functools._lru_cache_wrapper) and value.__module__ == module.__name__:
+                found[f"{module.__name__}.{name}"] = value
+    return found
+
+
+CACHES = tuple(package_caches().values())
 
 
 def clear_caches():

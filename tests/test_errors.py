@@ -64,7 +64,7 @@ def test_bad_input_raises_plain_value_error(call, message):
     exported = {name for name in gompkit.__all__
                 if isinstance(getattr(gompkit, name), type)
                 and issubclass(getattr(gompkit, name), BaseException)}
-    assert exported == {"GompkitError", "RankDeficient", "Singular", "BudgetExceeded"}
+    assert exported == {"GompkitError", "RankDeficient", "BudgetExceeded"}
 
 
 def test_cli_reports_bad_order_with_status_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from gompkit import (
     Termination,
     gen_instance,
     gomp_run,
+    greedy,
     select_top_n,
 )
 from gompkit.greedy import gomp_stacked
@@ -334,6 +335,28 @@ class TestStackedKernel:
             gomp_stacked(entries, np.where(y > 0, np.nan, y), eps, 2, 1)
         with pytest.raises(ValueError):
             gomp_stacked(entries, y[:, :-1], eps, 2, 1)
+
+
+def test_pursuits_rank_what_magnitudes_returned(monkeypatch):
+    """Both pursuits pick by the array ``_magnitudes`` checked, not by an
+    |A^T r| of their own: an off-support entry raised there, at a column
+    the unpatched run never picks, becomes the first pick."""
+    inst = gen_instance(3, 2, noisy=False, seed=5)
+    params = GompParams(sparsity=3, n_select=2, epsilon=inst.epsilon)
+    picked = gomp_run(inst.matrix, inst.observation, params).final_support
+    col = min(set(range(1, inst.matrix.n + 1)) - picked)
+    checked = greedy._magnitudes
+
+    def raised(correlations):
+        magnitudes = checked(correlations)
+        magnitudes[..., col - 1] = 1e6
+        return magnitudes
+
+    monkeypatch.setattr(greedy, "_magnitudes", raised)
+    assert gomp_run(inst.matrix, inst.observation, params).iterations[0].selected[0] == col
+    run = gomp_stacked(inst.matrix.entries[None], inst.observation[None],
+                       np.array([inst.epsilon]), 1, 2)
+    assert run.supports[0, col - 1]
 
 
 def duplicate_column_problem():

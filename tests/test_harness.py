@@ -314,7 +314,7 @@ class TestRunTrials:
 
     def test_cell_aggregates_its_reports(self):
         reports = (TrialReport(1, True, True, 2, 0.5), TrialReport(2, False, True, 4, 1.5),
-                   TrialReport(3, False, False, 0, math.nan, "Singular: x"))
+                   TrialReport(3, False, False, 0, math.nan, "RankDeficient: x"))
         cell = CellResult(2, 1, True, reports)
         assert (cell.trials, cell.exact_rate, cell.support_rate) == (3, 1 / 3, 2 / 3)
         assert (cell.mean_iterations, cell.mean_final_residual) == (3.0, 1.0)

@@ -4,6 +4,9 @@ Usage: python3 tools/cli_hashes.py
 
 Runs each command through ``python -m gompkit`` with this checkout's
 ``src`` first on PYTHONPATH and prints ``<12-hex prefix>  <command>``.
+The ``ric`` commands read an instance that ``gen`` first writes to a
+temporary directory; their lines show the template, ``{tmp}`` unfilled,
+so that lines compare across checkouts.
 Run it on two checkouts and compare the lines to check that a change
 keeps every output bit for bit. No expected values are stored: the bits
 depend on the LAPACK build.
@@ -13,6 +16,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 GRID = "run --k-min 1 --k-max 8 --nsel-min 1 --nsel-max 4 --trials 40"
@@ -31,6 +35,10 @@ COMMANDS = (
     # one-seed passes: a one-trial grid, and a last pass of one seed after 128
     "run --k-min 1 --k-max 8 --nsel-min 1 --nsel-max 4 --trials 1 --noisy --format json --per-trial --seed 700158",
     "run --k-min 1 --k-max 4 --nsel-min 1 --nsel-max 3 --trials 129 --seed 3",
+    # the enumeration on a saved instance: C(25, 3) and C(25, 6) = 177,100 supports
+    "gen --k 8 --n-select 3 --seed 4100000 --out {tmp}/inst.json",
+    "ric --matrix {tmp}/inst.json --order 3",
+    "ric --matrix {tmp}/inst.json --order 6",
 )
 
 
@@ -38,10 +46,12 @@ def main() -> int:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    for command in COMMANDS:
-        out = subprocess.run([sys.executable, "-m", "gompkit", *command.split()],
-                             env=env, capture_output=True, check=True).stdout
-        print(f"{hashlib.sha256(out).hexdigest()[:12]}  {command}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in COMMANDS:
+            args = command.format(tmp=tmp).split()
+            out = subprocess.run([sys.executable, "-m", "gompkit", *args],
+                                 env=env, capture_output=True, check=True).stdout
+            print(f"{hashlib.sha256(out).hexdigest()[:12]}  {command}", flush=True)
     return 0
 
 
