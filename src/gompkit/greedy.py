@@ -12,8 +12,9 @@ ties and keeps the support growing by exactly ``n_select`` per iteration.
 ``gomp_run`` is the traced reference. ``gomp_stacked`` runs many
 same-shape problems as one stacked computation without traces and gives
 the same bits per problem. Both rank with ``_top_n`` the magnitudes that
-``_magnitudes`` checked, refit through linops' SVD solve, which holds the
-rank test, and norm with ``_norm``.
+``_magnitudes`` checked, take the fit and its residual from linops'
+``_refit``, which holds the SVD solve and the rank test, and norm with
+``_norm``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .exceptions import RankDeficient
 from .linops import (
     MatrixLike,
     _norm,
-    _solve_submatrix,
+    _refit,
     as_sensing_matrix,
     as_vector,
 )
@@ -206,15 +207,13 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
         picks = _top_n(magnitudes, params.n_select, chosen)
         chosen[picks] = True
         cols = np.flatnonzero(chosen)
-        sub = mat.entries[:, cols]
         try:
-            coef = _solve_submatrix(sub, y)
+            coef, residual = _refit(mat.entries[:, cols], y)
         except RankDeficient as exc:
             err = RankDeficient(f"iteration {len(records) + 1}: {exc}")
             err.partial_trace = RecoveryTrace(records, estimate, Termination.RANK_DEFICIENT)
             raise err from exc
         estimate[cols] = coef
-        residual = y - sub @ coef
         norm = _norm(residual)
         records.append(IterationRecord(tuple((picks + 1).tolist()), norm, magnitudes))
     termination = (
@@ -285,12 +284,10 @@ def gomp_stacked(
         # Rows of A^T gathered C-ordered, so each A_S view is F-ordered
         # like the scalar entries[:, cols].
         sub = a_t[live[:, None], cols].transpose(0, 2, 1)
-        y_live = y[live]
         try:
-            coef = _solve_submatrix(sub, y_live)
+            coef, r_live = _refit(sub, y[live])
         except RankDeficient as exc:
             raise RankDeficient(f"iteration {k}: {exc}") from exc
-        r_live = y_live - (sub @ coef[:, :, None])[:, :, 0]
         del sub  # free the (T, m, s) stack before the next gather
         residual[live] = r_live
         norms[live] = _norm(r_live)

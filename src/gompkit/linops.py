@@ -3,11 +3,13 @@ projection, and orthogonal-factor extraction.
 
 Index sets on the public surface are 1-based (columns are numbered 1..n,
 like the math they implement); the conversion to zero-based storage is
-internal. Solves go through an orthogonal factorization (SVD), never the
-explicit normal equations, because the submatrices this toolkit meets are
-only isometry-good, not perfectly conditioned. The submatrix solve and
-the orthogonal factor also take stacks of same-shape matrices, giving
-each slice the bits of the 2-d call, and both refuse by one rank test.
+internal. ``_refit`` is the one submatrix solve and residual, for both
+pursuits, ``least_squares`` and ``project_complement``. It solves through
+an orthogonal factorization (SVD), never the explicit normal equations,
+because the submatrices this toolkit meets are only isometry-good, not
+perfectly conditioned. The refit and the orthogonal factor also take
+stacks of same-shape matrices, giving each slice the bits of the 2-d
+call, and both refuse by one rank test.
 
 A generated D*U matrix (``du_entries``) takes its factor straight from
 QR, with no rank test: Householder QR returns a factor orthogonal to
@@ -103,8 +105,9 @@ def _rank_deficient(s: np.ndarray) -> np.ndarray:
     return (s_max <= 0.0) | (s_min < RANK_RTOL * s_max)
 
 
-def _solve_submatrix(a_s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares on an explicit submatrix via SVD.
+def _refit(a_s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares on an explicit submatrix via SVD: the coefficients
+    and the residual y - A_S coef.
 
     Takes (m, s) and (m,), or stacks (..., m, s) and (..., m) whose slices
     get the bits of the 2-d call. Raises RankDeficient, with the ratio of
@@ -119,7 +122,8 @@ def _solve_submatrix(a_s: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"submatrix is numerically rank-deficient "
             f"(sigma_min/sigma_max = {0.0 if s_max <= 0 else s_min / s_max:.3e})"
         )
-    return (vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ y[..., None]) / s[..., None]))[..., 0]
+    coef = (vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ y[..., None]) / s[..., None]))[..., 0]
+    return coef, y - (a_s @ coef[..., None])[..., 0]
 
 
 def least_squares(a: MatrixLike, index_set: Iterable[int], y: np.ndarray) -> np.ndarray:
@@ -146,7 +150,7 @@ def least_squares(a: MatrixLike, index_set: Iterable[int], y: np.ndarray) -> np.
         raise ValueError("index set must be nonempty")
     if cols.size > mat.m:
         raise ValueError(f"cannot fit {cols.size} columns with only {mat.m} rows")
-    return _solve_submatrix(mat.entries[:, cols], y)
+    return _refit(mat.entries[:, cols], y)[0]
 
 
 def project_complement(a: MatrixLike, index_set: Iterable[int], u: np.ndarray) -> np.ndarray:
@@ -160,9 +164,7 @@ def project_complement(a: MatrixLike, index_set: Iterable[int], u: np.ndarray) -
     cols = _to_cols(index_set, mat.n)
     if cols.size == 0:
         return u.copy()
-    a_s = mat.entries[:, cols]
-    coef = _solve_submatrix(a_s, u)
-    return u - a_s @ coef
+    return _refit(mat.entries[:, cols], u)[1]
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,0 +1,116 @@
+"""``gomp_run`` against gOMP in exact rational arithmetic on the same floats.
+
+Every double is a dyadic rational, so ``fractions.Fraction`` makes the
+correlations, the least-squares refit and the stopping test exact. The
+reference shares no LAPACK or BLAS call with the pursuit, so it decides
+whether the recorded picks are gOMP's picks on the stored instance.
+Floating point may rank a near-tie either way; every other pick, and the
+reason a run stops, must agree.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from gompkit import GompParams, gen_instance, gomp_run
+
+# A pick whose exact gap (the N-th minus the (N+1)-th free |c|, over max |c|)
+# is below this is a near-tie: rounding may rank it either way, so the
+# comparison of that case ends there.
+NEAR_TIE = 1e-9
+
+# Every (K, N) of the acceptance grid with n = N K + 1 <= 17, and (8, 4) at n = 33.
+CASES = [(k, n_select) for k in range(1, 9) for n_select in range(1, 5)
+         if n_select * k + 1 <= 17] + [(8, 4)]
+
+
+def solve(matrix, rhs):
+    """x with ``matrix`` x = ``rhs``, by Gauss-Jordan elimination on Fractions."""
+    rows = [row + [value] for row, value in zip(matrix, rhs)]
+    size = len(rows)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)  # none: singular
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col]
+        for r in range(size):
+            factor = rows[r][col] / lead[col] if r != col else 0
+            if factor:
+                rows[r] = [p - factor * q for p, q in zip(rows[r], lead)]
+    return [row[size] / row[col] for col, row in enumerate(rows)]
+
+
+def exact_gomp(a, y, sparsity, n_select, epsilon):
+    """gOMP on the float array ``a`` (m, n) and vector ``y`` in exact arithmetic.
+
+    Each iteration ranks the |c| = |A^T r| of the columns not yet chosen,
+    largest first and the smaller index winning ties, adds the first
+    ``n_select`` to the support, refits y by exact elimination on
+    A_S^T A_S and stops after ``sparsity`` iterations or once
+    ||r||^2 <= epsilon^2. With b = A^T y and G = A^T A, the exact fit x
+    gives A^T r = b - G[:, S] x and ||r||^2 = ||y||^2 - b_S . x, so r is
+    never formed. Returns a list of (1-based pick set, gap) per iteration,
+    gap being the N-th minus the (N+1)-th free |c| over max |c| (inf with
+    no (N+1)-th), and the ``Termination`` value of the stop.
+    """
+    cols = [[Fraction(v) for v in column] for column in a.T.tolist()]
+    obs = [Fraction(v) for v in y.tolist()]
+    n = len(cols)
+    gram = [[sum(p * q for p, q in zip(ci, cj)) for cj in cols] for ci in cols]
+    b = [sum(p * q for p, q in zip(column, obs)) for column in cols]
+    energy, eps_sq = sum(v * v for v in obs), Fraction(epsilon) ** 2
+    residual_sq = energy
+    support, coef, steps = [], [], []
+    while len(steps) < sparsity and residual_sq > eps_sq:
+        chosen = set(support)
+        c = [abs(b[i] - sum(gram[i][j] * x for j, x in zip(support, coef))) for i in range(n)]
+        free = sorted((i for i in range(n) if i not in chosen), key=lambda i: (-c[i], i))
+        picks, rest = free[:n_select], free[n_select:]
+        top = c[free[0]]
+        if not rest:
+            gap = math.inf
+        else:
+            gap = float((c[picks[-1]] - c[rest[0]]) / top) if top else 0.0
+        steps.append((frozenset(i + 1 for i in picks), gap))
+        support = sorted(chosen.union(picks))
+        coef = solve([[gram[i][j] for j in support] for i in support], [b[i] for i in support])
+        residual_sq = energy - sum(b[i] * x for i, x in zip(support, coef))
+    stop = "residual_below_epsilon" if residual_sq <= eps_sq else "max_iterations"
+    return steps, stop
+
+
+def compare(inst):
+    """Check ``gomp_run`` on ``inst`` against ``exact_gomp``; return
+    whether a near-tie ended the comparison."""
+    trace = gomp_run(inst.matrix, inst.observation,
+                     GompParams(inst.sparsity, inst.n_select, inst.epsilon))
+    steps, stop = exact_gomp(inst.matrix.entries, inst.observation,
+                             inst.sparsity, inst.n_select, inst.epsilon)
+    for k, ((picks, gap), record) in enumerate(zip(steps, trace.iterations), start=1):
+        if gap < NEAR_TIE:
+            return True
+        assert set(record.selected) == picks, f"seed {inst.seed}, iteration {k}, gap {gap:.3e}"
+    assert trace.iterations_used == len(steps), f"seed {inst.seed}"
+    assert trace.termination.value == stop, f"seed {inst.seed}"
+    return False
+
+
+class TestExactGomp:
+    def test_reference_on_identity_sensing(self):
+        # columns are the unit vectors: picks follow |y|, ties to the smaller index
+        steps, stop = exact_gomp(np.eye(4), np.array([1.0, -2.0, 1.0, 0.5]), 3, 1, 0.0)
+        assert steps == [(frozenset({2}), 0.5), (frozenset({1}), 0.0), (frozenset({3}), 0.5)]
+        assert stop == "max_iterations"
+        steps, stop = exact_gomp(np.eye(4), np.array([0.5, -2.0, 0.5, 1.0]), 2, 2, 0.0)
+        assert steps == [(frozenset({2, 4}), 0.25), (frozenset({1, 3}), math.inf)]
+        assert stop == "residual_below_epsilon"
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+    def test_gomp_run_picks_equal_the_exact_picks(self, noisy):
+        assert len(CASES) == 26
+        near_ties = sum(compare(gen_instance(k, n_select, noisy, 1000 * k + n_select))
+                        for k, n_select in CASES)
+        # At this allowance a near-tie is about 1e-9-likely per pick; more
+        # than two in 26 cases would mean the gaps themselves are wrong.
+        assert near_ties <= 2

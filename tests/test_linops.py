@@ -13,7 +13,7 @@ from gompkit import (
     orthogonal_factor,
     project_complement,
 )
-from gompkit.linops import RANK_RTOL, _norm, _solve_submatrix, du_entries, row_dot
+from gompkit.linops import RANK_RTOL, _norm, _refit, du_entries, row_dot
 
 
 def normal_equations_oracle(a_s, y):
@@ -86,10 +86,16 @@ class TestLeastSquares:
 
 
 def unstacked_solve(a_s, y):
-    """The 2-d solve as written before it took stacks: the reference for
-    the bits of every slice."""
+    """The 2-d solve as written before it took stacks, with the 1-d
+    residual the scalar pursuit and ``project_complement`` formed before
+    ``_refit`` did: the reference for the bits of every slice."""
     u, s, vt = np.linalg.svd(a_s, full_matrices=False)
-    return vt.T @ ((u.T @ y) / s)
+    coef = vt.T @ ((u.T @ y) / s)
+    return coef, y - a_s @ coef
+
+
+def same_bits(got, want):
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
 class TestStackedSolve:
@@ -98,12 +104,13 @@ class TestStackedSolve:
         rng = np.random.default_rng(list(shape))
         a = rng.standard_normal(shape)
         y = rng.standard_normal(shape[:-1])
-        got = _solve_submatrix(a, y)
-        assert got.shape == shape[:-2] + shape[-1:]
+        coef, residual = _refit(a, y)
+        assert coef.shape == shape[:-2] + shape[-1:]
+        assert residual.shape == shape[:-1]
         for index in np.ndindex(*shape[:-2]):
             want = unstacked_solve(a[index], y[index])
-            assert _solve_submatrix(a[index], y[index]).tobytes() == want.tobytes()
-            assert got[index].tobytes() == want.tobytes()
+            assert same_bits(_refit(a[index], y[index]), want)
+            assert same_bits((coef[index], residual[index]), want)
 
     def test_gathered_views_match_the_scalar_gather(self):
         # the F-ordered A_S views gomp_stacked gathers from the rows of A^T
@@ -113,9 +120,10 @@ class TestStackedSolve:
         cols = np.sort(np.argsort(rng.standard_normal((6, 13)), axis=1)[:, :8], axis=1)
         sub = entries.transpose(0, 2, 1)[np.arange(6)[:, None], cols].transpose(0, 2, 1)
         assert sub[0].flags.f_contiguous
-        got = _solve_submatrix(sub, y)
+        coef, residual = _refit(sub, y)
         for t in range(6):
-            assert got[t].tobytes() == unstacked_solve(entries[t][:, cols[t]], y[t]).tobytes()
+            want = unstacked_solve(entries[t][:, cols[t]], y[t])
+            assert same_bits((coef[t], residual[t]), want)
 
     def test_names_the_first_failing_slice(self):
         good = np.eye(4, 2)
@@ -124,11 +132,11 @@ class TestStackedSolve:
         y = np.arange(4.0)
         for bad in (duplicate, scaled, np.zeros((4, 2))):
             with pytest.raises(RankDeficient) as flat:
-                _solve_submatrix(bad, y)
+                _refit(bad, y)[0]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(RankDeficient) as stacked:
-                    _solve_submatrix(np.stack([good, bad, duplicate]), np.stack([y, y, y]))
+                    _refit(np.stack([good, bad, duplicate]), np.stack([y, y, y]))[0]
             assert str(stacked.value) == str(flat.value)
         assert "0.000e+00" in str(flat.value)  # the zero slice: no 0/0
 

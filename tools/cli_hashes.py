@@ -7,9 +7,19 @@ Runs each command through ``python -m gompkit`` with this checkout's
 The ``ric`` commands read an instance that ``gen`` first writes to a
 temporary directory; their lines show the template, ``{tmp}`` unfilled,
 so that lines compare across checkouts.
-Run it on two checkouts and compare the lines to check that a change
-keeps every output bit for bit. No expected values are stored: the bits
-depend on the LAPACK build.
+Run it on two checkouts and compare the hash lines to check that a change
+keeps every output bit for bit. No expected values are stored.
+
+The bits hold only within one numpy and BLAS build and one BLAS kernel.
+A DYNAMIC_ARCH OpenBLAS picks its kernel per process, and
+``OPENBLAS_CORETYPE`` can change that choice: under another kernel the
+generated factors, and the rounding-level floats printed from them, can
+differ in the last bits, so some hash lines change. The verdicts
+(supports, picks, rates, iteration counts and pass counts) are expected
+to agree on every kernel. So a first ``#`` line, not part of the
+comparison, names the numpy version, the BLAS build and
+``OPENBLAS_CORETYPE``. The build string is fixed when numpy is built; it
+does not name the kernel that a DYNAMIC_ARCH build picks at run time.
 """
 
 import hashlib
@@ -18,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 GRID = "run --k-min 1 --k-max 8 --nsel-min 1 --nsel-max 4 --trials 40"
 COMMANDS = (
@@ -42,10 +54,24 @@ COMMANDS = (
 )
 
 
+def environment() -> str:
+    """The ``#`` line: numpy's version, its BLAS build (the ``openblas
+    configuration`` string, else name and version; ``unknown`` on a numpy
+    without ``show_config(mode="dicts")``) and ``OPENBLAS_CORETYPE``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        build = "unknown"
+    coretype = os.environ.get("OPENBLAS_CORETYPE", "unset")
+    return f"# numpy {np.__version__}; BLAS {build}; OPENBLAS_CORETYPE={coretype}"
+
+
 def main() -> int:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    print(environment(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
             args = command.format(tmp=tmp).split()
