@@ -30,6 +30,7 @@ from .linops import (
     MatrixLike,
     _norm,
     _refit,
+    _to_cols,
     as_sensing_matrix,
     as_vector,
 )
@@ -129,25 +130,20 @@ def select_top_n(
 ) -> list[int]:
     """Pick the ``n_select`` indices of largest magnitude, skipping ``excluded``.
 
-    Ties are broken toward the smaller index so that runs are deterministic
-    and reproducible across implementations. Returns 1-based indices in
-    selection (descending-magnitude) order; NaN correlations raise ValueError.
+    Ties go to the smaller index, so runs are reproducible across
+    implementations. Returns 1-based indices, largest first. NaN correlations
+    raise ValueError; an ``excluded`` entry outside 1..n raises IndexError.
     """
     if n_select < 1:
         raise ValueError(f"n_select must be >= 1, got {n_select}")
     c = np.abs(np.asarray(correlations, dtype=float))
-    n = c.size
-    excluded0 = {int(i) - 1 for i in excluded}
-    for i in excluded0:
-        if i < 0 or i >= n:
-            raise IndexError(f"excluded index {i + 1} outside 1..{n}")
-    available = n - len(excluded0)
+    cols = _to_cols(excluded, c.size)
+    available = c.size - cols.size
     if n_select > available:
         raise ValueError(f"need {n_select} candidates, only {available} remain")
     if math.isnan(c.max(initial=0.0)):  # iff an entry is NaN, which would sort after the excluded
         raise ValueError("correlations must not be NaN")
-    picks = _top_n(c, n_select, np.fromiter(excluded0, np.intp, len(excluded0)))
-    return [i + 1 for i in picks.tolist()]
+    return (_top_n(c, n_select, cols) + 1).tolist()
 
 
 def _top_n(magnitudes: np.ndarray, n_select: int, excluded: np.ndarray) -> np.ndarray:

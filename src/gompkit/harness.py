@@ -228,21 +228,18 @@ def _stacked_instances(
         raise ValueError("sparsity and n_select must be >= 1")
     rngs, n = _generators(seeds), n_select * sparsity + 1
     rows = len(rngs)
-    d, source = np.empty((rows, n)), np.empty((rows, n, n))
+    d, source, nonzeros = np.empty((rows, n)), np.empty((rows, n, n)), np.empty((rows, sparsity))
     support = np.arange(n)[None].repeat(rows, axis=0)  # rows shuffled as permutation(n)
-    nonzeros = np.empty((rows, sparsity), dtype=np.int64 if flat_signal else float)
     for rng, d_row, source_row, support_row, nonzeros_row in zip(rngs, d, source, support, nonzeros):
         rng.random(out=d_row)
         rng.standard_normal(out=source_row)
         rng.shuffle(support_row)
         if flat_signal:
-            nonzeros_row[:] = rng.integers(0, 2, size=sparsity)
+            nonzeros_row[:] = rng.integers(0, 2, size=sparsity) * 2.0 - 1.0
         else:
             rng.standard_normal(out=nonzeros_row)
     low, high = _du_interval(sparsity / n_select)
     d = low + (high - low) * d
-    if flat_signal:
-        nonzeros = nonzeros * 2.0 - 1.0
     # measure-zero, but a zero leaves fewer than K nonzeros; a row's redraws
     # come from its generator, after its first K draws and before its direction
     while not nonzeros.all():

@@ -91,9 +91,7 @@ def as_vector(v: np.ndarray, m: int, name: str) -> np.ndarray:
 def _to_cols(index_set: Iterable[int], n: int) -> np.ndarray:
     """1-based index set -> sorted zero-based column array."""
     cols = sorted({int(i) for i in index_set})
-    if not cols:
-        return np.empty(0, dtype=int)
-    if cols[0] < 1 or cols[-1] > n:
+    if cols and (cols[0] < 1 or cols[-1] > n):
         raise IndexError(f"indices must lie in 1..{n}, got {cols[0]}..{cols[-1]}")
     return np.asarray(cols, dtype=int) - 1
 

@@ -46,6 +46,9 @@ class RicEstimate:
 
     ANALYTIC_DU and UPPER_BOUND_SPECTRAL values are valid for every order
     up to ``order``; EXACT_ENUMERATION values are exact at ``order`` only.
+    An ANALYTIC_DU value is the constant of the ideal product diag(d) U; the
+    stored matrix's exact order-n constant can exceed it at rounding level
+    (by at most 4.3e-15 relative, on 549 of 1,400 noisy grid instances).
     """
 
     order: int

@@ -316,19 +316,17 @@ def random_lemma_instance(rng: np.random.Generator) -> LemmaInstance:
         # iteration < support_size and n_select >= 1, so the range is nonempty
         overlap = int(rng.integers(iteration, min(support_size - 1, iteration * n_select) + 1))
         # overlap >= iteration, so this also leaves the off-support columns used below
-        if n_select * (iteration + 1) + support_size - iteration > n:
-            continue
-        break
+        if n_select * (iteration + 1) + support_size - iteration <= n:
+            break
 
     d = rng.uniform(*_du_interval(support_size / n_select), size=n)
     mat = SensingMatrix(du_entries(d, rng.standard_normal((n, n))))
 
-    perm = rng.permutation(n) + 1
-    omega = perm[:support_size].tolist()
-    off = perm[support_size:].tolist()
+    perm = rng.permutation(n)
     values = np.zeros(n)
-    values[np.asarray(omega) - 1] = rng.standard_normal(support_size)
+    values[perm[:support_size]] = rng.standard_normal(support_size)
     signal = SparseSignal(values)
+    omega, off = (perm[:support_size] + 1).tolist(), (perm[support_size:] + 1).tolist()
 
     selected = frozenset(omega[:overlap]) | frozenset(off[: iteration * n_select - overlap])
     competitors = frozenset(off[iteration * n_select - overlap:][:n_select])

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from gompkit import (
     gen_instance,
     gomp_run,
     greedy,
+    least_squares,
     select_top_n,
 )
 from gompkit.greedy import gomp_stacked
@@ -26,6 +28,15 @@ class TestSelectTopN:
 
     def test_exclusion(self):
         assert select_top_n(np.array([0.9, 0.0, 0.2]), 2, excluded={1}) == [3, 2]
+
+    @pytest.mark.parametrize("excluded,span", [({0}, "0..0"), ({2, 4}, "2..4"), ({-1, 3}, "-1..3")])
+    def test_out_of_range_exclusion_refused_as_by_least_squares(self, excluded, span):
+        # the message of linops' index-set conversion, which least_squares also gives
+        message = "^" + re.escape(f"indices must lie in 1..3, got {span}") + "$"
+        with pytest.raises(IndexError, match=message):
+            select_top_n(np.array([0.3, 0.1, 0.2]), 1, excluded=excluded)
+        with pytest.raises(IndexError, match=message):
+            least_squares(np.eye(3), excluded, np.ones(3))
 
     def test_insufficient_candidates(self):
         with pytest.raises(ValueError, match="^need 2 candidates, only 1 remain$"):

@@ -17,11 +17,14 @@ generated factors, and the rounding-level floats printed from them, can
 differ in the last bits, so some hash lines change. The verdicts
 (supports, picks, rates, iteration counts and pass counts) are expected
 to agree on every kernel. So a first ``#`` line, not part of the
-comparison, names the numpy version, the BLAS build and
-``OPENBLAS_CORETYPE``. The build string is fixed when numpy is built; it
-does not name the kernel that a DYNAMIC_ARCH build picks at run time.
+comparison, names the numpy version, the BLAS build, the kernel OpenBLAS
+picked at run time and ``OPENBLAS_CORETYPE``. The build string is fixed
+when numpy is built and does not name that kernel (a build string that
+says Haswell can run SkylakeX or, under ``OPENBLAS_CORETYPE=Nehalem``,
+Nehalem); ``core=`` does.
 """
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -54,17 +57,34 @@ COMMANDS = (
 )
 
 
+def blas_core() -> str:
+    """The kernel OpenBLAS picked in this process: ``openblas_get_corename``
+    of the ``scipy_openblas64_`` library that numpy's wheels bundle in
+    ``numpy.libs``, read through ctypes; ``unknown`` when no such library
+    exports it."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def environment() -> str:
     """The ``#`` line: numpy's version, its BLAS build (the ``openblas
     configuration`` string, else name and version; ``unknown`` on a numpy
-    without ``show_config(mode="dicts")``) and ``OPENBLAS_CORETYPE``."""
+    without ``show_config(mode="dicts")``), the run-time kernel from
+    ``blas_core`` and ``OPENBLAS_CORETYPE``."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):
         build = "unknown"
     coretype = os.environ.get("OPENBLAS_CORETYPE", "unset")
-    return f"# numpy {np.__version__}; BLAS {build}; OPENBLAS_CORETYPE={coretype}"
+    return (f"# numpy {np.__version__}; BLAS {build}; core={blas_core()}; "
+            f"OPENBLAS_CORETYPE={coretype}")
 
 
 def main() -> int:
