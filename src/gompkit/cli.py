@@ -11,6 +11,7 @@ import numpy as np
 from .exceptions import GompkitError
 from .greedy import GompParams, gomp_run
 from .harness import emit_report, gen_instance, load_matrix, run_trials, write_instance
+from .linops import _count
 from .rip import ENUMERATION_BUDGET, exact_ric
 from .verify import (
     lemma4_min_slack,
@@ -21,15 +22,9 @@ from .verify import (
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    inst = gen_instance(args.k, args.n_select, args.noisy, _at_least("--seed", args.seed, 0))
+    inst = gen_instance(args.k, args.n_select, args.noisy, _count("--seed", args.seed, 0))
     write_instance(inst, args.out)
     return 0
-
-
-def _at_least(flag: str, value: int, low: int) -> int:
-    if value < low:
-        raise ValueError(f"{flag} must be at least {low}, got {value}")
-    return value
 
 
 def _closed_range(low_flag: str, low: int, high_flag: str, high: int) -> range:
@@ -44,9 +39,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = run_trials(
         _closed_range("--k-min", args.k_min, "--k-max", args.k_max),
         _closed_range("--nsel-min", args.nsel_min, "--nsel-max", args.nsel_max),
-        _at_least("--trials", args.trials, 1),
+        _count("--trials", args.trials),
         args.noisy,
-        _at_least("--seed", args.seed, 0),
+        _count("--seed", args.seed, 0),
         flat_signal=args.flat_signal,
     )
     emit_report(results, args.format, args.out, include_trials=args.per_trial)
@@ -79,8 +74,8 @@ def _verify_traces(count: int, seed: int, noisy: bool, holds) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _at_least("--instances", args.instances, 1)
-    _at_least("--seed", args.seed, 0)
+    _count("--instances", args.instances)
+    _count("--seed", args.seed, 0)
     detail = None
     if args.lemma == "4":
         rng = np.random.default_rng(args.seed)

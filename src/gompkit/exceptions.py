@@ -1,9 +1,9 @@
 """Exception types raised across the toolkit.
 
-Bad input raises the built-in ValueError (IndexError for an out-of-range
-1-based index). The types here are the refusals a caller handles on
-their own: a numerically rank-deficient matrix, and an enumeration past
-its budget.
+Bad input raises the built-in ValueError (TypeError for a non-integral
+count or index, IndexError for an index outside 1..n). The types here are
+the refusals a caller handles on their own: a numerically rank-deficient
+matrix, and an enumeration past its budget.
 """
 
 

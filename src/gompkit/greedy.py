@@ -28,6 +28,8 @@ import numpy as np
 from .exceptions import RankDeficient
 from .linops import (
     MatrixLike,
+    _count,
+    _index_set,
     _norm,
     _refit,
     _to_cols,
@@ -65,10 +67,8 @@ class GompParams:
     epsilon: float
 
     def __post_init__(self):
-        if self.sparsity < 1:
-            raise ValueError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.n_select < 1:
-            raise ValueError(f"n_select must be >= 1, got {self.n_select}")
+        _count("sparsity", self.sparsity)
+        _count("n_select", self.n_select)
         if not (self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
@@ -81,7 +81,7 @@ class IterationRecord:
     correlations that drove this iteration's selection (residual from the
     *previous* iteration), indexed by column position 0..n-1 for column
     indices 1..n. Anything but a 1-d float array of finite, nonnegative
-    entries raises ValueError, and so do picks below 1 or repeated.
+    entries raises ValueError, as do repeated picks; a pick outside 1..n, IndexError.
     """
 
     selected: tuple[int, ...]
@@ -96,8 +96,8 @@ class IterationRecord:
             )
         if not (corr.min(initial=0.0) >= 0.0 and corr.max(initial=0.0) < math.inf):
             raise ValueError("correlations must be finite and nonnegative")
-        if min(self.selected, default=1) < 1 or len(set(self.selected)) < len(self.selected):
-            raise ValueError(f"picks must be distinct and >= 1, got {self.selected}")
+        if len(_index_set(self.selected, corr.size)) < len(self.selected):
+            raise ValueError(f"picks must be distinct, got {self.selected}")
         object.__setattr__(self, "correlations", corr)
 
 
@@ -134,8 +134,7 @@ def select_top_n(
     implementations. Returns 1-based indices, largest first. NaN correlations
     raise ValueError; an ``excluded`` entry outside 1..n raises IndexError.
     """
-    if n_select < 1:
-        raise ValueError(f"n_select must be >= 1, got {n_select}")
+    n_select = _count("n_select", n_select)
     c = np.abs(np.asarray(correlations, dtype=float))
     cols = _to_cols(excluded, c.size)
     available = c.size - cols.size

@@ -51,7 +51,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .exceptions import GompkitError
 from .greedy import gomp_stacked
-from .linops import SensingMatrix, _du_interval, _norm, du_entries
+from .linops import SensingMatrix, _count, _du_interval, _norm, du_entries
 from .metrics import SparseSignal, _row_mar, snr_threshold
 from .rip import RicEstimate, RicKind, _du_delta
 from .verify import NOISE_FLOOR_REL
@@ -224,8 +224,7 @@ def _stacked_instances(
     ``test_noisy_calibration`` in tests/test_harness.py pin these
     expressions against ``du_ric_bound`` and ``mar``.
     """
-    if sparsity < 1 or n_select < 1:
-        raise ValueError("sparsity and n_select must be >= 1")
+    sparsity, n_select = _count("sparsity", sparsity), _count("n_select", n_select)
     rngs, n = _generators(seeds), n_select * sparsity + 1
     rows = len(rngs)
     d, source, nonzeros = np.empty((rows, n)), np.empty((rows, n, n)), np.empty((rows, sparsity))
@@ -316,11 +315,10 @@ def run_trials(
     once; a pass that raises replays its own seeds one by one, and a trial
     whose one-seed pass raises reports the error.
     """
-    if trials_per_cell < 0:
-        raise ValueError("trials_per_cell must be >= 0")
-    if trials_per_cell == 0:
+    cells = sorted((_count("sparsity", k), _count("n_select", nsel))
+                   for k in sparsities for nsel in n_selects)
+    if _count("trials_per_cell", trials_per_cell, 0) == 0:
         return []
-    cells = sorted((int(k), int(nsel)) for k in sparsities for nsel in n_selects)
     reports = [[] for _ in cells]
     for start in range(0, trials_per_cell, STACK_ROWS):
         seeds = range(base_seed + start, base_seed + min(start + STACK_ROWS, trials_per_cell))
@@ -438,6 +436,9 @@ def load_matrix(path: str | Path) -> np.ndarray:
             if "matrix" not in doc:
                 raise ValueError("no 'matrix' field in JSON document")
             doc = doc["matrix"]
-        return SensingMatrix(doc).entries
+        entries = SensingMatrix(doc).entries  # accepted: doc is a list of rows of scalars
+        if any(type(v) not in (int, float) for row in doc for v in row):
+            raise ValueError("matrix entries must be JSON numbers, not booleans or strings")
+        return entries
     except (TypeError, ValueError) as exc:  # not JSON or text, ragged, non-numeric or refused
         raise ValueError(f"{path}: {exc}") from exc

@@ -20,6 +20,7 @@ source is never refused.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -88,12 +89,25 @@ def as_vector(v: np.ndarray, m: int, name: str) -> np.ndarray:
     return v
 
 
+def _count(name: str, value: int, low: int = 1) -> int:
+    """``value`` as an int >= ``low``: TypeError if it is not integral, else ValueError."""
+    count = operator.index(value)
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return count
+
+
+def _index_set(indices: Iterable[int], n: int) -> frozenset[int]:
+    """1-based indices as a frozenset (TypeError if not integral, IndexError outside 1..n)."""
+    index_set = frozenset(map(operator.index, indices))
+    if index_set and not (1 <= min(index_set) and max(index_set) <= n):
+        raise IndexError(f"indices must lie in 1..{n}, got {min(index_set)}..{max(index_set)}")
+    return index_set
+
+
 def _to_cols(index_set: Iterable[int], n: int) -> np.ndarray:
-    """1-based index set -> sorted zero-based column array."""
-    cols = sorted({int(i) for i in index_set})
-    if cols and (cols[0] < 1 or cols[-1] > n):
-        raise IndexError(f"indices must lie in 1..{n}, got {cols[0]}..{cols[-1]}")
-    return np.asarray(cols, dtype=int) - 1
+    """1-based index set -> sorted zero-based column array (``_index_set``'s refusals)."""
+    return np.asarray(sorted(_index_set(index_set, n)), dtype=int) - 1
 
 
 def _rank_deficient(s: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import MatrixLike, _norm, _normal, as_sensing_matrix, as_vector, row_dot
+from .linops import MatrixLike, _count, _norm, _normal, as_sensing_matrix, as_vector, row_dot
 from .rip import Condition, condition_threshold
 
 
@@ -60,16 +60,12 @@ def mar(x: SparseSignal, sparsity: int) -> float:
     Equals 1 exactly when all K nonzeros share one magnitude; always in
     (0, 1] when the support has exactly ``sparsity`` entries, except that
     a MAR below the smallest double reads 0.0 (which ``snr_threshold``
-    refuses).
+    refuses). A ``sparsity`` below the support size raises ValueError.
     """
     if not x.support:
         raise ValueError("MAR is undefined for an all-zero signal")
-    if sparsity < len(x.support):
-        raise ValueError(
-            f"sparsity {sparsity} is below the support size {len(x.support)}"
-        )
     with np.errstate(over="ignore"):  # _row_mar rescales an overflowing energy
-        return float(_row_mar(x.values[None], sparsity)[0])
+        return float(_row_mar(x.values[None], _count("sparsity", sparsity, len(x.support)))[0])
 
 
 def _row_mar(values: np.ndarray, sparsity: int, smallest: np.ndarray | None = None) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BudgetExceeded
-from .linops import MatrixLike, as_sensing_matrix
+from .linops import MatrixLike, _count, as_sensing_matrix
 
 ENUMERATION_BUDGET = 1_000_000
 # Supports per enumeration chunk: the first chunk has _FIRST_CHUNK and
@@ -58,14 +58,24 @@ class RicEstimate:
 
 class Condition(enum.Enum):
     """Named sufficient-condition thresholds on the order-NK+1 constant
-    (order NK for the ones that predate the +1 refinements)."""
+    (order NK for the ones predating the +1 refinements), in ``_THRESHOLDS``."""
 
-    SHARP = "sharp"  # 1/sqrt(K/N + 1); sharp for N = 1
-    WANG2012 = "wang2012"  # 1/(sqrt(K/N) + 3)
-    LIU2012 = "liu2012"  # 1/((2 + sqrt(2)) sqrt(K/N))
-    SATPATHI2013A = "satpathi2013a"  # 1/(sqrt(K/N) + 2)
-    SATPATHI2013B = "satpathi2013b"  # 1/(sqrt(K/N) + 1)
-    SHEN2014 = "shen2014"  # 1/(sqrt(K/N) + 1.27)
+    SHARP = "sharp"
+    WANG2012 = "wang2012"
+    LIU2012 = "liu2012"
+    SATPATHI2013A = "satpathi2013a"
+    SATPATHI2013B = "satpathi2013b"
+    SHEN2014 = "shen2014"
+
+
+_THRESHOLDS = {  # each threshold as a function of the ratio K/N
+    Condition.SHARP: lambda ratio: 1.0 / math.sqrt(ratio + 1.0),  # sharp for N = 1
+    Condition.WANG2012: lambda ratio: 1.0 / (math.sqrt(ratio) + 3.0),
+    Condition.LIU2012: lambda ratio: 1.0 / ((2.0 + math.sqrt(2.0)) * math.sqrt(ratio)),
+    Condition.SATPATHI2013A: lambda ratio: 1.0 / (math.sqrt(ratio) + 2.0),
+    Condition.SATPATHI2013B: lambda ratio: 1.0 / (math.sqrt(ratio) + 1.0),
+    Condition.SHEN2014: lambda ratio: 1.0 / (math.sqrt(ratio) + 1.27),
+}
 
 
 def _support_table(n: int, k: int) -> np.ndarray:
@@ -373,25 +383,10 @@ def condition_threshold(sparsity: int, n_select: int, which: Condition | str = C
     """Threshold on the isometry constant for a named sufficient condition.
 
     ``sparsity`` is K, ``n_select`` is N; all formulas depend on the ratio
-    K/N only.
+    K/N only (see ``_THRESHOLDS``).
     """
-    if sparsity < 1 or n_select < 1:
-        raise ValueError("sparsity and n_select must be >= 1")
-    which = Condition(which)
-    ratio = sparsity / n_select
-    root = math.sqrt(ratio)
-    if which is Condition.SHARP:
-        return 1.0 / math.sqrt(ratio + 1.0)
-    if which is Condition.WANG2012:
-        return 1.0 / (root + 3.0)
-    if which is Condition.LIU2012:
-        return 1.0 / ((2.0 + math.sqrt(2.0)) * root)
-    if which is Condition.SATPATHI2013A:
-        return 1.0 / (root + 2.0)
-    if which is Condition.SATPATHI2013B:
-        return 1.0 / (root + 1.0)
-    if which is Condition.SHEN2014:
-        return 1.0 / (root + 1.27)
+    ratio = _count("sparsity", sparsity) / _count("n_select", n_select)
+    return _THRESHOLDS[Condition(which)](ratio)
 
 
 def check_recovery_condition(delta: RicEstimate, sparsity: int, n_select: int) -> bool:

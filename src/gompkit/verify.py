@@ -25,7 +25,9 @@ from .greedy import RecoveryTrace, _top_n
 from .linops import (
     MatrixLike,
     SensingMatrix,
+    _count,
     _du_interval,
+    _index_set,
     _norm,
     as_sensing_matrix,
     as_vector,
@@ -71,14 +73,11 @@ class LemmaInstance:
 
     def __post_init__(self):
         mat = self.matrix
-        object.__setattr__(self, "selected", frozenset(int(i) for i in self.selected))
-        object.__setattr__(self, "competitors", frozenset(int(i) for i in self.competitors))
-        omega = self.signal.support
         if self.signal.n != mat.n:
             raise ValueError(f"signal length {self.signal.n} != columns {mat.n}")
-        for name, s in (("selected", self.selected), ("competitors", self.competitors)):
-            if s and (min(s) < 1 or max(s) > mat.n):
-                raise IndexError(f"{name} indices outside 1..{mat.n}")
+        object.__setattr__(self, "selected", _index_set(self.selected, mat.n))
+        object.__setattr__(self, "competitors", _index_set(self.competitors, mat.n))
+        omega = self.signal.support
         n_select = len(self.competitors)
         if not n_select:
             raise ValueError("competitor set must be nonempty")
@@ -217,14 +216,12 @@ def lemma4_min_slack(instances: Iterable[LemmaInstance]) -> tuple[int, float, in
 
 def _check_trace(trace: RecoveryTrace, n: int) -> None:
     """Refuse, with ValueError, a trace that does not fit a length-n signal:
-    a record with other than n correlations, a pick above n, or a pick
-    repeated across records (``IterationRecord`` checks within a record)."""
+    a record with other than n correlations (its picks then lie in 1..n), or
+    a pick repeated across records (``IterationRecord`` checks within one)."""
     seen: set[int] = set()
     for record in trace.iterations:
         if record.correlations.size != n:
             raise ValueError(f"record has {record.correlations.size} correlations, expected {n}")
-        if max(record.selected, default=1) > n:
-            raise ValueError(f"pick {max(record.selected)} outside 1..{n}")
         if seen.intersection(record.selected):
             raise ValueError(f"picks {sorted(seen.intersection(record.selected))} repeat")
         seen.update(record.selected)
@@ -279,8 +276,7 @@ def verify_selection_condition(
     itself reads only the recorded correlations). A trace that does not fit
     ``x`` raises ValueError.
     """
-    if n_select < 1:
-        raise ValueError(f"n_select must be >= 1, got {n_select}")
+    n_select = _count("n_select", n_select)
     mat = as_sensing_matrix(a)
     _check_trace(trace, x.n)
     omega = x.support

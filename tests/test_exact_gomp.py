@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from gompkit import GompParams, RankDeficient, gen_instance, gomp_run
+from gompkit.greedy import gomp_stacked
 from gompkit.linops import _norm
 from gompkit.verify import NOISE_FLOOR_REL
 from test_pursuit_fuzz import fuzz_cases
@@ -154,6 +155,33 @@ class TestExactGomp:
         # At this allowance a near-tie is about 1e-9-likely per pick; more
         # than two in 26 cases would mean the gaps themselves are wrong.
         assert near_ties <= 2
+
+    def test_gomp_stacked_supports_equal_the_exact_supports(self):
+        # One stacked pass per (K, N): its noise-free and noisy instances.
+        # gomp_stacked keeps no picks, so a row is compared by its final
+        # support and iteration count, unless a near-tie ends its exact run.
+        # A row enters each iteration with ||r|| > epsilon, and epsilon is at
+        # least the noise floor here, so the floor rule never ends a row.
+        near_ties = 0
+        for k, n_select in CASES:
+            insts = [gen_instance(k, n_select, noisy, 1000 * k + n_select)
+                     for noisy in (False, True)]
+            run = gomp_stacked(np.stack([inst.matrix.entries for inst in insts]),
+                               np.stack([inst.observation for inst in insts]),
+                               np.array([inst.epsilon for inst in insts]), k, n_select)
+            for row, inst in enumerate(insts):
+                assert inst.epsilon >= NOISE_FLOOR_REL * _norm(inst.observation)
+                steps, _ = exact_gomp(inst.matrix.entries, inst.observation,
+                                      k, n_select, inst.epsilon)
+                if min(gap for _, gap in steps) < NEAR_TIE:
+                    near_ties += 1
+                    continue
+                exact = frozenset().union(*(picks for picks, _ in steps))
+                found = frozenset((np.flatnonzero(run.supports[row]) + 1).tolist())
+                assert found == exact, f"seed {inst.seed}"
+                assert run.iterations[row] == len(steps), f"seed {inst.seed}"
+        # as in the traced test: at most two near-ties per noise mode
+        assert near_ties <= 4
 
     def test_gomp_run_picks_equal_the_exact_picks_on_the_fuzz_cases(self):
         tally = Counter()

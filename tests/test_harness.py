@@ -559,6 +559,10 @@ class TestInstanceFiles:
             ("infinite.json", "[[Infinity, 0], [0, 1]]", "matrix entries must be finite"),
             ("nan.json", "[[1, 0], [NaN, 1]]", "matrix entries must be finite"),
             ("empty_row.json", "[[]]", "matrix must be at least 1x1"),
+            # numpy converts these, so load_matrix refuses them by their JSON type
+            ("bool.json", "[[true, false], [false, true]]", "matrix entries must be JSON numbers"),
+            ("numeric_string.json", '[["1", "0"], ["0", "1"]]',
+             "matrix entries must be JSON numbers"),
         ]:
             path = tmp_path / name
             path.write_text(content)
@@ -614,7 +618,7 @@ class TestCli:
         # a negative seed the CLI refuses itself, naming the flag
         with pytest.raises(ValueError) as raised:
             gen_instance(int(k), int(nsel), False, int(seed))
-        message = f"--seed must be at least 0, got {seed}" if int(seed) < 0 else raised.value
+        message = f"--seed must be >= 0, got {seed}" if int(seed) < 0 else raised.value
         assert cli.main(["gen", "--k", k, "--n-select", nsel, "--seed", seed]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -684,9 +688,9 @@ class TestCli:
 
     @pytest.mark.parametrize("args,message", [
         (("verify", "--lemma", "4", "--instances", "-3", "--seed", "1"),
-         "error: --instances must be at least 1, got -3"),
+         "error: --instances must be >= 1, got -3"),
         (("verify", "--lemma", "selection", "--instances", "0", "--seed", "1"),
-         "error: --instances must be at least 1, got 0"),
+         "error: --instances must be >= 1, got 0"),
         (("run", "--k-min", "5", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
           "--trials", "3", "--seed", "1"),
          "error: empty range: --k-min 5 > --k-max 3"),
@@ -695,19 +699,19 @@ class TestCli:
          "error: empty range: --nsel-min 3 > --nsel-max 2"),
         (("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
           "--trials", "0", "--seed", "1"),
-         "error: --trials must be at least 1, got 0"),
+         "error: --trials must be >= 1, got 0"),
         (("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
           "--trials", "3", "--seed", "1", "--per-trial"),
          "error: --per-trial needs --format json"),
         (("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",
           "--trials", "3", "--seed", "-5"),
-         "error: --seed must be at least 0, got -5"),
+         "error: --seed must be >= 0, got -5"),
         (("verify", "--lemma", "4", "--instances", "3", "--seed", "-1"),
-         "error: --seed must be at least 0, got -1"),
+         "error: --seed must be >= 0, got -1"),
         (("verify", "--lemma", "5", "--instances", "3", "--seed", "-2"),
-         "error: --seed must be at least 0, got -2"),
+         "error: --seed must be >= 0, got -2"),
         (("verify", "--lemma", "selection", "--instances", "3", "--seed", "-3"),
-         "error: --seed must be at least 0, got -3"),
+         "error: --seed must be >= 0, got -3"),
     ])
     def test_bad_counts_and_empty_ranges_are_rejected(self, args, message, capsys):
         assert cli.main(list(args)) == 2

@@ -441,31 +441,42 @@ class TestSelectionCondition:
         with pytest.raises(ValueError, match="^correlations must be finite and nonnegative$"):
             IterationRecord(selected=(1,), residual_norm=0.0, correlations=np.array(correlations))
 
-    @pytest.mark.parametrize("selected", [(0,), (2, 2), (-1, 3)])
-    def test_bad_picks_rejected(self, selected):
-        with pytest.raises(ValueError, match="^picks must be distinct and >= 1, got "):
-            IterationRecord(selected=selected, residual_norm=0.0, correlations=np.zeros(3))
-
-    @pytest.mark.parametrize("records,message", [
-        # the one-record trace that once passed both verifiers, claiming a column 5 of eye(3)
-        pytest.param([((5,), [0.0, 0.0, 0.1, 0.0, 0.05])], "record has 5 correlations, expected 3",
-                     id="correlation-length"),
-        pytest.param([((5,), [0.0, 0.0, 0.1])], "pick 5 outside 1..3", id="pick-above-n"),
-        pytest.param([((3,), [0.0, 0.0, 0.1]), ((3,), [0.0, 0.0, 0.1])], r"picks \[3\] repeat",
-                     id="pick-repeated"),
+    @pytest.mark.parametrize("selected,error,message", [
+        pytest.param((0,), IndexError, "indices must lie in 1..3, got 0..0", id="selected0"),
+        pytest.param((2, 2), ValueError, "picks must be distinct, got (2, 2)", id="selected1"),
+        pytest.param((-1, 3), IndexError, "indices must lie in 1..3, got -1..3", id="selected2"),
     ])
-    def test_traces_that_do_not_fit_the_signal_rejected(self, records, message):
+    def test_bad_picks_rejected(self, selected, error, message):
+        # a pick outside 1..len(correlations) gets linops' index-set refusal
+        with pytest.raises(error) as raised:
+            IterationRecord(selected=selected, residual_norm=0.0, correlations=np.zeros(3))
+        assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize("records,error,message", [
+        # the one-record trace that once passed both verifiers, claiming a column 5 of eye(3)
+        pytest.param([((5,), [0.0, 0.0, 0.1, 0.0, 0.05])], ValueError,
+                     "record has 5 correlations, expected 3", id="correlation-length"),
+        # a record cannot hold a pick past its own correlations, so no verifier sees one
+        pytest.param([((5,), [0.0, 0.0, 0.1])], IndexError,
+                     r"indices must lie in 1\.\.3, got 5\.\.5", id="pick-above-n"),
+        pytest.param([((3,), [0.0, 0.0, 0.1]), ((3,), [0.0, 0.0, 0.1])], ValueError,
+                     r"picks \[3\] repeat", id="pick-repeated"),
+    ])
+    def test_traces_that_do_not_fit_the_signal_rejected(self, records, error, message):
         a = np.eye(3)
         x = SparseSignal(np.array([0.0, 0.0, 1.0]))
-        trace = RecoveryTrace(
-            [IterationRecord(picks, 0.0, np.array(corr)) for picks, corr in records],
-            np.zeros(3),
-            Termination.RESIDUAL_BELOW_EPSILON,
-        )
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            verify_selection_condition(a, x, np.zeros(3), trace, 1)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            verify_stopping(a, x, trace)
+
+        def trace():
+            return RecoveryTrace(
+                [IterationRecord(picks, 0.0, np.array(corr)) for picks, corr in records],
+                np.zeros(3),
+                Termination.RESIDUAL_BELOW_EPSILON,
+            )
+
+        with pytest.raises(error, match=f"^{message}$"):
+            verify_selection_condition(a, x, np.zeros(3), trace(), 1)
+        with pytest.raises(error, match=f"^{message}$"):
+            verify_stopping(a, x, trace())
 
     def test_too_few_rivals_refused_only_when_an_iteration_is_checked(self):
         a = np.eye(3)
