@@ -13,7 +13,8 @@ ties and keeps the support growing by exactly ``n_select`` per iteration.
 same-shape problems as one stacked computation without traces and gives
 the same bits per problem. Both rank with ``_top_n`` the magnitudes that
 ``_magnitudes`` checked, take the fit and its residual from linops'
-``_refit``, which holds the SVD solve and the rank test, and norm with
+``_refit``, which holds the certified normal-equation solve, its SVD
+fallback and the rank test, and norm with
 ``_norm``.
 """
 

@@ -4,11 +4,16 @@ projection, and orthogonal-factor extraction.
 Index sets on the public surface are 1-based (columns are numbered 1..n,
 like the math they implement); the conversion to zero-based storage is
 internal. ``_refit`` is the one submatrix solve and residual, for both
-pursuits, ``least_squares`` and ``project_complement``. It solves through
-an orthogonal factorization (SVD), never the explicit normal equations,
-because the submatrices this toolkit meets are only isometry-good, not
-perfectly conditioned. The refit and the orthogonal factor also take
-stacks of same-shape matrices, giving each slice the bits of the 2-d
+pursuits, ``least_squares`` and ``project_complement``. It solves the
+normal equations G coef = A_S^T y, G = A_S^T A_S, only on a slice whose G
+a Cholesky factorization certifies well conditioned (cond(G) < 1e4, see
+``_certified``): their forward error is about cond(G) u (Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 20), at most about 1e-12. On
+the paper's matrices, delta < 1 gives cond(G) <= (1 + delta)/(1 - delta),
+below 17 on the whole recovery grid, so the pursuits take this route.
+Any other slice is solved through an SVD, whose rank test refuses a
+numerically rank-deficient one. The refit and the orthogonal factor also
+take stacks of same-shape matrices, giving each slice the bits of the 2-d
 call, and both refuse by one rank test.
 
 A generated D*U matrix (``du_entries``) takes its factor straight from
@@ -25,6 +30,11 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
+# The gufuncs np.linalg.cholesky and np.linalg.solve call, with their bits.
+# A slice they cannot factor comes back NaN, flagged invalid, where the
+# wrappers raise for the whole stack; calling them directly also skips the
+# wrappers' checks, most of a small refit's time.
+from numpy.linalg import _umath_linalg
 
 from .exceptions import RankDeficient
 
@@ -32,6 +42,10 @@ from .exceptions import RankDeficient
 # as rank-deficient. Matches the double-precision noise floor at the dense
 # desk-scale sizes (<= 1e3) this package targets.
 RANK_RTOL = 1e-10
+# A refit solves the normal equations when Cholesky shows
+# lambda_min(G_S) > _CERTIFY_RTOL tr(G_S) >= _CERTIFY_RTOL lambda_max(G_S)
+# (see ``_certified``), so sigma_min/sigma_max > 1e-2 and cond(G_S) < 1e4.
+_CERTIFY_RTOL = 1e-4
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double; smaller ones lose bits
 
 
@@ -112,29 +126,59 @@ def _to_cols(index_set: Iterable[int], n: int) -> np.ndarray:
 
 def _rank_deficient(s: np.ndarray) -> np.ndarray:
     """Per slice of descending singular values: s_max <= 0 or s_min < RANK_RTOL s_max.
-    Callers reduce it with ``any(mask.flat)``, cheap on a one-slice scalar."""
+    Reduced with ``any(mask.flat)``, cheap on a one-slice scalar, or
+    ``mask.any()`` on a stack."""
     s_max, s_min = s[..., 0][()], s[..., -1][()]  # one slice: scalars, not slow 0-d arrays
     return (s_max <= 0.0) | (s_min < RANK_RTOL * s_max)
 
 
-def _refit(a_s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares on an explicit submatrix via SVD: the coefficients
-    and the residual y - A_S coef.
+def _certified(gram: np.ndarray) -> np.ndarray:
+    """Per slice of G = A_S^T A_S: whether Cholesky factors G - c tr(G) I,
+    c = _CERTIFY_RTOL, with c tr(G) a finite normal double. Below _TINY the
+    entries of G have lost bits to underflow; an infinite trace means G
+    overflowed, and OpenBLAS's Cholesky passes the NaN that leaves. A slice
+    the Cholesky gufunc cannot factor comes back NaN, so one call tests
+    every slice, each with the bits of its own 2-d call."""
+    shift = _CERTIFY_RTOL * gram.trace(axis1=-2, axis2=-1)
+    shifted = gram - np.eye(gram.shape[-1]) * shift[..., None, None]
+    factor = _umath_linalg.cholesky_lo(shifted, signature="d->d")
+    return (_TINY <= shift) & (shift < math.inf) & ~np.isnan(factor[..., -1, -1])
 
-    Takes (m, s) and (m,), or stacks (..., m, s) and (..., m) whose slices
-    get the bits of the 2-d call. Raises RankDeficient, with the ratio of
-    the first slice that fails ``_rank_deficient``.
-    """
+
+def _svd_coef(a_s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients for a stack (T, m, s), (T, m) via SVD.
+    Raises RankDeficient, with the ratio of the first slice that fails
+    ``_rank_deficient``."""
     u, s, vt = np.linalg.svd(a_s, full_matrices=False)
     failing = _rank_deficient(s)
-    if any(failing.flat):
-        # a one-slice (scalar) mask indexes like a stack of one
+    if failing.any():
         s_max, s_min = s[failing][0, [0, -1]].tolist()
         raise RankDeficient(
             f"submatrix is numerically rank-deficient "
             f"(sigma_min/sigma_max = {0.0 if s_max <= 0 else s_min / s_max:.3e})"
         )
-    coef = (vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ y[..., None]) / s[..., None]))[..., 0]
+    return (vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ y[..., None]) / s[..., None]))[..., 0]
+
+
+def _refit(a_s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares on an explicit submatrix: the coefficients and the
+    residual y - A_S coef.
+
+    Takes (m, s) and (m,), or stacks (..., m, s) and (..., m) whose slices
+    get the bits of the 2-d call. A slice that ``_certified`` passes solves
+    the normal equations G coef = A_S^T y; any other slice takes the SVD
+    solve, which raises RankDeficient with the ratio of the first slice
+    that fails ``_rank_deficient``.
+    """
+    a_t = a_s.swapaxes(-1, -2)
+    # an overflowing G is not certified, and an uncertified slice's
+    # solve, NaN if G is singular, is replaced by the SVD solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a_t @ a_s
+        certified = _certified(gram)
+        coef = _umath_linalg.solve(gram, a_t @ y[..., None], signature="dd->d")[..., 0]
+    if not certified.all():  # a 2-d call's 0-d mask indexes like a stack of one
+        coef[~certified] = _svd_coef(a_s[~certified], y[~certified])
     return coef, y - (a_s @ coef[..., None])[..., 0]
 
 

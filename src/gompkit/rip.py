@@ -250,6 +250,7 @@ def _lower_bounds(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) -
     mat = as_sensing_matrix(a)
     if order < 1 or order > mat.n:
         raise ValueError(f"order must lie in 1..{mat.n}, got {order}")
+    budget = _count("budget", budget)
     total = math.comb(mat.n, order)
     if total > budget:
         raise BudgetExceeded(
@@ -397,7 +398,7 @@ def check_recovery_condition(delta: RicEstimate, sparsity: int, n_select: int) -
     the analytic and spectral bounds hold at every order (constants of
     orders past n coincide with the order-n constant) and always apply.
     """
-    required = n_select * sparsity + 1
+    required = _count("n_select", n_select) * _count("sparsity", sparsity) + 1
     if delta.kind is RicKind.EXACT_ENUMERATION and delta.order < required:
         raise ValueError(f"estimate of order {delta.order} cannot certify order {required}")
     return delta.value < condition_threshold(sparsity, n_select, Condition.SHARP)

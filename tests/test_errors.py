@@ -84,6 +84,13 @@ def test_cli_reports_bad_order_with_status_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: order must lie in 1..3, got 0\n")
 
 
+def test_cli_reports_bad_budget_with_status_2(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(np.eye(3).tolist()))
+    assert cli.main(["ric", "--matrix", str(path), "--order", "2", "--budget", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: budget must be >= 1, got -1\n")
+
+
 def lemma_instance(selected, competitors):
     """A LemmaInstance on eye(4) with support {1, 2}; {1} and {3} are admissible."""
     return LemmaInstance(SensingMatrix(np.eye(4)), SparseSignal(np.array([1.0, 1.0, 0.0, 0.0])),
@@ -113,6 +120,11 @@ NON_INTEGRAL_SITES = [
     pytest.param(lambda: verify_selection_condition(
                      np.eye(3), TWO_NONZEROS, np.zeros(3), EMPTY_TRACE, 1.5),
                  id="verify_selection_condition"),
+    pytest.param(lambda: exact_ric(np.eye(4), 2, budget=6.5), id="exact_ric-budget"),
+    # once formed the order N K + 1 = 3.5 first and refused it as a ValueError
+    pytest.param(lambda: check_recovery_condition(
+                     RicEstimate(3, 0.1, RicKind.EXACT_ENUMERATION), 2.5, 1),
+                 id="check_recovery_condition"),
 ]
 
 
@@ -142,6 +154,9 @@ RANGE_SITES = [
                  "indices must lie in 1..4, got 5..5", id="LemmaInstance"),
     pytest.param(lambda: IterationRecord((4, 1), 0.0, np.zeros(3)), IndexError,
                  "indices must lie in 1..3, got 1..4", id="IterationRecord"),
+    # once refused as BudgetExceeded, a numerical refusal, for bad input
+    pytest.param(lambda: exact_ric(np.eye(4), 2, budget=-1), ValueError,
+                 "budget must be >= 1, got -1", id="exact_ric-budget"),
 ]
 
 

@@ -12,8 +12,10 @@ from gompkit import (
     least_squares,
     orthogonal_factor,
     project_complement,
+    run_trials,
 )
-from gompkit.linops import RANK_RTOL, _norm, _refit, du_entries, row_dot
+from gompkit import linops
+from gompkit.linops import RANK_RTOL, _certified, _norm, _refit, du_entries, row_dot
 
 
 def normal_equations_oracle(a_s, y):
@@ -85,10 +87,11 @@ class TestLeastSquares:
             least_squares(np.eye(3), [1], np.array([bad, 0.0, 0.0]))
 
 
-def unstacked_solve(a_s, y):
-    """The 2-d solve as written before it took stacks, with the 1-d
-    residual the scalar pursuit and ``project_complement`` formed before
-    ``_refit`` did: the reference for the bits of every slice."""
+def svd_solve(a_s, y):
+    """The SVD solve every refit took before the normal-equation route,
+    with the 1-d residual the scalar pursuit and ``project_complement``
+    formed before ``_refit`` did: the bits of the fallback, and the
+    reference the certified route's accuracy is measured against."""
     u, s, vt = np.linalg.svd(a_s, full_matrices=False)
     coef = vt.T @ ((u.T @ y) / s)
     return coef, y - a_s @ coef
@@ -108,7 +111,7 @@ class TestStackedSolve:
         assert coef.shape == shape[:-2] + shape[-1:]
         assert residual.shape == shape[:-1]
         for index in np.ndindex(*shape[:-2]):
-            want = unstacked_solve(a[index], y[index])
+            want = _refit(a[index].copy(), y[index].copy())
             assert same_bits(_refit(a[index], y[index]), want)
             assert same_bits((coef[index], residual[index]), want)
 
@@ -122,7 +125,7 @@ class TestStackedSolve:
         assert sub[0].flags.f_contiguous
         coef, residual = _refit(sub, y)
         for t in range(6):
-            want = unstacked_solve(entries[t][:, cols[t]], y[t])
+            want = _refit(entries[t][:, cols[t]], y[t])
             assert same_bits((coef[t], residual[t]), want)
 
     def test_names_the_first_failing_slice(self):
@@ -139,6 +142,145 @@ class TestStackedSolve:
                     _refit(np.stack([good, bad, duplicate]), np.stack([y, y, y]))[0]
             assert str(stacked.value) == str(flat.value)
         assert "0.000e+00" in str(flat.value)  # the zero slice: no 0/0
+
+
+def tall_with_spread(m, s, ratio, seed):
+    """An m-by-s matrix U diag(sigma) V^T, sigma geometric from 1 down to ``ratio``."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((m, s)))[0]
+    v = np.linalg.qr(rng.standard_normal((s, s)))[0]
+    return (u * np.geomspace(1.0, ratio, s)) @ v.T
+
+
+def svd_refusal(a_s):
+    """The SVD rank rule written out apart from ``_refit``: its
+    RankDeficient message for ``a_s``, or None when the rule passes it."""
+    s = np.linalg.svd(a_s, compute_uv=False)
+    if s[0] > 0.0 and s[-1] >= RANK_RTOL * s[0]:
+        return None
+    ratio = 0.0 if s[0] <= 0.0 else s[-1] / s[0]
+    return f"submatrix is numerically rank-deficient (sigma_min/sigma_max = {ratio:.3e})"
+
+
+def is_certified(a_s):
+    with np.errstate(over="ignore", invalid="ignore"):  # as _refit forms G
+        return bool(_certified(a_s.T @ a_s))
+
+
+class TestRefitRoutes:
+    """A slice that the Cholesky certificate passes solves the normal
+    equations; any other takes the SVD solve and its rank rule."""
+
+    def test_mixed_stack_slices_keep_their_2d_bits_and_refusal(self):
+        rng = np.random.default_rng(9)
+        good = np.stack([
+            tall_with_spread(20, 5, 0.5, 1),  # certified
+            tall_with_spread(20, 5, 1e-3, 2),  # cond(G) = 1e6: the SVD
+            rng.standard_normal((20, 5)),  # certified
+            tall_with_spread(20, 5, 1e-7, 3),  # the SVD, far above its refusal line
+        ])
+        y = rng.standard_normal((4, 20))
+        assert [is_certified(a) for a in good] == [True, False, True, False]
+        coef, residual = _refit(good, y)
+        for t in range(4):
+            assert same_bits((coef[t], residual[t]), _refit(good[t], y[t]))
+        for t in (1, 3):
+            assert same_bits((coef[t], residual[t]), svd_solve(good[t], y[t]))
+        deficient = good[2].copy()
+        deficient[:, 4] = deficient[:, 1]
+        assert svd_refusal(deficient) is not None
+        with pytest.raises(RankDeficient) as flat:
+            _refit(deficient, y[2])
+        assert str(flat.value) == svd_refusal(deficient)
+        mixed = np.stack([good[0], good[1], deficient, good[3], good[2]])
+        with pytest.raises(RankDeficient) as stacked:
+            _refit(mixed, y[[0, 1, 2, 3, 2]])
+        assert str(stacked.value) == str(flat.value)
+
+    @pytest.mark.parametrize("ratio", [5e-11, 1e-10 * (1 - 1e-6), 1e-10 * (1 + 1e-6), 2e-10])
+    def test_the_refusal_line_is_the_svd_rule(self, ratio):
+        rng = np.random.default_rng(12)
+        a = tall_with_spread(12, 6, ratio, 13)
+        y = rng.standard_normal(12)
+        assert not is_certified(a)
+        refusal = svd_refusal(a)
+        if ratio < 1e-10 * (1 - 1e-7) or ratio > 1e-10 * (1 + 1e-7):
+            assert (refusal is None) == (ratio > 1e-10)
+        stack, ys = np.stack([tall_with_spread(12, 6, 0.5, 14), a]), np.stack([y, y])
+        if refusal is None:
+            assert same_bits(_refit(a, y), svd_solve(a, y))
+            assert same_bits([part[1] for part in _refit(stack, ys)], svd_solve(a, y))
+        else:
+            for call in (lambda: _refit(a, y), lambda: _refit(stack, ys)):
+                with pytest.raises(RankDeficient) as raised:
+                    call()
+                assert str(raised.value) == refusal
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_grams_out_of_range_take_the_svd(self, scale):
+        # G underflows to subnormals or overflows: the SVD solve of A_S
+        # itself, with no warning from the rejected G
+        a = scale * tall_with_spread(8, 3, 0.5, 15)
+        y = scale * np.random.default_rng(16).standard_normal(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_certified(a)
+            assert same_bits(_refit(a, y), svd_solve(a, y))
+            assert same_bits([part[0] for part in _refit(np.stack([a, a]), np.stack([y, y]))],
+                             svd_solve(a, y))
+
+    def test_certified_coefficients_are_within_cond_u_of_the_svd(self):
+        # the normal equations' forward error is about cond(G) u (Higham,
+        # Accuracy and Stability of Numerical Algorithms, ch. 20); the
+        # largest ratio to cond(G) u (||x|| + ||y|| / sigma_max) seen on
+        # these draws is about 10, and the test allows 32
+        rng = np.random.default_rng(41)
+        unit = np.finfo(float).eps / 2
+        for _ in range(500):
+            m = int(rng.integers(1, 40))
+            s = int(rng.integers(1, m + 1))
+            a = tall_with_spread(m, s, 10.0 ** -rng.uniform(0.0, 1.5), int(rng.integers(1 << 30)))
+            y = rng.standard_normal(m)
+            assert is_certified(a)
+            want = svd_solve(a, y)[0]
+            sigma = np.linalg.svd(a, compute_uv=False)
+            cond = (sigma[0] / sigma[-1]) ** 2
+            bound = 32 * cond * unit * (np.linalg.norm(want) + np.linalg.norm(y) / sigma[0])
+            assert np.linalg.norm(_refit(a, y)[0] - want) <= bound
+
+    def test_the_gufuncs_keep_np_linalgs_bits_and_mark_failures_nan(self):
+        # _refit calls the gufuncs behind np.linalg.cholesky and solve
+        # directly; a numpy whose gufuncs changed would fail here first
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((3, 9, 4))
+        gram = a.swapaxes(-1, -2) @ a
+        rhs = rng.standard_normal((3, 4, 1))
+        cholesky = linops._umath_linalg.cholesky_lo(gram, signature="d->d")
+        solve = linops._umath_linalg.solve(gram, rhs, signature="dd->d")
+        assert cholesky.tobytes() == np.linalg.cholesky(gram).tobytes()
+        assert solve.tobytes() == np.linalg.solve(gram, rhs).tobytes()
+        gram[1] = np.outer([1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])  # singular
+        with np.errstate(invalid="ignore"):
+            cholesky = linops._umath_linalg.cholesky_lo(gram, signature="d->d")
+            solve = linops._umath_linalg.solve(gram, rhs, signature="dd->d")
+        assert [np.isnan(c).all() for c in cholesky] == [False, True, False]
+        assert [np.isnan(x).all() for x in solve] == [False, True, False]
+
+    def test_every_grid_refit_is_certified(self, monkeypatch):
+        # on D*U instances cond(G_S) <= (1 + delta) / (1 - delta) < 17, so a
+        # grid slice that fell back to the SVD would mean the certificate slipped
+        outcomes, certified = [], linops._certified
+
+        def recording(gram):
+            passed = certified(gram)
+            outcomes.extend(np.ravel(passed).tolist())
+            return passed
+
+        monkeypatch.setattr(linops, "_certified", recording)
+        for noisy in (False, True):
+            cells = run_trials(range(2, 9), range(1, 5), 16, noisy, 31)
+            assert all(r.error is None for cell in cells for r in cell.reports)
+        assert len(outcomes) > 2000 and all(outcomes)
 
 
 class TestProjectComplement:

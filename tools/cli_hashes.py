@@ -3,12 +3,19 @@
 Usage: python3 tools/cli_hashes.py
 
 Runs each command through ``python -m gompkit`` with this checkout's
-``src`` first on PYTHONPATH and prints ``<12-hex prefix>  <command>``.
+``src`` first on PYTHONPATH and prints ``<full>  <verdict>  <command>``,
+two 12-hex prefixes. The full hash covers the output's bytes. The
+verdict hash leaves out the rounding-level floats of a ``run`` report,
+the CSV column and JSON keys in ``ROUNDING_FIELDS`` (final residuals:
+rounding-level on a noise-free run, and moved in their last digits by
+any change to the refit's arithmetic); on output without them it equals
+the full hash.
 The ``ric`` commands read an instance that ``gen`` first writes to a
 temporary directory; their lines show the template, ``{tmp}`` unfilled,
 so that lines compare across checkouts.
 Run it on two checkouts and compare the hash lines to check that a change
-keeps every output bit for bit. No expected values are stored.
+keeps every output bit for bit, or, by the verdict column, every verdict.
+No expected values are stored.
 
 The bits hold only within one numpy and BLAS build and one BLAS kernel.
 A DYNAMIC_ARCH OpenBLAS picks its kernel per process, and
@@ -26,6 +33,7 @@ Nehalem); ``core=`` does.
 
 import ctypes
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -55,6 +63,34 @@ COMMANDS = (
     "ric --matrix {tmp}/inst.json --order 3",
     "ric --matrix {tmp}/inst.json --order 6",
 )
+ROUNDING_FIELDS = ("mean_final_residual", "residual_final")
+
+
+def _without_rounding(value):
+    """A parsed JSON value with every ``ROUNDING_FIELDS`` key dropped."""
+    if isinstance(value, dict):
+        return {k: _without_rounding(v) for k, v in value.items() if k not in ROUNDING_FIELDS}
+    if isinstance(value, list):
+        return [_without_rounding(v) for v in value]
+    return value
+
+
+def verdict(out: bytes) -> bytes:
+    """``out`` without its ``ROUNDING_FIELDS``: the keys of a JSON report
+    (re-printed as ``emit_report`` prints it) or the columns of a CSV one;
+    output that names none of them is returned as it is."""
+    text = out.decode()
+    if not any(field in text for field in ROUNDING_FIELDS):
+        return out
+    if text.startswith("{"):
+        return (json.dumps(_without_rounding(json.loads(text)), indent=2) + "\n").encode()
+    rows = [line.split(",") for line in text.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in ROUNDING_FIELDS]
+    return "".join(",".join(row[i] for i in keep) + "\n" for row in rows).encode()
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 def blas_core() -> str:
@@ -97,7 +133,7 @@ def main() -> int:
             args = command.format(tmp=tmp).split()
             out = subprocess.run([sys.executable, "-m", "gompkit", *args],
                                  env=env, capture_output=True, check=True).stdout
-            print(f"{hashlib.sha256(out).hexdigest()[:12]}  {command}", flush=True)
+            print(f"{digest(out)}  {digest(verdict(out))}  {command}", flush=True)
     return 0
 
 
