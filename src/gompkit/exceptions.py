@@ -1,9 +1,10 @@
 """Exception types raised across the toolkit.
 
 Bad input raises the built-in ValueError (TypeError for a non-integral
-count or index, IndexError for an index outside 1..n). The types here are
-the refusals a caller handles on their own: a numerically rank-deficient
-matrix, and an enumeration past its budget.
+count or index or data that is not integers or floats, IndexError for an
+index outside 1..n). The types here are the refusals a caller handles on
+their own: a numerically rank-deficient matrix, and an enumeration past
+its budget.
 """
 
 

@@ -32,6 +32,7 @@ from .linops import (
     _count,
     _index_set,
     _norm,
+    _real,
     _refit,
     _to_cols,
     as_sensing_matrix,
@@ -68,10 +69,12 @@ class GompParams:
     epsilon: float
 
     def __post_init__(self):
-        _count("sparsity", self.sparsity)
-        _count("n_select", self.n_select)
-        if not (self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        object.__setattr__(self, "sparsity", _count("sparsity", self.sparsity))
+        object.__setattr__(self, "n_select", _count("n_select", self.n_select))
+        epsilon = float(_real("epsilon", self.epsilon, ndim=0))
+        if epsilon < 0.0:
+            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,8 @@ class IterationRecord:
     correlations that drove this iteration's selection (residual from the
     *previous* iteration), indexed by column position 0..n-1 for column
     indices 1..n. Anything but a 1-d float array of finite, nonnegative
-    entries raises ValueError, as do repeated picks; a pick outside 1..n, IndexError.
+    entries raises ValueError, as do repeated picks and a NaN or negative
+    ``residual_norm``; a pick outside 1..n, IndexError.
     """
 
     selected: tuple[int, ...]
@@ -99,6 +103,8 @@ class IterationRecord:
             raise ValueError("correlations must be finite and nonnegative")
         if len(_index_set(self.selected, corr.size)) < len(self.selected):
             raise ValueError(f"picks must be distinct, got {self.selected}")
+        if not self.residual_norm >= 0.0:  # NaN fails the comparison too
+            raise ValueError(f"residual_norm must be >= 0, got {self.residual_norm}")
         object.__setattr__(self, "correlations", corr)
 
 
@@ -245,19 +251,13 @@ def gomp_stacked(
     the whole stack, with ``gomp_run``'s message for the first such row;
     a live row whose A^T r overflows raises ``gomp_run``'s ValueError.
     """
-    entries = np.asarray(entries, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eps = np.asarray(eps, dtype=float)
+    entries, y, eps = _real("matrix", entries), _real("observation", y), _real("epsilon", eps)
     if entries.ndim != 3 or y.shape != entries.shape[:2] or eps.shape != entries.shape[:1]:
         raise ValueError(
             f"expected entries (T, m, n), y (T, m) and eps (T,), "
             f"got {entries.shape}, {y.shape} and {eps.shape}"
         )
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("matrix entries must be finite")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation entries must be finite")
-    if not np.all(eps >= 0.0):
+    if eps.min(initial=0.0) < 0.0:
         raise ValueError("epsilon must be >= 0")
     rows, m, n = entries.shape
     _check_fits(GompParams(sparsity, n_select, 0.0), m, n)

@@ -431,14 +431,15 @@ def load_matrix(path: str | Path) -> np.ndarray:
     refusal is a ValueError that starts with the path."""
     try:  # an OSError propagates as it is
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=float)  # an integer past int64 stays a number
         if isinstance(doc, dict):
             if "matrix" not in doc:
                 raise ValueError("no 'matrix' field in JSON document")
             doc = doc["matrix"]
         entries = SensingMatrix(doc).entries  # accepted: doc is a list of rows of scalars
-        if any(type(v) not in (int, float) for row in doc for v in row):
-            raise ValueError("matrix entries must be JSON numbers, not booleans or strings")
+        # numpy reads booleans among numbers as numbers; SensingMatrix refuses all-boolean ones
+        if any(type(v) is bool for row in doc for v in row):
+            raise ValueError("matrix entries must be JSON numbers, not booleans")
         return entries
-    except (TypeError, ValueError) as exc:  # not JSON or text, ragged, non-numeric or refused
+    except (TypeError, ValueError) as exc:  # not JSON or text, ragged, not real or refused
         raise ValueError(f"{path}: {exc}") from exc

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import MatrixLike, _count, _norm, _normal, as_sensing_matrix, as_vector, row_dot
+from .linops import MatrixLike, _count, _norm, _normal, _real, as_sensing_matrix, as_vector, row_dot
 from .rip import Condition, condition_threshold
 
 
@@ -25,11 +25,7 @@ class SparseSignal:
     support: frozenset[int] = field(init=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("signal must be a 1-d vector")
-        if not np.isfinite(vals).all():
-            raise ValueError("signal values must be finite")
+        vals = _real("signal", self.values, ndim=1)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "support", frozenset((np.flatnonzero(vals) + 1).tolist()))
 

@@ -543,6 +543,16 @@ class TestInstanceFiles:
         bare.write_text(json.dumps([[1.0, 0.5], [0.0, 1.0]]))
         assert np.array_equal(load_matrix(bare), [[1.0, 0.5], [0.0, 1.0]])
 
+    def test_load_matrix_reads_json_numbers_only(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        # numpy reads a boolean among numbers as a number, so load_matrix checks each entry
+        path.write_text("[[true, 1.5], [0, 1]]")
+        with pytest.raises(ValueError, match="matrix entries must be JSON numbers, not booleans$"):
+            load_matrix(path)
+        # an integer past int64 is a number, not an object array
+        path.write_text("[[100000000000000000000, 0], [0, 1]]")
+        assert load_matrix(path).tolist() == [[1e20, 0.0], [0.0, 1.0]]
+
     def test_load_matrix_rejects_bad_documents(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": []}))
@@ -557,14 +567,16 @@ class TestInstanceFiles:
         # and SensingMatrix's refusals and numpy's, through the CLI too
         for name, content, message in [
             ("ragged.json", "[[1, 2], [3]]", "setting an array element with a sequence"),
-            ("string.json", '{"matrix": [[1, "a"]]}', "could not convert string to float"),
+            ("string.json", '{"matrix": [[1, "a"]]}',
+             "matrix entries must be integers or floats, got <U"),
             ("infinite.json", "[[Infinity, 0], [0, 1]]", "matrix entries must be finite"),
             ("nan.json", "[[1, 0], [NaN, 1]]", "matrix entries must be finite"),
             ("empty_row.json", "[[]]", "matrix must be at least 1x1"),
-            # numpy converts these, so load_matrix refuses them by their JSON type
-            ("bool.json", "[[true, false], [false, true]]", "matrix entries must be JSON numbers"),
+            # numpy would convert these; SensingMatrix refuses them by their dtype
+            ("bool.json", "[[true, false], [false, true]]",
+             "matrix entries must be integers or floats, got bool"),
             ("numeric_string.json", '[["1", "0"], ["0", "1"]]',
-             "matrix entries must be JSON numbers"),
+             "matrix entries must be integers or floats, got <U"),
         ]:
             path = tmp_path / name
             path.write_text(content)
@@ -649,7 +661,7 @@ class TestCli:
         assert cli.main(["ric", "--matrix", str(path), "--order", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"error: {path}: float() argument must be")
+        assert err.startswith(f"error: {path}: matrix entries must be integers or floats, got object")
 
     def test_run_csv_deterministic(self):
         args = ("run", "--k-min", "2", "--k-max", "3", "--nsel-min", "1", "--nsel-max", "2",

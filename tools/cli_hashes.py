@@ -5,11 +5,11 @@ Usage: python3 tools/cli_hashes.py
 Runs each command through ``python -m gompkit`` with this checkout's
 ``src`` first on PYTHONPATH and prints ``<full>  <verdict>  <command>``,
 two 12-hex prefixes. The full hash covers the output's bytes. The
-verdict hash leaves out the rounding-level floats of a ``run`` report,
-the CSV column and JSON keys in ``ROUNDING_FIELDS`` (final residuals:
-rounding-level on a noise-free run, and moved in their last digits by
-any change to the refit's arithmetic); on output without them it equals
-the full hash.
+verdict hash covers the output's verdict form (see ``verdict``), which
+leaves out the floats that BLAS products set in their last bits: the
+final residuals of a ``run`` report, the products in a ``gen`` instance,
+lemma 4's min slack, and all but 10 significant digits of a ``ric``
+value. On output without such floats it equals the full hash.
 The ``ric`` commands read an instance that ``gen`` first writes to a
 temporary directory; their lines show the template, ``{tmp}`` unfilled,
 so that lines compare across checkouts.
@@ -21,9 +21,9 @@ The bits hold only within one numpy and BLAS build and one BLAS kernel.
 A DYNAMIC_ARCH OpenBLAS picks its kernel per process, and
 ``OPENBLAS_CORETYPE`` can change that choice: under another kernel the
 generated factors, and the rounding-level floats printed from them, can
-differ in the last bits, so some hash lines change. The verdicts
-(supports, picks, rates, iteration counts and pass counts) are expected
-to agree on every kernel. So a first ``#`` line, not part of the
+differ in the last bits, so some full hash lines change. The verdicts
+(supports, picks, rates, iteration counts, pass counts and the drawn
+instances) agree on every kernel. So a first ``#`` line, not part of the
 comparison, names the numpy version, the BLAS build, the kernel OpenBLAS
 picked at run time and ``OPENBLAS_CORETYPE``. The build string is fixed
 when numpy is built and does not name that kernel (a build string that
@@ -35,6 +35,7 @@ import ctypes
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -63,29 +64,46 @@ COMMANDS = (
     "ric --matrix {tmp}/inst.json --order 3",
     "ric --matrix {tmp}/inst.json --order 6",
 )
-ROUNDING_FIELDS = ("mean_final_residual", "residual_final")
+# JSON keys and CSV columns a verdict drops, by subcommand: a run's final
+# residuals (rounding-level on a noise-free run, and moved in their last
+# digits by any change to the refit's arithmetic), and an instance's BLAS
+# products (d, the signal and the support come from the RNG alone)
+DROPPED = {
+    "run": ("mean_final_residual", "residual_final"),
+    "gen": ("matrix", "noise", "observation", "epsilon"),
+}
+RIC_DIGITS = 10
+LEMMA4_SLACK = re.compile(r" \(lhs - rhs\) \S+ at ")  # lemma 4's min-slack float
 
 
-def _without_rounding(value):
-    """A parsed JSON value with every ``ROUNDING_FIELDS`` key dropped."""
+def _without(value, fields):
+    """A parsed JSON value with every key in ``fields`` dropped."""
     if isinstance(value, dict):
-        return {k: _without_rounding(v) for k, v in value.items() if k not in ROUNDING_FIELDS}
+        return {k: _without(v, fields) for k, v in value.items() if k not in fields}
     if isinstance(value, list):
-        return [_without_rounding(v) for v in value]
+        return [_without(v, fields) for v in value]
     return value
 
 
-def verdict(out: bytes) -> bytes:
-    """``out`` without its ``ROUNDING_FIELDS``: the keys of a JSON report
-    (re-printed as ``emit_report`` prints it) or the columns of a CSV one;
-    output that names none of them is returned as it is."""
-    text = out.decode()
-    if not any(field in text for field in ROUNDING_FIELDS):
+def verdict(command: str, out: bytes) -> bytes:
+    """The verdict form of ``command``'s output ``out``: a ``ric`` value to
+    ``RIC_DIGITS`` significant digits, lemma 4's min slack dropped (its
+    instance index kept), and the subcommand's ``DROPPED`` keys of a JSON
+    document (re-printed as ``emit_report`` prints it) or columns of a CSV
+    report. Output that names none of them is returned as it is."""
+    text, subcommand = out.decode(), command.split()[0]
+    if subcommand == "ric":
+        doc = json.loads(text)
+        return (json.dumps({**doc, "value": f"{doc['value']:.{RIC_DIGITS}g}"}) + "\n").encode()
+    if subcommand == "verify":
+        return LEMMA4_SLACK.sub(" at ", text).encode()
+    fields = DROPPED[subcommand]
+    if not any(field in text for field in fields):
         return out
     if text.startswith("{"):
-        return (json.dumps(_without_rounding(json.loads(text)), indent=2) + "\n").encode()
+        return (json.dumps(_without(json.loads(text), fields), indent=2) + "\n").encode()
     rows = [line.split(",") for line in text.splitlines()]
-    keep = [i for i, name in enumerate(rows[0]) if name not in ROUNDING_FIELDS]
+    keep = [i for i, name in enumerate(rows[0]) if name not in fields]
     return "".join(",".join(row[i] for i in keep) + "\n" for row in rows).encode()
 
 
@@ -133,7 +151,7 @@ def main() -> int:
             args = command.format(tmp=tmp).split()
             out = subprocess.run([sys.executable, "-m", "gompkit", *args],
                                  env=env, capture_output=True, check=True).stdout
-            print(f"{digest(out)}  {digest(verdict(out))}  {command}", flush=True)
+            print(f"{digest(out)}  {digest(verdict(command, out))}  {command}", flush=True)
     return 0
 
 
