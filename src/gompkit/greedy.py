@@ -99,7 +99,7 @@ class IterationRecord:
             raise ValueError(
                 f"correlations must be a 1-d float array, got {corr.dtype} {corr.shape}"
             )
-        if not (corr.min(initial=0.0) >= 0.0 and corr.max(initial=0.0) < math.inf):
+        if np.count_nonzero((0.0 <= corr) & (corr < math.inf)) < corr.size:  # NaN fails both
             raise ValueError("correlations must be finite and nonnegative")
         if len(_index_set(self.selected, corr.size)) < len(self.selected):
             raise ValueError(f"picks must be distinct, got {self.selected}")
@@ -160,7 +160,7 @@ def _top_n(magnitudes: np.ndarray, n_select: int, excluded: np.ndarray) -> np.nd
     boolean mask) pushed to +inf. The input is never written."""
     key = -magnitudes
     key[excluded] = np.inf
-    return np.argsort(key, axis=-1, kind="stable")[..., :n_select]
+    return key.argsort(axis=-1, kind="stable")[..., :n_select]
 
 
 def _check_fits(params: GompParams, m: int, n: int) -> None:
@@ -176,7 +176,7 @@ def _magnitudes(correlations: np.ndarray) -> np.ndarray:
     """|A^T r|; NaN or inf, which only an overflowing product gives for
     finite A and r, raises ValueError in place of a plausible pick."""
     magnitudes = np.abs(correlations)
-    if not magnitudes.max() < math.inf:  # NaN fails the comparison too
+    if np.count_nonzero(magnitudes < math.inf) < magnitudes.size:  # NaN fails the comparison too
         raise ValueError("correlations must be finite: A^T r overflows")
     return magnitudes
 
@@ -208,7 +208,7 @@ def gomp_run(a: MatrixLike, y: np.ndarray, params: GompParams) -> RecoveryTrace:
         magnitudes = _magnitudes(correlations)
         picks = _top_n(magnitudes, params.n_select, chosen)
         chosen[picks] = True
-        cols = np.flatnonzero(chosen)
+        cols = chosen.nonzero()[0]
         try:
             coef, residual = _refit(mat.entries[:, cols], y)
         except RankDeficient as exc:

@@ -241,7 +241,7 @@ def _stacked_instances(
     d = low + (high - low) * d
     # measure-zero, but a zero leaves fewer than K nonzeros; a row's redraws
     # come from its generator, after its first K draws and before its direction
-    while not nonzeros.all():
+    while np.count_nonzero(nonzeros) < nonzeros.size:
         t = int(np.argmin(nonzeros.all(axis=1)))
         zero = nonzeros[t] == 0.0
         nonzeros[t, zero] = rngs[t].standard_normal(np.count_nonzero(zero))
@@ -436,10 +436,6 @@ def load_matrix(path: str | Path) -> np.ndarray:
             if "matrix" not in doc:
                 raise ValueError("no 'matrix' field in JSON document")
             doc = doc["matrix"]
-        entries = SensingMatrix(doc).entries  # accepted: doc is a list of rows of scalars
-        # numpy reads booleans among numbers as numbers; SensingMatrix refuses all-boolean ones
-        if any(type(v) is bool for row in doc for v in row):
-            raise ValueError("matrix entries must be JSON numbers, not booleans")
-        return entries
+        return SensingMatrix(doc).entries  # which refuses a boolean, alone or among numbers
     except (TypeError, ValueError) as exc:  # not JSON or text, ragged, not real or refused
         raise ValueError(f"{path}: {exc}") from exc

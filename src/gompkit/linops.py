@@ -21,7 +21,10 @@ call, and both refuse by one rank test.
 A generated D*U matrix (``du_entries``) takes its factor straight from
 QR, with no rank test: Householder QR returns a factor orthogonal to
 working precision for any finite source, singular or not, so a drawn
-source is never refused.
+source is never refused. The factor comes from numpy's LAPACK gufuncs
+``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr), the two calls behind
+``np.linalg.qr``, with its bits; R's diagonal is read from the factored
+array, so numpy's ``triu`` copy and its dtype round trips are skipped.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
-# The gufuncs np.linalg.cholesky and np.linalg.solve call, with their bits.
-# A slice they cannot factor comes back NaN, flagged invalid, where the
-# wrappers raise for the whole stack; calling them directly also skips the
-# wrappers' checks, most of a small refit's time.
+# The gufuncs np.linalg.cholesky, np.linalg.solve and np.linalg.qr call,
+# with their bits. A slice they cannot factor comes back NaN, flagged
+# invalid, where the wrappers raise for the whole stack; calling them
+# directly also skips the wrappers' checks and copies, most of a small
+# refit's or QR's time.
 from numpy.linalg import _umath_linalg
 
 from .exceptions import RankDeficient
@@ -102,15 +106,23 @@ def as_vector(v: np.ndarray, m: int, name: str) -> np.ndarray:
 def _real(name: str, value, ndim: int | None = None) -> np.ndarray:
     """``value`` as a C-ordered float64 array of finite entries: TypeError unless
     numpy reads it as integers or floats (bool, complex, string and object data
-    are refused uncast), ValueError for another ``ndim`` or a non-finite entry."""
+    are refused uncast, and so is a sequence that mixes booleans with numbers,
+    which numpy reads as numbers), ValueError for another ``ndim`` or a
+    non-finite entry."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"{name} entries must be integers or floats, got {arr.dtype}")
+    # an ndarray keeps its dtype, so only a sequence's entries are looked at
+    if arr.ndim and not isinstance(value, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+    ):
+        raise TypeError(f"{name} entries must be integers or floats, got a bool among numbers")
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d {name}, got ndim={arr.ndim}")
     arr = np.asarray(arr, dtype=float, order="C")
-    # math.isfinite on a 0-d value: numpy's reduction costs about 1.5 us more
-    if not (np.isfinite(arr).all() if arr.ndim else math.isfinite(arr)):
+    # a count, not ndarray.all, whose Python wrapper costs more than the
+    # count; math.isfinite on a 0-d value, cheaper still
+    if not (np.count_nonzero(np.isfinite(arr)) == arr.size if arr.ndim else math.isfinite(arr)):
         raise ValueError(f"{name} entries must be finite")
     return arr
 
@@ -157,9 +169,14 @@ def _certified(gram: np.ndarray) -> np.ndarray:
     entries of G have lost bits to underflow; an infinite trace means G
     overflowed, and OpenBLAS's Cholesky passes the NaN that leaves. A slice
     the Cholesky gufunc cannot factor comes back NaN, so one call tests
-    every slice, each with the bits of its own 2-d call."""
-    shift = _CERTIFY_RTOL * gram.trace(axis1=-2, axis2=-1)
-    shifted = gram - np.eye(gram.shape[-1]) * shift[..., None, None]
+    every slice, each with the bits of its own 2-d call. The shift is
+    subtracted from the diagonal of a copy of G, which for a finite shift
+    >= 0 is G - c tr(G) I bit for bit, with no identity stack."""
+    size = gram.shape[-1]
+    shifted = gram.copy()
+    diagonal = shifted.reshape(gram.shape[:-2] + (size * size,))[..., :: size + 1]
+    shift = _CERTIFY_RTOL * diagonal.sum(axis=-1)  # the bits of gram.trace
+    diagonal -= shift[..., None]
     factor = _umath_linalg.cholesky_lo(shifted, signature="d->d")
     return (_TINY <= shift) & (shift < math.inf) & ~np.isnan(factor[..., -1, -1])
 
@@ -196,7 +213,7 @@ def _refit(a_s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gram = a_t @ a_s
         certified = _certified(gram)
         coef = _umath_linalg.solve(gram, a_t @ y[..., None], signature="dd->d")[..., 0]
-    if not certified.all():  # a 2-d call's 0-d mask indexes like a stack of one
+    if np.count_nonzero(certified) < certified.size:  # a 0-d mask indexes as a stack of one
         coef[~certified] = _svd_coef(a_s[~certified], y[~certified])
     return coef, y - (a_s @ coef[..., None])[..., 0]
 
@@ -279,12 +296,14 @@ def _norm(x: np.ndarray) -> float | np.ndarray:
 
 
 def _signed_q(m: np.ndarray) -> np.ndarray:
-    """The orthogonal factor of QR on a square matrix or a stack of them,
-    with the signs that make R's diagonal nonnegative, so the factor is a
-    deterministic function of ``m``."""
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
+    """The orthogonal factor of QR on a square float64 matrix or a stack of
+    them, with the signs that make R's diagonal nonnegative (a zero on it
+    counts as positive), so the factor is a deterministic function of
+    ``m``: the bits of ``np.linalg.qr`` followed by that sign fix."""
+    r = m.copy()  # Householder QR factors in place, R on and above the diagonal
+    q = _umath_linalg.qr_reduced(r, _umath_linalg.qr_r_raw(r, signature="d->d"), signature="dd->d")
+    signs = np.sign(r.diagonal(axis1=-2, axis2=-1))
+    signs += signs == 0.0
     return q * signs[..., None, :]
 
 

@@ -27,7 +27,7 @@ class SparseSignal:
     def __post_init__(self):
         vals = _real("signal", self.values, ndim=1)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "support", frozenset((np.flatnonzero(vals) + 1).tolist()))
+        object.__setattr__(self, "support", frozenset((vals.nonzero()[0] + 1).tolist()))
 
     @property
     def n(self) -> int:
@@ -75,8 +75,10 @@ def _row_mar(values: np.ndarray, sparsity: int, smallest: np.ndarray | None = No
     of 0.0. An overflowing energy warns, as in numpy, unless ignored;
     ``mar`` ignores it."""
     given, energy = values, row_dot(values, values)
-    odd = [not _normal(e, sparsity) for e in energy.tolist()]
-    if any(odd):
+    # finite values square to no NaN, so every energy is normal when the least and largest are
+    listed = energy.tolist()
+    if listed and not (_normal(min(listed), sparsity) and _normal(max(listed), sparsity)):
+        odd = [not _normal(e, sparsity) for e in listed]
         values = values.copy()
         values[odd] /= np.abs(values[odd]).max(axis=1)[:, None]
         energy[odd] = row_dot(values[odd], values[odd])
@@ -95,20 +97,20 @@ def snr_threshold(
 
     Defined only while delta < 1/sqrt(K/N + 1); the support size is taken
     at its worst case K. Note this bounds sqrt(SNR), not SNR. ``delta`` and
-    ``mar_value`` may be arrays, taken elementwise; a value out of range
-    anywhere raises ValueError.
+    ``mar_value`` may be arrays, taken elementwise, each checked by
+    ``linops._real``; a value out of range anywhere raises ValueError.
     """
-    deltas, mars = np.asarray(delta), np.asarray(mar_value)  # NaN survives min/max and fails
-    if not deltas.min(initial=0.0) >= 0.0:
+    deltas, mars = _real("delta", delta), _real("MAR", mar_value)  # finite: no NaN to compare
+    if np.count_nonzero(deltas < 0.0):
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if not (mars.min(initial=math.inf) > 0.0 and mars.max(initial=0.0) < math.inf):
+    if np.count_nonzero(mars <= 0.0):
         raise ValueError(f"MAR must be positive and finite, got {mar_value}")
     limit = condition_threshold(sparsity, n_select, Condition.SHARP)
-    if deltas.max(initial=0.0) >= limit:
+    if np.count_nonzero(deltas >= limit):
         raise ValueError(f"delta = {delta} >= 1/sqrt(K/N + 1) = {limit}; threshold undefined")
     ratio_root = math.sqrt(sparsity / n_select + 1.0)
     return (
         math.sqrt(2.0 * sparsity)
-        * (1.0 + delta)
-        / ((1.0 - ratio_root * delta) * np.sqrt(mar_value))
+        * (1.0 + deltas)
+        / ((1.0 - ratio_root * deltas) * np.sqrt(mars))
     )

@@ -116,9 +116,9 @@ def _lemma4_terms(inst: LemmaInstance) -> tuple[float, Callable[[float], float]]
     projected = project_complement(mat, inst.selected, signal_part)
 
     corr = mat.entries.T @ projected
-    lhs = float(np.max(np.abs(corr[remaining])))
+    lhs = float(np.abs(corr[remaining]).max())
     comp = np.asarray(sorted(inst.competitors)) - 1
-    lhs -= float(np.mean(np.abs(corr[comp])))
+    lhs -= float(np.abs(corr[comp]).sum() / comp.size)
 
     missing = len(omega) - inst.overlap
     growth = math.sqrt(missing / inst.n_select + 1.0)
@@ -280,7 +280,7 @@ def verify_selection_condition(
     mat = as_sensing_matrix(a)
     _check_trace(trace, x.n)
     omega = x.support
-    on = np.flatnonzero(x.values)
+    on = x.values.nonzero()[0]
     if on.size and trace.iterations and n_select > x.n - on.size:  # some iteration is checked
         raise ValueError(f"need {n_select} candidates, only {x.n - on.size} remain")
     prior: set[int] = set()
@@ -288,7 +288,7 @@ def verify_selection_condition(
         if omega <= prior:
             break
         corr = record.correlations
-        if not corr[on].max() > corr[_top_n(corr, n_select, on)].mean():
+        if not corr[on].max() > corr[_top_n(corr, n_select, on)].sum() / n_select:
             return False
         prior.update(record.selected)
     return True

@@ -203,6 +203,9 @@ NON_REAL_SITES = {
     "du_ric_bound": (np.ones(3), du_ric_bound),
     "GompParams-epsilon": (0.5, lambda eps: GompParams(1, 1, eps)),
     "RicEstimate-value": (0.1, lambda value: RicEstimate(2, value, RicKind.ANALYTIC_DU)),
+    # snr_threshold(1, 1, 0.1+0.5j, 1.0) once returned (0.675+1.380j)
+    "snr_threshold-delta": ([0.1, 0.2], lambda delta: snr_threshold(1, 1, delta, 1.0)),
+    "snr_threshold-MAR": ([0.5, 1.0], lambda mar_value: snr_threshold(1, 1, 0.1, mar_value)),
 }
 # a string epsilon raises TypeError without _real too, when compared with 0.0
 ALWAYS_REFUSED = {("GompParams-epsilon", "string")}
@@ -217,6 +220,30 @@ def test_data_that_is_not_integers_or_floats_raises_type_error(site, kind):
     value, call = NON_REAL_SITES[site]
     with pytest.raises(TypeError, match=r" entries must be integers or floats, got "):
         call(complex_string_bool(value)[kind])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: SensingMatrix([[True, 1.5]]), id="SensingMatrix"),
+    pytest.param(lambda: SparseSignal([True, 2.0]), id="SparseSignal"),
+    pytest.param(lambda: SparseSignal((1.0, np.True_)), id="SparseSignal-numpy-bool"),
+    pytest.param(lambda: gomp_run(EYE, [1.0, False, 0.0], GompParams(1, 1, 0.0)), id="as_vector"),
+    pytest.param(lambda: orthogonal_factor([[1.0, 0.0], [False, 1.0]]), id="orthogonal_factor"),
+    pytest.param(lambda: gomp_stacked(np.stack([EYE, EYE]), np.stack([UNIT, UNIT]), [0.0, True], 1, 1),
+                 id="gomp_stacked-eps"),
+    pytest.param(lambda: du_ric_bound([1.0, True]), id="du_ric_bound"),
+    pytest.param(lambda: snr_threshold(1, 1, [0.1, False], 1.0), id="snr_threshold-delta"),
+    pytest.param(lambda: snr_threshold(1, 1, 0.1, [True, 0.5]), id="snr_threshold-MAR"),
+])
+def test_a_sequence_mixing_booleans_with_numbers_raises_type_error(call):
+    # numpy reads it as numbers: SensingMatrix([[True, 1.5]]) once stored [[1.0, 1.5]]
+    with pytest.raises(TypeError, match=r" entries must be integers or floats, got a bool among numbers$"):
+        call()
+
+
+def test_sequences_of_numbers_are_still_read():
+    assert SensingMatrix([[1, 1.5]]).entries.tolist() == [[1.0, 1.5]]
+    assert SparseSignal((0, 2.0)).support == frozenset({2})
+    assert float(snr_threshold(1, 1, [0.0], [1.0])[0]) == float(snr_threshold(1, 1, 0.0, 1.0))
 
 
 def test_motivating_complex_observation_raises_type_error():
@@ -244,6 +271,8 @@ NON_FINITE_SITES = [
     # once a zero-iteration trace that read RESIDUAL_BELOW_EPSILON
     pytest.param(lambda: GompParams(2, 1, INF), "epsilon", id="GompParams-epsilon"),
     pytest.param(lambda: RicEstimate(2, NAN, RicKind.ANALYTIC_DU), "value", id="RicEstimate"),
+    pytest.param(lambda: snr_threshold(1, 1, [0.1, INF], 1.0), "delta", id="snr_threshold-delta"),
+    pytest.param(lambda: snr_threshold(1, 1, 0.1, NAN), "MAR", id="snr_threshold-MAR"),
 ]
 
 

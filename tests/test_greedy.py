@@ -324,6 +324,16 @@ class TestStackedKernel:
                                                np.array([0.5]), 1, 1)
         assert run.iterations[0] == 0 and math.isnan(run.residual_norms[0])
 
+    def test_a_row_stops_once_its_norm_is_at_most_its_epsilon(self):
+        # gomp_run iterates while ||r|| > epsilon; a stacked row that
+        # iterated while ||r|| >= epsilon would run 2 iterations on both
+        entries, y, eps = stacked_problems(2, 1, True, range(40, 43))
+        y[0], eps[0] = 0.0, 0.0  # ||y|| = epsilon = 0
+        eps[1] = gomp_run(entries[1], y[1], GompParams(2, 1, 0.0)).iterations[0].residual_norm
+        assert eps[1] > 0.0  # ||r_1|| = epsilon after one iteration
+        run, _ = assert_stacked_matches_scalar(entries, y, eps, 2, 1)
+        assert run.iterations.tolist() == [0, 1, 2]
+
     def test_rank_deficient_refit_raises(self):
         a, y = duplicate_column_problem()
         with pytest.raises(RankDeficient):

@@ -545,9 +545,10 @@ class TestInstanceFiles:
 
     def test_load_matrix_reads_json_numbers_only(self, tmp_path):
         path = tmp_path / "matrix.json"
-        # numpy reads a boolean among numbers as a number, so load_matrix checks each entry
+        # numpy reads a boolean among numbers as a number; SensingMatrix refuses it
         path.write_text("[[true, 1.5], [0, 1]]")
-        with pytest.raises(ValueError, match="matrix entries must be JSON numbers, not booleans$"):
+        message = f"{path}: matrix entries must be integers or floats, got a bool among numbers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_matrix(path)
         # an integer past int64 is a number, not an object array
         path.write_text("[[100000000000000000000, 0], [0, 1]]")

@@ -15,7 +15,7 @@ from gompkit import (
     run_trials,
 )
 from gompkit import linops
-from gompkit.linops import RANK_RTOL, _certified, _norm, _refit, du_entries, row_dot
+from gompkit.linops import RANK_RTOL, _certified, _norm, _refit, _signed_q, du_entries, row_dot
 
 
 def normal_equations_oracle(a_s, y):
@@ -162,6 +162,15 @@ def svd_refusal(a_s):
     return f"submatrix is numerically rank-deficient (sigma_min/sigma_max = {ratio:.3e})"
 
 
+def identity_stack_certified(gram):
+    """``_certified`` written with an identity stack: Cholesky of
+    G - c tr(G) I, c = 1e-4, with c tr(G) a finite normal double."""
+    shift = 1e-4 * gram.trace(axis1=-2, axis2=-1)
+    factor = linops._umath_linalg.cholesky_lo(gram - np.eye(gram.shape[-1]) * shift[..., None, None],
+                                              signature="d->d")
+    return (np.finfo(float).tiny <= shift) & (shift < math.inf) & ~np.isnan(factor[..., -1, -1])
+
+
 def is_certified(a_s):
     with np.errstate(over="ignore", invalid="ignore"):  # as _refit forms G
         return bool(_certified(a_s.T @ a_s))
@@ -265,6 +274,38 @@ class TestRefitRoutes:
             solve = linops._umath_linalg.solve(gram, rhs, signature="dd->d")
         assert [np.isnan(c).all() for c in cholesky] == [False, True, False]
         assert [np.isnan(x).all() for x in solve] == [False, True, False]
+
+    def test_certified_is_the_identity_stack_form(self):
+        # _certified subtracts the shift from a copy's diagonal; the mask is
+        # that of G - c tr(G) I built with an identity, slice by slice and
+        # on the stack, where the traces are inf, NaN and subnormal too
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal((10, 9, 4))
+        grams = a.swapaxes(-1, -2) @ a
+        grams[1, 2, 2] = np.inf
+        grams[2, 0, 0] = np.nan
+        grams[3] *= 1e-306  # the shift is subnormal
+        grams[4] *= 1e-280  # small, but every entry normal
+        grams[5] = np.outer([1.0, 2.0, 0.0, 1.0], [1.0, 2.0, 0.0, 1.0])  # singular
+        grams[6] = -grams[6]  # negative definite, a negative trace
+        # lambda_min on either side of 1e-4 tr(G): t > 3e-4 / (1 - 1e-4) = 3.00030003e-4
+        grams[8], grams[9] = np.diag([1.0, 1.0, 1.0, 3.0004e-4]), np.diag([1.0, 1.0, 1.0, 3.0002e-4])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = identity_stack_certified(grams)
+            assert want.tolist() == [True, False, False, False, True, False, False, True, True, False]
+            assert _certified(grams).tolist() == want.tolist()
+            assert [bool(_certified(g)) for g in grams] == want.tolist()
+
+    def test_a_subnormal_shift_is_not_certified_and_takes_the_svd(self, monkeypatch):
+        # G = [[1e-305]] is normal, but 1e-4 tr(G) is not: not certified
+        for gram in (np.array([[1e-305]]), np.array([[2.0**-1012]])):
+            assert not _certified(gram) and not identity_stack_certified(gram)
+        # and the refit whose G is [[2^-1012]] is solved by the SVD
+        calls, svd_coef = [], linops._svd_coef
+        monkeypatch.setattr(linops, "_svd_coef", lambda a_s, y: calls.append(a_s) or svd_coef(a_s, y))
+        a = np.array([[2.0**-506]])
+        assert same_bits(_refit(a, np.ones(1)), svd_solve(a, np.ones(1)))
+        assert len(calls) == 1
 
     def test_every_grid_refit_is_certified(self, monkeypatch):
         # on D*U instances cond(G_S) <= (1 + delta) / (1 - delta) < 17, so a
@@ -376,6 +417,22 @@ class TestOrthogonalFactor:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             orthogonal_factor(np.ones(shape))
 
+    @pytest.mark.parametrize("m,error,message", [
+        (np.ones((3, 3)), RankDeficient, "matrix is numerically singular; no orthogonal factor"),
+        (1e308 * np.random.default_rng(5).standard_normal((6, 6)), RankDeficient,
+         "matrix is numerically singular; no orthogonal factor"),  # the SVD overflows
+        (np.array([[1.0, 0.0], [0.0, np.nan]]), ValueError, "matrix entries must be finite"),
+        (np.eye(2) + 0j, TypeError, "matrix entries must be integers or floats, got complex128"),
+        (np.eye(2, dtype=bool), TypeError, "matrix entries must be integers or floats, got bool"),
+        (np.ones((2, 0, 0)), ValueError, "expected nonempty square matrices, got shape (2, 0, 0)"),
+    ], ids=["singular", "overflowing", "nan", "complex", "bool", "empty_stack"])
+    def test_each_refusal_keeps_its_exception(self, m, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and nothing warns, nor raises LinAlgError
+            with pytest.raises(error) as raised:
+                orthogonal_factor(m)
+        assert type(raised.value) is error and str(raised.value) == message
+
 
 def svd_guard_raises(m):
     """The singularity guard by itself, written out apart from
@@ -390,10 +447,7 @@ def guard_factor(m):
     for a RankDeficient refusal."""
     if svd_guard_raises(m):
         return None
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
+    return qr_signed_q(m)
 
 
 def with_spread(n, ratio, seed):
@@ -478,6 +532,48 @@ class TestSingularityGuard:
         m.reshape(-1, 3, 3)[-1, 1, 2] = bad
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             orthogonal_factor(m)
+
+
+def qr_signed_q(m):
+    """``np.linalg.qr``'s factor with R's diagonal made nonnegative, a zero
+    counted as positive: the reference for ``_signed_q``."""
+    q, r = np.linalg.qr(m)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[..., None, :]
+
+
+def zero_column():
+    """A Gaussian matrix with a zero column: R has a 0.0 on its diagonal."""
+    m = np.random.default_rng(23).standard_normal((5, 5))
+    m[:, 2] = 0.0
+    return m
+
+
+class TestSignedQ:
+    """``_signed_q`` calls the LAPACK gufuncs behind ``np.linalg.qr``
+    directly; a numpy whose QR changed would fail here first."""
+
+    @pytest.mark.parametrize("build", [zero_column, lambda: np.asfortranarray(zero_column())]
+                             + list(GUARD_CASES.values()),
+                             ids=["zero_column", "zero_column_fortran"] + list(GUARD_CASES))
+    def test_has_the_bits_of_np_linalg_qr(self, build):
+        m = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _signed_q(m).tobytes() == qr_signed_q(m).tobytes()
+
+    def test_a_zero_on_rs_diagonal_keeps_its_column(self):
+        m = zero_column()
+        assert np.linalg.qr(m)[1][2, 2] == 0.0
+        q = _signed_q(m)
+        assert q[:, 2].tobytes() == np.linalg.qr(m)[0][:, 2].tobytes()
+        assert np.abs(q.T @ q - np.eye(5)).max() <= 1e-14
+
+    def test_random_stacks_have_the_bits_of_np_linalg_qr(self):
+        for m in random_stacks():
+            assert _signed_q(m).tobytes() == qr_signed_q(m).tobytes()
+            assert _signed_q(m[0]).tobytes() == qr_signed_q(m[0]).tobytes()
 
 
 def diagonal_for(m, seed):

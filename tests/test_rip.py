@@ -691,6 +691,16 @@ class TestDuBound:
         assert abs(est.value - 0.5) <= 1e-15
         assert est.kind is RicKind.ANALYTIC_DU
 
+    def test_has_the_bits_of_the_two_sided_formula(self):
+        # _du_delta takes max |d_i^2 - 1|; the stated formula, bit for bit
+        rng = np.random.default_rng(47)
+        d = np.sqrt(1.0 + rng.uniform(-0.7, 0.7, (500, 9)))
+        d[:5] = np.array([1.0, math.sqrt(0.5), math.sqrt(1.5), 1.0 + 2.0**-52, 1.0 - 2.0**-53])[:, None]
+        sq = d * d
+        want = [max(1.0 - min(row), max(row) - 1.0) for row in sq.tolist()]
+        assert [du_ric_bound(row).value for row in d] == want
+        assert rip._du_delta(d).tolist() == want
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="^diagonal entries must be strictly positive$"):
             du_ric_bound(np.array([1.0, 0.0]))
@@ -784,6 +794,14 @@ class TestCheckRecoveryCondition:
     def test_under_inv_sqrt3_passes_for_k4_n2(self):
         est = RicEstimate(order=9, value=0.57, kind=RicKind.EXACT_ENUMERATION)
         assert check_recovery_condition(est, 4, 2)
+
+    @pytest.mark.parametrize("k,nsel", [(4, 1), (3, 2), (1, 3)])
+    def test_a_constant_at_the_threshold_does_not_certify(self, k, nsel):
+        # the condition is delta < 1/sqrt(K/N + 1), strict
+        est = RicEstimate(nsel * k + 1, condition_threshold(k, nsel), RicKind.EXACT_ENUMERATION)
+        assert not check_recovery_condition(est, k, nsel)
+        below = RicEstimate(est.order, math.nextafter(est.value, 0.0), est.kind)
+        assert check_recovery_condition(below, k, nsel)
 
     def test_insufficient_order_rejected(self):
         est = RicEstimate(order=4, value=0.1, kind=RicKind.EXACT_ENUMERATION)

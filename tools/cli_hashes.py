@@ -1,6 +1,6 @@
 """Print the sha256 prefix of each reference CLI command's output.
 
-Usage: python3 tools/cli_hashes.py
+Usage: python3 tools/cli_hashes.py [--check]
 
 Runs each command through ``python -m gompkit`` with this checkout's
 ``src`` first on PYTHONPATH and prints ``<full>  <verdict>  <command>``,
@@ -15,7 +15,10 @@ temporary directory; their lines show the template, ``{tmp}`` unfilled,
 so that lines compare across checkouts.
 Run it on two checkouts and compare the hash lines to check that a change
 keeps every output bit for bit, or, by the verdict column, every verdict.
-No expected values are stored.
+The verdicts are also stored: ``tools/verdicts.txt`` holds each command's
+verdict hash, and ``--check`` compares this run's verdict hashes with it,
+prints a diff of any line that differs and exits 1. The full hashes are
+not stored, since they hold only on one build and kernel.
 
 The bits hold only within one numpy and BLAS build and one BLAS kernel.
 A DYNAMIC_ARCH OpenBLAS picks its kernel per process, and
@@ -31,7 +34,9 @@ says Haswell can run SkylakeX or, under ``OPENBLAS_CORETYPE=Nehalem``,
 Nehalem); ``core=`` does.
 """
 
+import argparse
 import ctypes
+import difflib
 import hashlib
 import json
 import os
@@ -73,6 +78,7 @@ DROPPED = {
     "gen": ("matrix", "noise", "observation", "epsilon"),
 }
 RIC_DIGITS = 10
+VERDICTS = Path(__file__).with_name("verdicts.txt")
 LEMMA4_SLACK = re.compile(r" \(lhs - rhs\) \S+ at ")  # lemma 4's min-slack float
 
 
@@ -141,18 +147,33 @@ def environment() -> str:
             f"OPENBLAS_CORETYPE={coretype}")
 
 
-def main() -> int:
+def stored_verdicts() -> list[str]:
+    """The ``<verdict>  <command>`` lines of ``VERDICTS``, without its comments."""
+    return [line for line in VERDICTS.read_text().splitlines() if line and not line.startswith("#")]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Hash the reference CLI commands' output.")
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare the verdict hashes with {VERDICTS.name}; exit 1 on a difference")
+    check = parser.parse_args(argv).check
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     print(environment(), flush=True)
+    verdicts = []
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
             args = command.format(tmp=tmp).split()
             out = subprocess.run([sys.executable, "-m", "gompkit", *args],
                                  env=env, capture_output=True, check=True).stdout
-            print(f"{digest(out)}  {digest(verdict(command, out))}  {command}", flush=True)
-    return 0
+            verdicts.append(f"{digest(verdict(command, out))}  {command}")
+            print(f"{digest(out)}  {verdicts[-1]}", flush=True)
+    if not check:
+        return 0
+    diff = list(difflib.unified_diff(stored_verdicts(), verdicts, str(VERDICTS), "this run", lineterm=""))
+    print("\n".join(diff) if diff else f"every verdict hash equals {VERDICTS.name}'s")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
