@@ -4,8 +4,10 @@ The constant of order k measures how far every k-column submatrix is from
 an isometry: the smallest delta with
 (1 - delta) ||x||^2 <= ||A x||^2 <= (1 + delta) ||x||^2 for all k-sparse x.
 Exact values come from enumerating supports (deliberately desk-scale, with
-a hard budget); the diagonal-times-orthogonal construction used by the
-experiment harness admits a closed-form bound instead.
+a hard budget), screened by eigenvalue bounds carried down each support's
+prefixes and rounded outward at every level (``_bordered``); the
+diagonal-times-orthogonal construction used by the experiment harness
+admits a closed-form bound instead.
 """
 
 from __future__ import annotations
@@ -87,108 +89,115 @@ _THRESHOLDS = {  # each threshold as a function of the ratio K/N
 }
 
 
-def _support_table(n: int, k: int) -> np.ndarray:
+def _plan(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Every k-subset of range(n), one row each, in the lexicographic order
-    of ``itertools.combinations``; dtype ``np.min_scalar_type(n)``.
+    of ``itertools.combinations``, with the levels that stage 1 of the
+    screen carries its bounds down: (table, prefix) of levels 1 .. k,
+    read-only, the table at level k.
 
-    Built one column at a time: a row ending in v has the children
-    v + 1 .. n - k + level in the next column, so repeating each row once
-    per child keeps the order.
+    Level l's table holds every l-subset of range(n - k + l) (the
+    l-prefixes of the level-k rows) in the same order, in dtype
+    ``np.min_scalar_type(n)``; level 0 is the empty row. A row of level
+    l - 1 ending in v has the children v + 1 .. n - k + l - 1, so repeating
+    each row once per child keeps the order, and prefix[r], in the smallest
+    unsigned dtype that holds it, is the row that row r extends.
     """
-    dtype = np.min_scalar_type(n)
-    table = np.arange(n - k + 1, dtype=dtype)[:, None]
-    for level in range(1, k):
-        last = table[:, -1].astype(np.intp)
-        counts = (n - k + level) - last
+    table, last, levels = np.zeros((1, 0), dtype=np.min_scalar_type(n)), np.array([-1]), []
+    for level in range(1, k + 1):
+        counts = (n - k + level - 1) - last
         starts = np.cumsum(counts) - counts
         column = np.arange(int(counts.sum())) - np.repeat(starts - last - 1, counts)
-        table = np.column_stack((np.repeat(table, counts, axis=0), column.astype(dtype)))
-    return table
+        prefix = np.repeat(np.arange(len(table), dtype=np.min_scalar_type(len(table) - 1)), counts)
+        table, last = np.column_stack((table[prefix], column.astype(table.dtype))), column
+        levels.append((table, prefix))
+        table.flags.writeable = prefix.flags.writeable = False
+    return tuple(levels)
 
 
-def _read_only_support_table(n: int, k: int) -> np.ndarray:
-    table = _support_table(n, k)
-    table.flags.writeable = False
-    return table
+_small_plans = functools.lru_cache(maxsize=128)(_plan)
+_large_plans = functools.lru_cache(maxsize=2)(_plan)
 
 
-_small_support_tables = functools.lru_cache(maxsize=128)(_read_only_support_table)
-_large_support_tables = functools.lru_cache(maxsize=2)(_read_only_support_table)
-
-
-def _cached_support_table(n: int, k: int) -> np.ndarray:
-    """Read-only ``_support_table(n, k)``, kept between calls.
-
-    A table of at most _MAX_CHUNK rows costs more to build than the
-    ``eigvalsh`` on its first chunk; an LRU cache keeps 128 of them, which
-    hold at most 128 x 4,096 x k bytes, 6.8 MB with k <= 13 columns. A
-    larger table costs milliseconds to build; an LRU cache keeps the two
-    used last, enough for a caller that alternates two large (n, k). Each
-    is the table its enumeration needs anyway, C(n, k) rows of k entries of
-    ``np.min_scalar_type(n)``: within the default budget and n <= 255 at
-    most k MB, so the two hold at most 16 MB at orders up to 8.
+def _cached_plan(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``_plan(n, k)``, kept between calls. A plan of at most _MAX_CHUNK
+    rows costs more to build than the ``eigvalsh`` on its first chunk; an
+    LRU cache keeps 128 of them. A larger plan costs milliseconds to build;
+    an LRU cache keeps the two used last, enough for a caller that
+    alternates two large (n, k). A plan holds k bytes and a 2- or 4-byte
+    prefix index a support, and less for its levels: 1.8 MB at C(25, 6).
     """
-    cache = _small_support_tables if math.comb(n, k) <= _MAX_CHUNK else _large_support_tables
+    cache = _small_plans if math.comb(n, k) <= _MAX_CHUNK else _large_plans
     return cache(n, k)
 
 
 @functools.lru_cache(maxsize=128)
 def _layout(k: int) -> tuple[np.ndarray, ...]:
-    """Read-only lower-triangle layout of order k, built once per order:
-    ``np.tril_indices(k)`` (entry (i, j), i >= j, of a k x k matrix is pair
-    i(i+1)/2 + j), then the trace weights (1 on the diagonal, 0 elsewhere)
-    and the squared-Frobenius weights (1 on the diagonal, 2 elsewhere)."""
-    rows, columns = np.tril_indices(k)
-    trace = (rows == columns).astype(float)
-    layout = (rows, columns, trace, 2.0 - trace)
+    """Read-only ``np.tril_indices(k)``, built once per order: entry (i, j),
+    i >= j, of a k x k matrix is pair i(i+1)/2 + j of its lower triangle."""
+    layout = np.tril_indices(k)
     for array in layout:
         array.flags.writeable = False
     return layout
 
 
-def _trace_bound(lower: np.ndarray, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1 of the screen: which sides of a batch the trace bound leaves
-    open, as boolean masks (low_open, high_open).
+def _bordered(flat: np.ndarray, quad: np.ndarray, pairs: np.ndarray, up: np.ndarray,
+              bounds: np.ndarray) -> np.ndarray:
+    """Stage 1 of the screen, one level: the rows lo' <= lambda_min(G_S) and
+    hi' >= lambda_max(G_S) for each S = P + {v}, P the row up[s] of the
+    level before, from its rows lo <= lambda_min(G_P), hi >= lambda_max(G_P).
 
-    ``lower`` is laid out as for ``_inside_band``. For a symmetric k x k
-    matrix G with m = tr(G)/k and s^2 = ||G||_F^2/k - m^2 (the variance of
-    its eigenvalues), every eigenvalue lies in
-    [m - s sqrt(k-1), m + s sqrt(k-1)] (Wolkowicz & Styan, Linear Algebra
-    Appl. 29, 1980). A side with gap = m - low (low side) or high - m (high
-    side) is certified when gap > 0 and (k-1) s^2 < gap^2; the test compares
-    squares and never takes a root of the cancelled difference s^2.
+    ``flat`` is G = A^T A flattened, ``quad`` is 4 G*G and ``pairs`` (l, B)
+    holds the flat indices of G_iv, i in P, then of c = G_vv: cols n + v
+    for supports ``cols`` (l, B) in intp and their last entries v. At
+    level 1 the bound is c. Otherwise, with b^2 = sum_i G_iv^2, G_S lies
+    between [[lo I, g], [g^T, c]] and [[hi I, g], [g^T, c]], whose extreme
+    eigenvalues are those of [[p, b], [b, c]]:
+    (p + c -+ sqrt((p - c)^2 + 4 b^2)) / 2 at p = lo and hi (Weyl; Horn &
+    Johnson, Matrix Analysis, 4.3). Both increase with p.
 
-    Rounding, with u = 2^-53, P = k(k+1)/2, gamma_j = j u/(1 - j u) and
-    q = ||G||_F^2/k (so m^2 <= q). The trace is a sum of k entries (its 0/1
-    weights are exact) and ||G||_F^2 of P squares with exact weights 1 and
-    2, so in any summation order the computed m is within gamma_{k+1} sqrt(q)
-    of m and the computed q within gamma_{P+1} q of q. Through the remaining
-    operations, the computed (k-1) s^2 is within (k-1) gamma_{P+2k+8} q of
-    the true one, and whenever the computed gap is positive the true gap^2
-    is at least the computed one minus gamma_{k+3} (gap^2 + q). The
-    allowance 8(k^3 + 8) u (q + gap^2) is more than twice the sum of both
-    errors at every k, so a side that passes has (k-1) s^2 < gap^2 exactly.
-    It also has gap > 0: a positive computed gap whose true gap is not
-    positive is at most gamma_{k+2} sqrt(q), and its square is far below
-    the allowance. The absolute term
-    2^-1022 covers underflow (each product or quotient adds at most 2^-1075,
-    and a support takes fewer than 300 of them). So every true eigenvalue of
-    a certified side's matrix lies strictly inside (low, high). Sums that
-    overflow to inf or NaN fail every comparison and leave the side open;
-    only gap^2 may overflow without doing so, and then it exceeds any
-    finite (k-1) s^2 plus its allowance.
+    Rounding, with u = 2^-53, gamma_j = j u/(1 - j u) and eta = 2^-1075:
+    with t = p + c and r the root as computed, t + r is within
+    1.01 gamma_{l+4} (|t| + r) + 2.2 sqrt(l eta) of its exact value. The
+    sum of l - 1 squares is within gamma_{l-1} of 4 b^2 in any order, the
+    squares that underflow add at most 4 l eta, and the square root turns
+    an absolute error E into at most sqrt(E). The outward term
+    (l + 8) 2^-52 (|t| + r) + l 2^-535 is more than twice that, and covers
+    the roundings of forming and adding it and of halving, so lo' and hi'
+    hold for the true eigenvalues. A sum that overflows leaves inf, -inf or
+    NaN, and a NaN bound certifies nothing.
     """
-    k = math.isqrt(2 * lower.shape[0])
-    *_, trace, squares = _layout(k)
-    allowance = 8.0 * (k**3 + 8) * 2.0**-53
+    c = flat.take(pairs[-1])
+    if len(pairs) == 1:
+        return np.stack((c, c))
+    level = len(pairs)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = (trace @ lower) / k
-        mean_square = (squares @ (lower * lower)) / k
-        base = (k - 1) * (mean_square - mean * mean) + allowance * mean_square + 2.0**-1022
-        sides = []
-        for gap in (mean - low, high - mean):
-            sides.append(~((gap > 0.0) & (base < (1.0 - allowance) * (gap * gap))))
-    return sides[0], sides[1]
+        t = bounds.take(up, axis=1)  # p = lo and hi, side by side
+        d = t - c
+        r = np.sqrt(d * d + quad.take(pairs[:-1]).sum(axis=0))
+        t += c
+        r += (level + 8) * 2.0**-52 * (np.abs(t) + r) + level * 2.0**-535
+        r[0] *= -1.0
+        t += r
+        t *= 0.5
+    return t
+
+
+def _level_bounds(flat: np.ndarray, levels: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """4 G*G for ``flat`` = A^T A flattened, and ``_bordered``'s bounds on
+    the rows of the last of ``levels`` (``_plan``), carried down from level
+    1 in chunks of at most _MAX_CHUNK rows to keep the temporaries small."""
+    n = math.isqrt(flat.size)
+    with np.errstate(over="ignore"):
+        quad = 4.0 * flat * flat
+    bounds = np.zeros((2, 1))  # the empty row of level 0, never read
+    for table, prefix in levels:
+        level = np.empty((2, prefix.size))
+        for start in range(0, prefix.size, _MAX_CHUNK):
+            rows = slice(start, start + _MAX_CHUNK)
+            cols = np.ascontiguousarray(table[rows].T, dtype=np.intp)
+            level[:, rows] = _bordered(flat, quad, cols * n + cols[-1], prefix[rows], bounds)
+        bounds = level
+    return quad, bounds
 
 
 def _inside_band(lower: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -226,20 +235,23 @@ def _inside_band(lower: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _screen(lower: np.ndarray, cols: np.ndarray, low: float, high: float) -> np.ndarray:
-    """The columns of ``cols`` (one support each, laid out as ``lower``)
-    whose matrices the screen cannot place inside (low, high).
-
-    Stage 1, ``_trace_bound``, settles each side of most matrices; stage 2,
-    ``_inside_band``, runs LDL^T once on the sides stage 1 left open, as one
-    stack [G_low | -G_high] with shifts low and -high. A support whose two
-    sides both fail comes back twice, which cannot change a maximum.
+def _screen(flat: np.ndarray, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            low: float, high: float) -> np.ndarray:
+    """The columns of ``cols`` (one support each, (k, B) intp) whose Gram
+    submatrices, from ``flat`` = A^T A flattened, the screen cannot place
+    inside (low, high). Stage 1 certifies a low side where its bound
+    lo > low and a high side where hi < high (``_bordered``); stage 2,
+    ``_inside_band``, runs LDL^T once on the open sides' lower triangles, as
+    one stack [G_low | -G_high] with shifts low and -high. A support whose
+    two sides both fail comes back twice, which cannot change a maximum.
     """
-    low_open, high_open = _trace_bound(lower, low, high)
-    lows, highs = np.flatnonzero(low_open), np.flatnonzero(high_open)
-    sides = np.concatenate((lower.take(lows, axis=1), -lower.take(highs, axis=1)), axis=1)
-    inside = _inside_band(sides, np.repeat((low, -high), (lows.size, highs.size)))
-    return cols.take(np.concatenate((lows, highs))[~inside], axis=1)
+    lows, highs = np.flatnonzero(~(lo > low)), np.flatnonzero(~(hi < high))
+    sides = cols.take(np.concatenate((lows, highs)), axis=1)
+    rows, columns = _layout(len(cols))
+    lower = flat.take((sides * math.isqrt(flat.size))[rows] + sides[columns])
+    lower[:, lows.size:] *= -1.0
+    inside = _inside_band(lower, np.repeat((low, -high), (lows.size, highs.size)))
+    return sides[:, ~inside]
 
 
 def _lower_bounds(a: MatrixLike, order: int, budget: int = ENUMERATION_BUDGET) -> Iterator[float]:
@@ -283,7 +295,7 @@ def _screen_tolerance(gram: np.ndarray, order: int) -> float:
     pivots (about 8 k^3 eps max(1, max|G|)) and of ``eigvalsh``, so both
     place every eigenvalue of a principal submatrix G_S within tau/2 of the
     truth. The screen skips a support whose true eigenvalues lie inside
-    (1 - w + tau/2, 1 + w - tau/2). The trace bound carries its own
+    (1 - w + tau/2, 1 + w - tau/2). Stage 1's bound carries its own
     rounding allowance and needs none of tau.
     """
     return _SCREEN_RTOL * order**3 * max(1.0, float(np.max(np.abs(gram))))
@@ -295,21 +307,23 @@ def _enumerate(gram: np.ndarray, order: int, total: int) -> Iterator[float]:
     yield max(0.0, float(np.max(np.abs(gram.diagonal() - 1.0))) - tau)
     n = gram.shape[0]
     flat = gram.ravel()
-    table = _cached_support_table(n, order)
-    worst = 0.0
+    *levels, (table, up) = _cached_plan(n, order)
+    worst, prefix = 0.0, None
     start, size = 0, _FIRST_CHUNK
     while start < total:
-        cols = np.ascontiguousarray(table[start:start + size].T, dtype=np.intp)
-        start += size
+        rows = slice(start, start + size)
+        cols = np.ascontiguousarray(table[rows].T, dtype=np.intp)
         if worst > tau:  # the band is empty while w <= tau, as on the first chunk
-            rows, columns, _, _ = _layout(order)
-            lower = flat.take((cols * n)[rows] + cols[columns])
-            cols = _screen(lower, cols, 1.0 - worst + tau, 1.0 + worst - tau)
+            if prefix is None:  # 4 G*G and level k - 1's bounds, at the first screened chunk
+                quad, prefix = _level_bounds(flat, levels)
+            lo, hi = _bordered(flat, quad, cols * n + cols[-1], up[rows].astype(np.intp), prefix)
+            cols = _screen(flat, cols, lo, hi, 1.0 - worst + tau, 1.0 + worst - tau)
         if cols.shape[1]:
             sets = cols.T
             eigs = np.linalg.eigvalsh(flat.take(sets[:, :, None] * n + sets[:, None, :]))
             worst = max(worst, float(np.max(eigs) - 1.0), float(1.0 - np.min(eigs)))
         yield worst
+        start += size
         size = min(2 * size, _MAX_CHUNK)
 
 
@@ -327,25 +341,23 @@ def exact_ric(a: MatrixLike, order: int, *, budget: int = ENUMERATION_BUDGET) ->
     lexicographic order. The first chunk goes to ``eigvalsh`` and sets the
     running worst deviation w. In every later chunk, a support is skipped
     when the screen places every eigenvalue of G_S = A_S^T A_S inside the
-    band (1 - w + tau, 1 + w - tau), tau = 1e-12 k^3 max(1, max|G|). The
-    screen has two stages, both run on each chunk as it comes. Stage 1, the
-    trace bound of ``_trace_bound``, settles each side of the band from
-    tr(G_S) and ||G_S||_F^2 alone, with a rounding allowance under which a
-    certified side has every true eigenvalue strictly inside the band.
-    Stage 2, the LDL^T definiteness test of ``_inside_band``, runs once per
-    chunk on the sides stage 1 left open. The LDL^T backward error
-    (O(k^3 eps max(1, max|G|)), since ||G_S|| and w are at most
-    k max|G| + 1) is far below tau/2. Either way, every true eigenvalue of
-    a skipped G_S lies inside (1 - w + tau/2, 1 + w - tau/2). ``eigvalsh``
-    is backward stable too and would compute each eigenvalue within tau/2
-    of the truth, so the skipped support's computed deviation is below w
-    and cannot change the maximum. The supports of the sides LDL^T cannot
-    certify go to ``eigvalsh``, whose result for a matrix does not depend
-    on the batch it runs in. The screen reads only the k(k+1)/2
-    lower-triangle entries of each G_S, taken from the flattened Gram
-    matrix; the full G_S is gathered only for the supports that reach
-    ``eigvalsh``. Support tables are kept between calls (see
-    ``_cached_support_table``).
+    band (1 - w + tau, 1 + w - tau), tau = 1e-12 k^3 max(1, max|G|), in two
+    stages run on each chunk as it comes. Stage 1, ``_bordered``, settles
+    each side from bounds on the extremes of G_S that border its prefix's
+    bounds with one row and column (k - 1 entries of G*G; the prefixes'
+    bounds are built once, at the first screened chunk). Each level rounds
+    its bounds outward, so a certified side has every true eigenvalue
+    strictly inside the band. Stage 2, the LDL^T test of ``_inside_band``,
+    runs on the sides left open, gathering only their k(k+1)/2
+    lower-triangle entries; its backward error (O(k^3 eps max(1, max|G|)),
+    since ||G_S|| and w are at most k max|G| + 1) is far below tau/2.
+    Either way, every true eigenvalue of a skipped G_S lies inside
+    (1 - w + tau/2, 1 + w - tau/2). ``eigvalsh`` is backward stable too and
+    would compute each within tau/2 of the truth, so the skipped support's
+    deviation is below w and cannot change the maximum. The supports LDL^T
+    cannot certify go to ``eigvalsh``, whose result for a matrix does not
+    depend on the batch it runs in. Plans (``_cached_plan``) are kept
+    between calls.
     """
     *_, value = _lower_bounds(a, order, budget)
     return RicEstimate(order=order, value=value, kind=RicKind.EXACT_ENUMERATION)

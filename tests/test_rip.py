@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
@@ -225,24 +226,24 @@ def chunk_ends(total):
 
 
 def spy_screen(monkeypatch):
-    """Record the screen's calls in order: ("stage1", batch, open sides),
-    ("ldl", sides, failed sides) and ("eigvalsh", matrices)."""
+    """Record the screen's calls in order: ("stage1", batch, sides its
+    bounds leave open), ("ldl", sides, failed sides) and ("eigvalsh",
+    matrices)."""
     events = []
-    trace_bound, inside_band = rip._trace_bound, rip._inside_band
+    screen, inside_band = rip._screen, rip._inside_band
     eigvalsh = np.linalg.eigvalsh
 
-    def spy_trace_bound(lower, low, high):
-        low_open, high_open = trace_bound(lower, low, high)
-        opened = int(np.count_nonzero(low_open) + np.count_nonzero(high_open))
-        events.append(("stage1", lower.shape[1], opened))
-        return low_open, high_open
+    def spy_stage1(flat, cols, lo, hi, low, high):
+        opened = int(np.count_nonzero(~(lo > low)) + np.count_nonzero(~(hi < high)))
+        events.append(("stage1", cols.shape[1], opened))
+        return screen(flat, cols, lo, hi, low, high)
 
     def spy_inside_band(lower, shift):
         inside = inside_band(lower, shift)
         events.append(("ldl", lower.shape[1], int(np.count_nonzero(~inside))))
         return inside
 
-    monkeypatch.setattr(rip, "_trace_bound", spy_trace_bound)
+    monkeypatch.setattr(rip, "_screen", spy_stage1)
     monkeypatch.setattr(rip, "_inside_band", spy_inside_band)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: events.append(("eigvalsh", len(x))) or eigvalsh(x))
     return events
@@ -317,14 +318,29 @@ class TestScreenedEnumeration:
     def test_support_table_is_lexicographic_combinations(self):
         for n in range(1, 13):
             for k in range(1, n + 1):
-                table = rip._support_table(n, k)
+                table = rip._plan(n, k)[-1][0]
                 assert table.dtype == np.uint8
                 assert table.tolist() == [list(c) for c in combinations(range(n), k)]
         for n, dtype in ((256, np.uint16), (300, np.uint16)):
             for k in (1, 2):
-                table = rip._support_table(n, k)
+                table = rip._plan(n, k)[-1][0]
                 assert table.dtype == dtype
                 assert table.tolist() == [list(c) for c in combinations(range(n), k)]
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 10) for k in range(1, n + 1)] + [(16, 5), (25, 4), (300, 2)])
+    def test_plan_levels_are_the_prefixes_of_the_table(self, n, k):
+        levels = rip._plan(n, k)
+        assert len(levels) == k
+        rows = [()]  # level 0: the empty row
+        for level, (table, prefix) in enumerate(levels, start=1):
+            expected = list(combinations(range(n - k + level), level))
+            assert table.dtype == np.min_scalar_type(n)
+            assert [tuple(row) for row in table.tolist()] == expected
+            # each row extends the row of the level before that is its prefix
+            assert [rows[i] for i in prefix.tolist()] == [row[:-1] for row in expected]
+            assert prefix.dtype == np.min_scalar_type(len(rows) - 1)
+            rows = expected
+        assert rows == list(combinations(range(n), k))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_screen_matches_eigvalsh_classification(self, k):
@@ -337,43 +353,43 @@ class TestScreenedEnumeration:
         assert np.array_equal(got, expected)
 
     def test_small_tables_are_cached_read_only(self):
-        table = rip._cached_support_table(12, 6)  # C(12, 6) = 924 rows
-        assert rip._cached_support_table(12, 6) is table
-        assert table.tolist() == rip._support_table(12, 6).tolist()
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
+        plan = rip._cached_plan(12, 6)  # C(12, 6) = 924 rows
+        assert rip._cached_plan(12, 6) is plan
+        assert plan[-1][0].tolist() == [list(c) for c in combinations(range(12), 6)]
+        assert_read_only(plan)
 
-    def test_large_tables_are_kept_read_only_in_two_entries(self, monkeypatch):
-        builds = []
-        build = rip._support_table
-        monkeypatch.setattr(rip, "_support_table", lambda n, k: builds.append((n, k)) or build(n, k))
-        rip._large_support_tables.cache_clear()
+    def test_large_tables_are_kept_read_only_in_two_entries(self):
+        def builds():  # each cache miss builds a plan
+            return rip._large_plans.cache_info().misses
+
         a = np.random.default_rng(67).standard_normal((16, 16))
+        b = np.random.default_rng(67).standard_normal((17, 17))
         for _ in range(3):
             exact_ric(a, 5)  # C(16, 5) = 4368 rows
             exact_ric(a, 3)  # C(16, 3) = 560 rows
-        assert builds.count((16, 5)) == 1
-        assert builds.count((16, 3)) <= 1
-        table = rip._cached_support_table(16, 5)
-        assert rip._cached_support_table(16, 5) is table
-        assert table.tolist() == build(16, 5).tolist()
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
-        # a third large (n, k) evicts the least recently used table
-        exact_ric(a, 6)  # C(16, 6) = 8008 rows
+        assert builds() == 1 and rip._small_plans.cache_info().misses == 1
+        plan = rip._cached_plan(16, 5)
+        assert rip._cached_plan(16, 5) is plan and builds() == 1
+        assert plan[-1][0].tolist() == [list(c) for c in combinations(range(16), 5)]
+        assert_read_only(plan)
+        # two large (n, k) in turn, as C(25, 6) and C(29, 5) are: each built once
+        for _ in range(3):
+            exact_ric(a, 6)  # C(16, 6) = 8008 rows
+            exact_ric(b, 5)  # C(17, 5) = 6188 rows
+        assert builds() == 3
+        # a third large (n, k) evicts the least recently used plan
         exact_ric(a, 7)  # C(16, 7) = 11440 rows
-        assert rip._large_support_tables.cache_info().currsize == 2
-        exact_ric(a, 5)
-        assert builds.count((16, 5)) == 2
-        assert [b for b in builds if b != (16, 3)] == [(16, 5), (16, 6), (16, 7), (16, 5)]
+        assert rip._large_plans.cache_info().currsize == 2 and builds() == 4
+        exact_ric(b, 5)
+        assert builds() == 4
+        exact_ric(a, 6)
+        assert builds() == 5
 
     def test_budget_checked_before_table(self, monkeypatch):
         def refuse(n, k):
             raise AssertionError("support table built past the budget")
 
-        monkeypatch.setattr(rip, "_support_table", refuse)
+        monkeypatch.setattr(rip, "_cached_plan", refuse)
         with pytest.raises(BudgetExceeded):
             exact_ric(np.eye(200), 100)
 
@@ -395,7 +411,7 @@ class TestLowerTriangleScreen:
         _, du = du_matrix(rng, 16, 0.6)
         for a in (gaussian, du):
             gram = a.T @ a
-            cols = rip._support_table(a.shape[1], k)[:256].T.astype(np.intp)
+            cols = rip._plan(a.shape[1], k)[-1][0][:256].T.astype(np.intp)
             stack = gram[cols[:, None, :], cols[None, :, :]]
             eigs = np.linalg.eigvalsh(np.moveaxis(stack, 2, 0))
             deviation = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
@@ -447,15 +463,17 @@ class TestLowerTriangleScreen:
         assert sum(screened) < 0.1 * math.comb(16, 5)
 
     def test_small_enumerations_build_no_index_pairs(self, monkeypatch):
-        orders = []
-        layout = rip._layout
-        monkeypatch.setattr(rip, "_layout", lambda k: orders.append(k) or layout(k))
+        built = []
+        layout, level_bounds = rip._layout, rip._level_bounds
+        monkeypatch.setattr(rip, "_layout", lambda k: built.append(("layout", k)) or layout(k))
+        monkeypatch.setattr(rip, "_level_bounds", lambda flat, levels: built.append(("prefixes", len(levels) + 1)) or level_bounds(flat, levels))
         a = np.random.default_rng(89).standard_normal((8, 8))
         exact_ric(a, 3)  # C(8, 3) = 56 supports: the unscreened first chunk only
         exact_ric(a, 5)
-        assert orders == []
+        assert built == []  # no G*G, no prefix bounds and no index pairs
         exact_ric(a, 4)  # C(8, 4) = 70: a second, screened chunk
-        assert orders == [4, 4]  # its gather, then stage 1's weights
+        # G*G and the prefixes' bounds, then the open sides' gather
+        assert built == [("prefixes", 4), ("layout", 4)]
 
     def test_index_pairs_are_cached_read_only(self):
         layout = rip._layout(6)
@@ -465,20 +483,6 @@ class TestLowerTriangleScreen:
             assert not index.flags.writeable
             with pytest.raises(ValueError):
                 index[0] = 1
-
-    def test_trace_weights_are_cached_read_only(self):
-        for k in range(1, 13):
-            rows, columns, trace, squares = rip._layout(k)
-            again = rip._layout(k)
-            assert again[2] is trace and again[3] is squares
-            assert np.array_equal(rows, np.tril_indices(k)[0])
-            assert np.array_equal(columns, np.tril_indices(k)[1])
-            assert trace.tolist() == (rows == columns).astype(float).tolist()
-            assert squares.tolist() == np.where(rows == columns, 1.0, 2.0).tolist()
-            for weights in (trace, squares):
-                assert not weights.flags.writeable
-                with pytest.raises(ValueError):
-                    weights[0] = 3.0
 
     @pytest.mark.parametrize("estimate", [
         *(pytest.param(functools.partial(exact_ric, order=order), id=str(order))
@@ -495,23 +499,66 @@ class TestLowerTriangleScreen:
                 assert estimate(a).value == value
 
 
+def assert_read_only(plan):
+    for array in (array for level in plan for array in level):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+
+
+def table_bounds(gram, k):
+    """Stage 1's bounds (lo, hi) on every support of the (n, k) table, as
+    the enumeration carries them down each support's prefixes."""
+    _, (lo, hi) = rip._level_bounds(np.ascontiguousarray(gram).ravel(), rip._cached_plan(gram.shape[0], k))
+    return lo, hi
+
+
+def leading_block_bounds(grams):
+    """Stage 1's bounds (lo, hi) on each matrix G of a (B, k, k) batch,
+    carried down its leading blocks as the enumeration carries a support's
+    down its prefixes: level l borders G's leading (l-1)-block with row and
+    column l."""
+    batch, k, _ = grams.shape
+    flat = np.ascontiguousarray(grams, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        quad = 4.0 * flat * flat
+    first, same = np.arange(batch) * k * k, np.arange(batch)
+    bounds = np.zeros((2, batch))  # level 0, never read
+    for level in range(1, k + 1):
+        pairs = first + (np.arange(level)[:, None] * k + level - 1)  # G_iv, i < v, then G_vv
+        bounds = rip._bordered(flat, quad, pairs, same, bounds)
+    return bounds[0], bounds[1]
+
+
+def determinant(m):
+    """Laplace expansion along the first row, exact on Fractions."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * determinant([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m)))
+
+
+def stage1_open(grams, low, high):
+    """Which sides of each matrix stage 1 leaves open: (low side, high side)."""
+    lo, hi = leading_block_bounds(grams)
+    return ~(lo > low), ~(hi < high)
+
+
 def assert_stage1_sound(grams, low, high):
     """Stage 1 certifies a side of G only where eigvalsh puts every
     eigenvalue of G strictly inside the band on that side; returns how many
     sides it certified."""
     eigs = np.linalg.eigvalsh(grams)
-    lower = lower_triangles(np.ascontiguousarray(grams.transpose(1, 2, 0)))
-    low_open, high_open = rip._trace_bound(lower, low, high)
+    low_open, high_open = stage1_open(grams, low, high)
     assert np.all(low_open | (eigs[:, 0] > low)), (low, high)
     assert np.all(high_open | (eigs[:, -1] < high)), (low, high)
     return int(np.count_nonzero(~low_open) + np.count_nonzero(~high_open))
 
 
 def spread_families(k):
-    """Batches (48, k, k) where the trace bound is easiest to get wrong:
-    eigenvalues 1e4 (1 +- 1e-12), whose spread s^2 cancels to rounding
-    noise; rank-one spikes I + beta v v^T, on which the bound is tight; and
-    spectra in (0.5, 1.5) scaled by 1e6 and 1e150."""
+    """Batches (48, k, k) where a stage-1 bound is easiest to get wrong:
+    eigenvalues 1e4 (1 +- 1e-12), whose spread cancels to rounding noise;
+    rank-one spikes I + beta v v^T; and spectra in (0.5, 1.5) scaled by 1e6
+    and 1e150."""
     rng = np.random.default_rng(101 + k)
     batch = 48
     q = orthogonal_factor(rng.standard_normal((batch, k, k)))
@@ -531,8 +578,11 @@ def spread_families(k):
 
 
 class TestTwoStageScreen:
-    """Stage 1 (the trace bound) is sound, stage 2 (one-sided LDL^T) is the
-    reference's arithmetic side by side, and LDL^T sees few side tests."""
+    """Stage 1 (bounds bordered level by level, run here on each matrix's
+    leading blocks) is sound, stage 2 (one-sided LDL^T) is the reference's
+    arithmetic side by side, and LDL^T sees few side tests. The tests named
+    for the trace bound, stage 1 before the bordered bound, keep their
+    families and assertions."""
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_trace_bound_on_scaled_identity_at_the_band_edges(self, k):
@@ -540,11 +590,13 @@ class TestTwoStageScreen:
         steps = np.arange(-4, 5)
         c = np.concatenate((low + steps * np.spacing(low), high + steps * np.spacing(high), [1.0]))
         grams = c[:, None, None] * np.eye(k)
-        lower = lower_triangles(np.ascontiguousarray(grams.transpose(1, 2, 0)))
-        low_open, high_open = rip._trace_bound(lower, low, high)
+        low_open, high_open = stage1_open(grams, low, high)
         assert_stage1_sound(grams, low, high)
-        # a few ulps never clear an edge; the far side and the centre clear
-        assert low_open[:9].all() and high_open[9:18].all()
+        if k == 1:  # the bound is G_11 itself, exact: a side clears just inside its edge
+            assert np.array_equal(low_open[:9], c[:9] <= low) and np.array_equal(high_open[9:18], c[9:18] >= high)
+        else:  # a few ulps never clear an edge
+            assert low_open[:9].all() and high_open[9:18].all()
+        # the far side and the centre clear
         assert not low_open[9:].any() and not high_open[:9].any() and not high_open[-1]
 
     @pytest.mark.parametrize("k", range(1, 13))
@@ -576,10 +628,27 @@ class TestTwoStageScreen:
         assert certified > 0
 
     def test_trace_bound_leaves_overflow_open(self):
-        grams = np.stack([1e200 * np.eye(3), np.full((3, 3), np.nan), np.full((3, 3), np.inf)])
-        lower = lower_triangles(np.ascontiguousarray(grams.transpose(1, 2, 0)))
-        low_open, high_open = rip._trace_bound(lower, -1.0, 1.0)  # and warns of nothing
+        # off-diagonal entries whose squares overflow (stage 1 squares no diagonal entry)
+        grams = np.stack([1e200 * np.ones((3, 3)), np.full((3, 3), np.nan), np.full((3, 3), np.inf)])
+        low_open, high_open = stage1_open(grams, -1.0, 1.0)  # and warns of nothing
         assert low_open.all() and high_open.all()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_bounds_hold_in_exact_arithmetic(self, k):
+        # G - lo I and hi I - G have no negative principal minor in rationals,
+        # independently of eigvalsh's rounding. Zero-trace blocks [[-c, b], [b, c]]
+        # make p + c cancel, so the root alone must carry the outward term.
+        rng = np.random.default_rng(149 + k)
+        grams = rng.standard_normal((300, k, k)) * 10.0 ** rng.integers(-3, 4, (300, 1, 1))
+        grams = (grams + grams.transpose(0, 2, 1)) / 2.0
+        grams[::2, 1, 1] = -grams[::2, 0, 0]
+        lo, hi = leading_block_bounds(grams)
+        for g, low, high in zip(grams.tolist(), lo.tolist(), hi.tolist()):
+            g = [[Fraction(x) for x in row] for row in g]
+            for shift, sign in ((Fraction(low), 1), (Fraction(high), -1)):
+                shifted = [[sign * (x - shift * (i == j)) for j, x in enumerate(row)] for i, row in enumerate(g)]
+                assert all(determinant([[shifted[i][j] for j in s] for i in s]) >= 0
+                           for size in range(1, k + 1) for s in combinations(range(k), size)), (g, low, high)
 
     def test_gram_entries_whose_squares_overflow_give_the_unscreened_value(self):
         # |G| ~ 1e200: stage 1's squares overflow, which must leave sides open quietly
@@ -607,16 +676,16 @@ class TestTwoStageScreen:
         rng = np.random.default_rng(127 + k)
         _, du = du_matrix(rng, 16, 0.6)
         gram = du.T @ du
-        cols = rip._support_table(16, k)[:512].T.astype(np.intp)
+        lo, hi = (bound[:512] for bound in table_bounds(gram, k))
+        cols = rip._plan(16, k)[-1][0][:512].T.astype(np.intp)
         stack = gram[cols[:, None, :], cols[None, :, :]]
         eigs = np.linalg.eigvalsh(np.moveaxis(stack, 2, 0))
         deviation = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
         for quantile in (0.1, 0.5, 0.9):
             w = float(np.quantile(deviation, quantile))
-            # each support's column is its index, so _screen returns the failing ones
-            batch = np.arange(cols.shape[1])[None]
-            outside = np.zeros(cols.shape[1], dtype=bool)
-            outside[rip._screen(lower_triangles(stack), batch, 1.0 - w, 1.0 + w)] = True
+            # _screen returns the failing supports; mark them by their rows
+            failing = {tuple(s) for s in rip._screen(gram.ravel(), cols, lo, hi, 1.0 - w, 1.0 + w).T.tolist()}
+            outside = np.array([tuple(s) in failing for s in cols.T.tolist()])
             assert not np.any(outside & reference_inside_band(stack, 1.0 - w, 1.0 + w))
             assert np.all(outside | (deviation < w))
             assert outside.any() and not outside.all()

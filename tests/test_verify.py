@@ -137,7 +137,7 @@ def spy_enumeration(monkeypatch):
     ``lemma4_min_slack`` starts, its support count, how many values it
     handed out (0.0, the column floor, then one per chunk), whether it ran
     to its end, and each support table it fetched through
-    ``rip._cached_support_table`` (a cold cache's build inside the fetch is
+    ``rip._cached_plan`` (a cold cache's build inside the fetch is
     not counted again)."""
     calls, tables = [], []
     lower_bounds = verify._lower_bounds
@@ -155,8 +155,8 @@ def spy_enumeration(monkeypatch):
 
         return take()
 
-    fetch = rip._cached_support_table
-    monkeypatch.setattr(rip, "_cached_support_table", lambda n, k: tables.append((n, k)) or fetch(n, k))
+    fetch = rip._cached_plan
+    monkeypatch.setattr(rip, "_cached_plan", lambda n, k: tables.append((n, k)) or fetch(n, k))
     monkeypatch.setattr(verify, "_lower_bounds", counting_bounds)
     return calls, tables
 
